@@ -53,26 +53,21 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
-def _chain_lines(rep) -> str:
-    return (
-        f"lhs  = {rep.lhs!r}\n"
-        f"mid  = {rep.mid!r}\n"
-        f"rhs  = {rep.rhs!r}\n"
-        f"slack_low  = {rep.slack_low!r}\n"
-        f"slack_high = {rep.slack_high!r}\n"
-        f"holds = {rep.holds}"
-    )
-
-
-def _chain_payload(rep) -> dict:
-    return {
-        "lhs": rep.lhs,
-        "mid": rep.mid,
-        "rhs": rep.rhs,
-        "slack_low": rep.slack_low,
-        "slack_high": rep.slack_high,
+def _emit_chain(args, rep) -> int:
+    """Print a three-term chain report lhs <= mid <= rhs; exit 1 if it fails."""
+    (_, lhs), (_, mid), (_, rhs) = rep.terms
+    payload = {
+        "lhs": lhs,
+        "mid": mid,
+        "rhs": rhs,
+        "slack_low": mid - lhs,
+        "slack_high": rhs - mid,
         "holds": rep.holds,
     }
+    labels = ("lhs ", "mid ", "rhs ", "slack_low ", "slack_high", "holds")  # padded to align
+    human = "\n".join(f"{label} = {value!r}" for label, value in zip(labels, payload.values()))
+    _emit(args, payload, human)
+    return 0 if rep.holds else 1
 
 
 def _cmd_mu(args) -> int:
@@ -103,15 +98,11 @@ def _cmd_segment(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    rep = check_triangle_refinement(args.c, args.d)
-    _emit(args, _chain_payload(rep), _chain_lines(rep))
-    return 0 if rep.holds else 1
+    return _emit_chain(args, check_triangle_refinement(args.c, args.d))
 
 
 def _cmd_reverse_triangle(args) -> int:
-    rep = check_reverse_triangle(args.c, args.d, args.t)
-    _emit(args, _chain_payload(rep), _chain_lines(rep))
-    return 0 if rep.holds else 1
+    return _emit_chain(args, check_reverse_triangle(args.c, args.d, args.t))
 
 
 def _cmd_radius(args) -> int:

@@ -20,10 +20,10 @@ import numpy as np
 from . import operators, scalars
 from .linalg import numerical_radius, polar, spectral_norm
 from .operators import kittaneh_bound
+from .scalars import ChainReport
 
 __all__ = [
     "SweepConfig",
-    "TrialReport",
     "CheckStats",
     "SuiteSummary",
     "gen_instance",
@@ -94,17 +94,6 @@ class SweepConfig:
         merged = _default_tolerances()
         merged.update(self.tolerances)
         object.__setattr__(self, "tolerances", merged)
-
-
-@dataclass(frozen=True)
-class TrialReport:
-    """Outcome of a single check invocation."""
-
-    check_name: str
-    inputs_digest: str
-    terms: tuple
-    worst_slack: float
-    outcome: str  # pass | fail | angle-undefined | skipped
 
 
 @dataclass(frozen=True)
@@ -184,20 +173,21 @@ class _Stats:
         self.worst_digest = None
         self.buckets = {}
 
-    def add(self, report: TrialReport):
-        if report.outcome == "pass":
+    def add(self, digest: str, report: ChainReport | None):
+        outcome = "skipped" if report is None else report.outcome
+        if outcome == "pass":
             self.n_pass += 1
-        elif report.outcome == "fail":
+        elif outcome == "fail":
             self.n_fail += 1
-        elif report.outcome == "angle-undefined":
+        elif outcome == "angle-undefined":
             self.n_undefined += 1
         else:
             self.n_skipped += 1
-        if report.outcome in ("pass", "fail"):
+        if outcome in ("pass", "fail"):
             s = report.worst_slack
             if self.worst_slack is None or s < self.worst_slack:
                 self.worst_slack = s
-                self.worst_digest = report.inputs_digest
+                self.worst_digest = digest
             self.buckets[_slack_bucket(s)] = self.buckets.get(_slack_bucket(s), 0) + 1
 
     def freeze(self) -> CheckStats:
@@ -236,24 +226,15 @@ class _Recorder:
     def __init__(self):
         self._stats: dict[str, _Stats] = {}
 
-    def add(self, report: TrialReport):
-        stats = self._stats.get(report.check_name)
+    def add(self, name: str, digest: str, report: ChainReport | None):
+        """Record one attempt of check `name`; None records a skipped one."""
+        stats = self._stats.get(name)
         if stats is None:
-            stats = self._stats[report.check_name] = _Stats(report.check_name)
-        stats.add(report)
+            stats = self._stats[name] = _Stats(name)
+        stats.add(digest, report)
 
     def freeze(self) -> tuple:
         return tuple(stats.freeze() for stats in self._stats.values())
-
-
-def _report_from_scalar(name: str, digest: str, rep: scalars.ScalarChainReport) -> TrialReport:
-    terms = (("lhs", rep.lhs), ("mid", rep.mid), ("rhs", rep.rhs))
-    worst = min(rep.slack_low, rep.slack_high)
-    return TrialReport(name, digest, terms, worst, "pass" if rep.holds else "fail")
-
-
-def _report_from_operator(name: str, digest: str, rep: operators.OperatorChainReport) -> TrialReport:
-    return TrialReport(name, digest, rep.terms, rep.worst_slack, rep.outcome)
 
 
 # --- scalar checks -----------------------------------------------------------
@@ -261,31 +242,32 @@ def _report_from_operator(name: str, digest: str, rep: operators.OperatorChainRe
 
 def _run_scalar_trials(cfg: SweepConfig, rec: _Recorder) -> None:
     tol = cfg.tolerances["scalar_chain"]
-    log_tol = cfg.tolerances.get("log_bound", 1e-12)
     t_grid = cfg.t_grid
     for k in range(cfg.trials):
         digest = f"seed={cfg.seed};trial={k}"
 
         rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 1)
         c, d = gen_instance(rng, "scalar-pair", 0, cfg.scalar_scale)
-        rec.add(_report_from_scalar(
-            "triangle_refinement", digest, scalars.check_triangle_refinement(c, d, tol=tol)))
+        rec.add("triangle_refinement", digest, scalars.check_triangle_refinement(c, d, tol=tol))
 
         rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 2)
         c, d = gen_instance(rng, "scalar-pair", 0, cfg.scalar_scale)
         t = t_grid[k % len(t_grid)]
-        rec.add(_report_from_scalar(
-            "reverse_triangle", f"{digest};t={t:g}",
-            scalars.check_reverse_triangle(c, d, t, tol=tol)))
+        rec.add("reverse_triangle", f"{digest};t={t:g}",
+                scalars.check_reverse_triangle(c, d, t, tol=tol))
 
         rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 3)
         x = float(rng.uniform(-0.9999, 0.9999))
         lhs = 2.0 * x / (x * x + 1.0)
         rhs = math.log1p(x) - math.log1p(-x)
         margin = (rhs - lhs) if x >= 0.0 else (lhs - rhs)
-        ok = scalars.check_log_bound(x, tol=log_tol)
-        rec.add(TrialReport("log_bound", f"{digest};x={x!r}", (("x", x),), margin,
-                            "pass" if ok else "fail"))
+        ok = scalars.check_log_bound(x)
+        rec.add("log_bound", f"{digest};x={x!r}", ChainReport((("x", x),), ok, margin))
+
+
+def _add_grid(rec: _Recorder, name: str, points: int, worst: float) -> None:
+    """Record a grid property check: it passes when its worst margin is >= 0."""
+    rec.add(name, "grid", ChainReport((("grid_points", float(points)),), worst >= 0.0, worst))
 
 
 def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
@@ -305,9 +287,7 @@ def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
         margins.append(mono_tol - float(diffs[left].max()))      # non-increasing
     if right.any():
         margins.append(mono_tol + float(diffs[right].min()))     # non-decreasing
-    worst = min(margins)
-    rec.add(TrialReport("mu_grid_properties", "grid", (("grid_points", float(n)),),
-                        worst, "pass" if worst >= 0.0 else "fail"))
+    _add_grid(rec, "mu_grid_properties", n, min(margins))
 
     # gamma: range is enforced by construction; check symmetry, monotonicity,
     # and the pinned endpoint values across the t grid
@@ -324,11 +304,9 @@ def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
         diffs = np.diff(vals)
         margins.append(mono_tol - float(diffs[left].max()))
         margins.append(mono_tol + float(diffs[right].min()))
-        margins.append(1e-15 - abs(vals[0] - 1.0))
-        margins.append(1e-15 - abs(vals[-1] - 1.0))
-    worst = min(margins)
-    rec.add(TrialReport("gamma_grid_properties", "grid", (("grid_points", float(n)),),
-                        worst, "pass" if worst >= 0.0 else "fail"))
+        margins.append(1e-15 - float(abs(vals[0] - 1.0)))
+        margins.append(1e-15 - float(abs(vals[-1] - 1.0)))
+    _add_grid(rec, "gamma_grid_properties", n, min(margins))
 
     # mu': closed form vs central finite differences, and nu <= 0
     h = 1e-6
@@ -343,8 +321,7 @@ def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
         rel = abs(an - fd) / max(abs(an), 1e-300)
         worst = min(worst, deriv_tol - rel)
         worst = min(worst, -scalars.nu(float(th)) + 1e-15)
-    rec.add(TrialReport("mu_derivative_consistency", "grid", (("grid_points", float(grid.size)),),
-                        worst, "pass" if worst >= 0.0 else "fail"))
+    _add_grid(rec, "mu_derivative_consistency", grid.size, worst)
 
 
 # --- operator checks ---------------------------------------------------------
@@ -371,24 +348,20 @@ def _run_operator_trials(cfg: SweepConfig, rec: _Recorder) -> None:
             x_vec = gen_instance(rng, "vector", dim)
             y_vec = gen_instance(rng, "vector", dim)
 
-            rep = operators.check_mixed_schwarz(A, x_unit, y_unit, v, tol=tol_op)
-            rec.add(_report_from_operator("mixed_schwarz", digest, rep))
+            rec.add("mixed_schwarz", digest,
+                    operators.check_mixed_schwarz(A, x_unit, y_unit, v, tol=tol_op))
+            rec.add("radius_chain", digest, operators.check_radius_chain(A, v, x_unit, tol=tol_op))
+            rec.add("reverse_cs", digest, operators.check_reverse_cs(
+                x_vec, y_vec, t, tol=tol_op, equality_tol=eq_tol))
 
-            rep = operators.check_radius_chain(A, v, x_unit, tol=tol_op)
-            rec.add(_report_from_operator("radius_chain", digest, rep))
-
-            rep = operators.check_reverse_cs(x_vec, y_vec, t, tol=tol_op, equality_tol=eq_tol)
-            rec.add(_report_from_operator("reverse_cs", digest, rep))
-
+            rep = None  # skipped unless A is invertible enough
             if kind in INVERTIBLE_KINDS:
                 try:
                     rep = operators.check_geomean_lower(
                         A, v, x_unit, tol=tol_op, equality_tol=geo_tol)
-                    rec.add(_report_from_operator("geomean_lower", digest, rep))
                 except ValueError:
-                    rec.add(TrialReport("geomean_lower", digest, (), 0.0, "skipped"))
-            else:
-                rec.add(TrialReport("geomean_lower", digest, (), 0.0, "skipped"))
+                    pass
+            rec.add("geomean_lower", digest, rep)
 
             w = numerical_radius(A)
             nrm = spectral_norm(A)
@@ -397,8 +370,8 @@ def _run_operator_trials(cfg: SweepConfig, rec: _Recorder) -> None:
                      ("kittaneh", kb), ("norm", nrm))
             slacks = (w - nrm / 2.0, nrm - w, kb - w, nrm - kb)
             worst = min(slacks)
-            rec.add(TrialReport("radius_sandwich", digest, terms, worst,
-                                "pass" if worst >= -tol_rad * max(1.0, nrm) else "fail"))
+            rec.add("radius_sandwich", digest,
+                    ChainReport(terms, worst >= -tol_rad * max(1.0, nrm), worst))
 
 
 def run_suite(config: SweepConfig, suite: str = "all") -> SuiteSummary:

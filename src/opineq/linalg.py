@@ -1,10 +1,10 @@
 """Desk-scale dense complex linear algebra.
 
-Hermitian eigendecomposition, SVD, polar decomposition, fractional powers,
-weighted geometric means, spectral norm, numerical radius, vector angles,
-and the JSON interchange format for matrices. Matrices are plain complex
-ndarrays; decompositions are validated against their reconstruction
-contracts in the test suite.
+Hermitian eigendecomposition, SVD, the polar frame (one SVD that supplies
+U, |A|^p and |A*|^p), fractional powers, weighted geometric means, spectral
+norm, numerical radius, and the JSON interchange format for matrices.
+Matrices are plain complex ndarrays; decompositions are validated against
+their reconstruction contracts in the test suite.
 """
 
 from __future__ import annotations
@@ -17,10 +17,8 @@ import numpy as np
 
 __all__ = [
     "EigSystem",
-    "PolarParts",
-    "is_hermitian",
+    "PolarFrame",
     "is_unitary",
-    "is_psd",
     "hermitian_eig",
     "svd",
     "polar",
@@ -28,7 +26,6 @@ __all__ = [
     "geometric_mean",
     "spectral_norm",
     "numerical_radius",
-    "angle",
     "matrix_to_json",
     "matrix_from_json",
     "save_matrix",
@@ -52,12 +49,43 @@ class EigSystem:
     vectors: np.ndarray  # orthonormal columns
 
 
-@dataclass(frozen=True)
-class PolarParts:
-    """Polar decomposition A = unitary @ positive with positive = (A*A)^(1/2)."""
+def _from_spectrum(Q: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Q diag(d) Q*, before Hermitian symmetrisation."""
+    return (Q * d) @ Q.conj().T
 
-    unitary: np.ndarray
-    positive: np.ndarray
+
+def _hermitian_part(M: np.ndarray) -> np.ndarray:
+    return (M + M.conj().T) / 2.0
+
+
+@dataclass(frozen=True, eq=False)
+class PolarFrame:
+    """Polar decomposition A = U |A| held as the one SVD A = W diag(sigma) V*.
+
+    Every power of |A| and |A*| comes from the same factors:
+    U = W V*, |A|^p = V diag(sigma^p) V* and |A*|^p = W diag(sigma^p) W*.
+    """
+
+    W: np.ndarray
+    sigma: np.ndarray  # descending
+    V: np.ndarray
+
+    @property
+    def unitary(self) -> np.ndarray:
+        return self.W @ self.V.conj().T
+
+    @property
+    def positive(self) -> np.ndarray:
+        """|A| = (A*A)^(1/2)."""
+        return self.abs_power(1.0)
+
+    def abs_power(self, p: float) -> np.ndarray:
+        """|A|^p, Hermitian."""
+        return _hermitian_part(_from_spectrum(self.V, self.sigma**p))
+
+    def abs_star_power(self, p: float) -> np.ndarray:
+        """|A*|^p = U |A|^p U*, Hermitian."""
+        return _hermitian_part(_from_spectrum(self.W, self.sigma**p))
 
 
 def _as_matrix(M, who: str) -> np.ndarray:
@@ -85,27 +113,12 @@ def _fro(M: np.ndarray) -> float:
     return float(np.linalg.norm(M))
 
 
-def is_hermitian(M, tol: float = DEFAULT_TOL) -> bool:
-    A = _as_matrix(M, "is_hermitian")
-    if A.shape[0] != A.shape[1]:
-        return False
-    return _fro(A - A.conj().T) <= tol * _fro(A)
-
-
 def is_unitary(M, tol: float = DEFAULT_TOL) -> bool:
     A = _as_matrix(M, "is_unitary")
     if A.shape[0] != A.shape[1]:
         return False
     n = A.shape[0]
     return _fro(A.conj().T @ A - np.eye(n)) <= tol
-
-
-def is_psd(M, tol: float = DEFAULT_TOL) -> bool:
-    A = _as_matrix(M, "is_psd")
-    if not is_hermitian(A, tol):
-        return False
-    w = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-    return bool(w.min(initial=0.0) >= -tol)
 
 
 def hermitian_eig(M, tol: float = DEFAULT_TOL) -> EigSystem:
@@ -122,7 +135,7 @@ def hermitian_eig(M, tol: float = DEFAULT_TOL) -> EigSystem:
             f"hermitian_eig: matrix is not Hermitian: defect ||M - M*|| = {defect:.3e} "
             f"exceeds tol*||M|| = {tol * _fro(A):.3e}"
         )
-    w, V = np.linalg.eigh((A + A.conj().T) / 2.0)
+    w, V = np.linalg.eigh(_hermitian_part(A))
     return EigSystem(values=w, vectors=V)
 
 
@@ -137,19 +150,15 @@ def svd(M):
     return W, sigma, Vh.conj().T
 
 
-def polar(A) -> PolarParts:
-    """Polar decomposition A = U |A| through the SVD.
+def polar(A) -> PolarFrame:
+    """Polar decomposition A = U |A| through one SVD.
 
     With A = W diag(sigma) V*, the factors are U = W V* and
     |A| = V diag(sigma) V*. U is always a full unitary (the SVD supplies a
     unitary completion when A is singular), which makes the transport
     identity U |A|^p U* = |A*|^p hold for every p > 0.
     """
-    W, sigma, V = svd(A)
-    U = W @ V.conj().T
-    P = (V * sigma) @ V.conj().T
-    P = (P + P.conj().T) / 2.0
-    return PolarParts(unitary=U, positive=P)
+    return PolarFrame(*svd(A))
 
 
 def frac_power(P, p: float, tol: float | None = None) -> np.ndarray:
@@ -176,9 +185,7 @@ def frac_power(P, p: float, tol: float | None = None) -> np.ndarray:
     if p == 0.0:
         return np.eye(n, dtype=complex)
     lam = np.where(lam < 0.0, 0.0, lam)
-    V = eig.vectors
-    out = (V * lam**p) @ V.conj().T
-    return (out + out.conj().T) / 2.0
+    return _hermitian_part(_from_spectrum(eig.vectors, lam**p))
 
 
 def geometric_mean(A, B, t: float, pd_floor_rel: float = PD_FLOOR_REL) -> np.ndarray:
@@ -209,15 +216,11 @@ def geometric_mean(A, B, t: float, pd_floor_rel: float = PD_FLOOR_REL) -> np.nda
     ea = _pd_eig(A, "first operand")
     _pd_eig(B, "second operand")
     Va = ea.vectors
-    root = (Va * np.sqrt(ea.values)) @ Va.conj().T
-    inv_root = (Va * (1.0 / np.sqrt(ea.values))) @ Va.conj().T
-    inner = inv_root @ B @ inv_root
-    inner = (inner + inner.conj().T) / 2.0
-    wi, Vi = np.linalg.eigh(inner)
+    root = _from_spectrum(Va, np.sqrt(ea.values))
+    inv_root = _from_spectrum(Va, 1.0 / np.sqrt(ea.values))
+    wi, Vi = np.linalg.eigh(_hermitian_part(inv_root @ B @ inv_root))
     wi = np.where(wi < 0.0, 0.0, wi)  # round-off guard; inner is PD here
-    mid = (Vi * wi**t) @ Vi.conj().T
-    out = root @ mid @ root
-    return (out + out.conj().T) / 2.0
+    return _hermitian_part(root @ _from_spectrum(Vi, wi**t) @ root)
 
 
 def spectral_norm(M) -> float:
@@ -278,23 +281,6 @@ def numerical_radius(A, grid: int = 720, refine_tol: float = 1e-10) -> float:
         phi0 = float(phis[i])
         best = max(best, _golden_section_max(f, phi0 - step, phi0 + step, refine_tol))
     return best
-
-
-def angle(x, y) -> float:
-    """Angle arccos(|<x, y>| / (||x|| ||y||)) between nonzero vectors.
-
-    The modulus in the numerator keeps the value in [0, pi/2].
-    """
-    xv = _as_vector(x, "angle")
-    yv = _as_vector(y, "angle")
-    if xv.shape != yv.shape:
-        raise ValueError(f"angle: shape mismatch {xv.shape} vs {yv.shape}")
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
-    if nx == 0.0 or ny == 0.0:
-        raise ValueError("angle undefined for zero vectors")
-    r = abs(np.vdot(yv, xv)) / (nx * ny)
-    return float(np.arccos(min(1.0, r)))
 
 
 # --- matrix JSON interchange -------------------------------------------------

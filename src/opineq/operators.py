@@ -1,11 +1,11 @@
 """Operator-level inequality checks.
 
 Every check reduces to the scalar refinement through the polar
-decomposition A = U |A|: with one SVD A = W diag(sigma) V*, the two
-absolute-value powers are |A|^p = V diag(sigma^p) V* and
-|A*|^p = W diag(sigma^p) W*, and the auxiliary vectors |A|^v x and
-|A|^(1-v) U* y live in the V-coordinate frame as sigma^v (V* x) and
-sigma^(1-v) (W* y). The chains checked here:
+decomposition A = U |A|: each takes one `PolarFrame` (one SVD
+A = W diag(sigma) V*) from `polar`, whose two absolute-value powers are
+|A|^p = V diag(sigma^p) V* and |A*|^p = W diag(sigma^p) W*. The auxiliary
+vectors |A|^v x and |A|^(1-v) U* y live in the V-coordinate frame as
+sigma^v (V* x) and sigma^(1-v) (W* y). The chains checked here:
 
   * mixed Schwarz:   |<Ax,y>| <= mu(theta) * sqrt(<|A|^2v x,x><|A*|^2(1-v) y,y>)
                                 <= the unrefined bound,
@@ -22,16 +22,24 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .linalg import _as_square, _as_vector, geometric_mean, spectral_norm, svd
-from .scalars import gamma, mu
+from .linalg import (
+    PolarFrame,
+    _as_square,
+    _as_vector,
+    _from_spectrum,
+    _hermitian_part,
+    geometric_mean,
+    polar,
+    spectral_norm,
+)
+from .scalars import ChainReport, _chain, gamma, mu
 
 __all__ = [
     "AngleProfile",
-    "OperatorChainReport",
     "check_mixed_schwarz",
     "check_radius_chain",
     "check_reverse_cs",
@@ -53,29 +61,6 @@ _AUX_DEGENERATE_TOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _PROFILE_STREAM = 0x70726F66  # fixed second key word for angle_profile draws
-
-
-@dataclass(frozen=True)
-class OperatorChainReport:
-    """A checked inequality chain over named terms.
-
-    `terms` lists each link of the chain in order; `worst_slack` is the most
-    negative adjacent gap (equality links contribute the negated absolute
-    gap). When the defining angle is degenerate the report is marked
-    `angle_undefined` and carries no verdict.
-    """
-
-    terms: tuple[tuple[str, float], ...]
-    holds: bool
-    worst_slack: float
-    input_digest: str
-    angle_undefined: bool = False
-
-    @property
-    def outcome(self) -> str:
-        if self.angle_undefined:
-            return "angle-undefined"
-        return "pass" if self.holds else "fail"
 
 
 @dataclass(frozen=True)
@@ -116,30 +101,37 @@ def _require_unit(x: np.ndarray, who: str) -> np.ndarray:
     return x
 
 
-def _aux_coefficients(sigma: np.ndarray, Vh: np.ndarray, Wh: np.ndarray, v: float, x, y):
-    """Coefficients of |A|^v x and |A|^(1-v) U* y in the V frame."""
-    a1 = sigma**v * (Vh @ x)
-    a2 = sigma ** (1.0 - v) * (Wh @ y)
-    return a1, a2
-
-
 def _aux_tol(sigma: np.ndarray, p: float) -> float:
     top = float(sigma[0]) if sigma.size else 0.0
     return _AUX_DEGENERATE_TOL * max(1.0, top**p if top > 0.0 else 0.0)
 
 
-def _chain(terms, tol_eff, equality_gaps=()):
-    values = [value for _, value in terms]
-    slacks = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    worst = min(slacks) if slacks else 0.0
-    holds = worst >= -tol_eff
-    for gap, gap_tol in equality_gaps:
-        worst = min(worst, -abs(gap))
-        holds = holds and abs(gap) <= gap_tol
-    return holds, worst
+def _aux_angle(frame: PolarFrame, v: float, x, y, first, digest: str, x_scale=1.0, y_scale=1.0):
+    """(n1, n2, cos(theta)) for the auxiliary vectors |A|^v x, |A|^(1-v) U* y.
+
+    If either norm is below its degeneracy tolerance (times x_scale or
+    y_scale), returns the angle-undefined report holding only term `first`.
+    """
+    sigma = frame.sigma
+    a1 = sigma**v * (frame.V.conj().T @ x)
+    a2 = sigma ** (1.0 - v) * (frame.W.conj().T @ y)
+    n1 = float(np.linalg.norm(a1))
+    n2 = float(np.linalg.norm(a2))
+    if n1 <= _aux_tol(sigma, v) * x_scale or n2 <= _aux_tol(sigma, 1.0 - v) * y_scale:
+        return ChainReport((first,), True, 0.0, digest, angle_undefined=True)
+    return n1, n2, min(1.0, float(abs(np.vdot(a2, a1))) / (n1 * n2))
 
 
-def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> OperatorChainReport:
+def _power_sum(frame: PolarFrame, v: float) -> np.ndarray:
+    """S = |A|^2v + |A*|^2(1-v), Hermitian; Kittaneh's |A| + |A*| is S at v = 1/2."""
+    sigma = frame.sigma
+    return _hermitian_part(
+        _from_spectrum(frame.V, sigma ** (2.0 * v))
+        + _from_spectrum(frame.W, sigma ** (2.0 * (1.0 - v)))
+    )
+
+
+def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
     """Refined mixed Schwarz chain for |<Ax, y>|.
 
     terms = [|<Ax,y>|, mu(theta)*B, B] with
@@ -151,35 +143,27 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> O
     xv = _as_vector(x, "check_mixed_schwarz")
     yv = _as_vector(y, "check_mixed_schwarz")
     v = _validate_v(v, "check_mixed_schwarz")
-    if np.linalg.norm(xv) == 0.0 or np.linalg.norm(yv) == 0.0:
+    nx = float(np.linalg.norm(xv))
+    ny = float(np.linalg.norm(yv))
+    if nx == 0.0 or ny == 0.0:
         raise ValueError("check_mixed_schwarz: x and y must be nonzero")
     digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, yv, v)}"
 
-    W, sigma, V = svd(A)
-    a1, a2 = _aux_coefficients(sigma, V.conj().T, W.conj().T, v, xv, yv)
-    n1 = float(np.linalg.norm(a1))
-    n2 = float(np.linalg.norm(a2))
-    t1 = abs(np.vdot(yv, A @ xv))
-    if n1 <= _aux_tol(sigma, v) * np.linalg.norm(xv) or n2 <= _aux_tol(sigma, 1.0 - v) * np.linalg.norm(yv):
-        return OperatorChainReport(
-            terms=(("abs_inner", t1),),
-            holds=True,
-            worst_slack=0.0,
-            input_digest=digest,
-            angle_undefined=True,
-        )
-    theta = math.acos(min(1.0, abs(np.vdot(a2, a1)) / (n1 * n2)))
+    t1 = float(abs(np.vdot(yv, A @ xv)))
+    aux = _aux_angle(polar(A), v, xv, yv, ("abs_inner", t1), digest, nx, ny)
+    if isinstance(aux, ChainReport):
+        return aux
+    n1, n2, cos_theta = aux
     base = n1 * n2
     terms = (
         ("abs_inner", t1),
-        ("refined_schwarz", mu(theta) * base),
+        ("refined_schwarz", mu(math.acos(cos_theta)) * base),
         ("kato_schwarz", base),
     )
-    holds, worst = _chain(terms, tol * max(1.0, base))
-    return OperatorChainReport(terms=terms, holds=holds, worst_slack=worst, input_digest=digest)
+    return _chain(terms, tol * max(1.0, base), input_digest=digest)
 
 
-def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> OperatorChainReport:
+def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
     """Per-unit-vector numerical radius chain.
 
     terms = [|<Ax,x>|, mu(theta_x)*sqrt(q1*q2), mu(theta_x)/2*(q1+q2),
@@ -192,38 +176,25 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Opera
     v = _validate_v(v, "check_radius_chain")
     digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, v)}"
 
-    W, sigma, V = svd(A)
-    Vh = V.conj().T
-    Wh = W.conj().T
-    a1, a2 = _aux_coefficients(sigma, Vh, Wh, v, xv, xv)
-    n1 = float(np.linalg.norm(a1))
-    n2 = float(np.linalg.norm(a2))
-    t1 = abs(np.vdot(xv, A @ xv))
-    if n1 <= _aux_tol(sigma, v) or n2 <= _aux_tol(sigma, 1.0 - v):
-        return OperatorChainReport(
-            terms=(("abs_quadratic_form", t1),),
-            holds=True,
-            worst_slack=0.0,
-            input_digest=digest,
-            angle_undefined=True,
-        )
-    theta = math.acos(min(1.0, abs(np.vdot(a2, a1)) / (n1 * n2)))
-    m = mu(theta)
-    S = (V * sigma ** (2.0 * v)) @ Vh + (W * sigma ** (2.0 * (1.0 - v))) @ Wh
-    S = (S + S.conj().T) / 2.0
+    frame = polar(A)
+    t1 = float(abs(np.vdot(xv, A @ xv)))
+    aux = _aux_angle(frame, v, xv, xv, ("abs_quadratic_form", t1), digest)
+    if isinstance(aux, ChainReport):
+        return aux
+    n1, n2, cos_theta = aux
+    m = mu(math.acos(cos_theta))
     terms = (
         ("abs_quadratic_form", t1),
         ("refined_schwarz", m * n1 * n2),
         ("arithmetic_mean", m / 2.0 * (n1 * n1 + n2 * n2)),
-        ("operator_norm_bound", m / 2.0 * spectral_norm(S)),
+        ("operator_norm_bound", m / 2.0 * spectral_norm(_power_sum(frame, v))),
     )
-    holds, worst = _chain(terms, tol * max(1.0, n1 * n2))
-    return OperatorChainReport(terms=terms, holds=holds, worst_slack=worst, input_digest=digest)
+    return _chain(terms, tol * max(1.0, n1 * n2), input_digest=digest)
 
 
 def check_reverse_cs(
     x, y, t: float, tol: float = OPERATOR_SLACK_TOL, equality_tol: float = 1e-12
-) -> OperatorChainReport:
+) -> ChainReport:
     """Reverse Cauchy-Schwarz chain 0 <= gamma_t(theta) ||x|| ||y|| <= |<x,y>|.
 
     Also verifies the sharpness relation at t = 1/2, where
@@ -242,7 +213,7 @@ def check_reverse_cs(
         raise ValueError(f"check_reverse_cs: t must lie strictly in (0, 1), got {t!r}")
     digest = f"n={xv.size};t={t:g};{_content_digest(xv, yv, t)}"
 
-    inner = abs(np.vdot(yv, xv))
+    inner = float(abs(np.vdot(yv, xv)))
     prod = nx * ny
     theta = math.acos(min(1.0, inner / prod))
     terms = (
@@ -251,15 +222,13 @@ def check_reverse_cs(
         ("abs_inner", inner),
     )
     sharp_gap = gamma(0.5, theta) * prod - inner
-    holds, worst = _chain(
-        terms, tol * max(1.0, prod), equality_gaps=((sharp_gap, equality_tol * max(1.0, prod)),)
-    )
-    return OperatorChainReport(terms=terms, holds=holds, worst_slack=worst, input_digest=digest)
+    scale = max(1.0, prod)
+    return _chain(terms, tol * scale, ((sharp_gap, equality_tol * scale),), digest)
 
 
 def check_geomean_lower(
     A, v: float, x, tol: float = OPERATOR_SLACK_TOL, equality_tol: float = 1e-10
-) -> OperatorChainReport:
+) -> ChainReport:
     """Geometric-mean lower bound on |<Ax, x>| for invertible A.
 
     terms = [cos(theta_x) <G x, x>, cos(theta_x)*sqrt(q1*q2), |<Ax,x>|] with
@@ -272,34 +241,20 @@ def check_geomean_lower(
     v = _validate_v(v, "check_geomean_lower")
     digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, v)}"
 
-    W, sigma, V = svd(A)
-    Vh = V.conj().T
-    Wh = W.conj().T
-    P = (V * sigma ** (2.0 * v)) @ Vh
-    P = (P + P.conj().T) / 2.0
-    Q = (W * sigma ** (2.0 * (1.0 - v))) @ Wh
-    Q = (Q + Q.conj().T) / 2.0
+    frame = polar(A)
     try:
-        G = geometric_mean(P, Q, 0.5)
+        G = geometric_mean(frame.abs_power(2.0 * v), frame.abs_star_power(2.0 * (1.0 - v)), 0.5)
     except ValueError as err:
         raise ValueError(
             "check_geomean_lower: needs |A|^2v and |A*|^2(1-v) positive definite "
             f"(invertible A): {err}"
         ) from err
 
-    a1, a2 = _aux_coefficients(sigma, Vh, Wh, v, xv, xv)
-    n1 = float(np.linalg.norm(a1))
-    n2 = float(np.linalg.norm(a2))
-    t3 = abs(np.vdot(xv, A @ xv))
-    if n1 <= _aux_tol(sigma, v) or n2 <= _aux_tol(sigma, 1.0 - v):
-        return OperatorChainReport(
-            terms=(("abs_quadratic_form", t3),),
-            holds=True,
-            worst_slack=0.0,
-            input_digest=digest,
-            angle_undefined=True,
-        )
-    cos_theta = min(1.0, abs(np.vdot(a2, a1)) / (n1 * n2))
+    t3 = float(abs(np.vdot(xv, A @ xv)))
+    aux = _aux_angle(frame, v, xv, xv, ("abs_quadratic_form", t3), digest)
+    if isinstance(aux, ChainReport):
+        return aux
+    n1, n2, cos_theta = aux
     t1 = cos_theta * float(np.vdot(xv, G @ xv).real)
     t2 = cos_theta * n1 * n2
     terms = (
@@ -308,17 +263,14 @@ def check_geomean_lower(
         ("abs_quadratic_form", t3),
     )
     scale = max(1.0, n1 * n2)
-    holds, worst = _chain(terms[:2], tol * scale, equality_gaps=((t3 - t2, equality_tol * scale),))
-    return OperatorChainReport(terms=terms, holds=holds, worst_slack=worst, input_digest=digest)
+    # the last link is checked two-sided through its gap, not as an ordering
+    report = _chain(terms[:2], tol * scale, ((t3 - t2, equality_tol * scale),), digest)
+    return replace(report, terms=terms)
 
 
 def kittaneh_bound(A) -> float:
     """Upper bound w(A) <= || |A| + |A*| || / 2, itself at most ||A||."""
-    W, sigma, V = svd(A)
-    absA = (V * sigma) @ V.conj().T
-    absAstar = (W * sigma) @ W.conj().T
-    total = absA + absAstar
-    return 0.5 * spectral_norm((total + total.conj().T) / 2.0)
+    return 0.5 * spectral_norm(_power_sum(polar(A), 0.5))
 
 
 def refined_radius_bound(A, v: float, theta_ref: float) -> float:
@@ -337,10 +289,7 @@ def refined_radius_bound(A, v: float, theta_ref: float) -> float:
         raise ValueError(
             f"refined_radius_bound: theta_ref must lie in [0, pi/2], got {theta_ref!r}"
         )
-    W, sigma, V = svd(A)
-    S = (V * sigma ** (2.0 * v)) @ V.conj().T + (W * sigma ** (2.0 * (1.0 - v))) @ W.conj().T
-    S = (S + S.conj().T) / 2.0
-    return mu(theta_ref) / 2.0 * spectral_norm(S)
+    return mu(theta_ref) / 2.0 * spectral_norm(_power_sum(polar(A), v))
 
 
 def angle_profile(A, v: float, samples: int, seed: int, bins: int = 36) -> AngleProfile:
@@ -360,7 +309,8 @@ def angle_profile(A, v: float, samples: int, seed: int, bins: int = 36) -> Angle
         raise ValueError(f"angle_profile: need bins >= 1, got {bins}")
 
     n = A.shape[0]
-    W, sigma, V = svd(A)
+    frame = polar(A)
+    sigma = frame.sigma
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed & _MASK64, _PROFILE_STREAM], dtype=np.uint64))
     )
@@ -369,8 +319,8 @@ def angle_profile(A, v: float, samples: int, seed: int, bins: int = 36) -> Angle
     norms[norms == 0.0] = 1.0
     X = Z / norms[:, None]
     # row i of X @ conj(V) is V* x_i; scale columns by the sigma powers
-    A1 = (X @ V.conj()) * sigma**v
-    A2 = (X @ W.conj()) * sigma ** (1.0 - v)
+    A1 = (X @ frame.V.conj()) * sigma**v
+    A2 = (X @ frame.W.conj()) * sigma ** (1.0 - v)
     n1 = np.linalg.norm(A1, axis=1)
     n2 = np.linalg.norm(A2, axis=1)
     defined = (n1 > _aux_tol(sigma, v)) & (n2 > _aux_tol(sigma, 1.0 - v))

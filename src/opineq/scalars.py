@@ -9,7 +9,7 @@ unit scalars e^{i*theta}, e^{-i*theta} the average collapses to the
 refinement factor mu(theta) in [1/2, 1]; the reverse direction is governed
 by gamma_t(theta) in [0, 1]. This module evaluates all of these in closed
 form, provides an independent Gauss-Legendre route for I(c, d), and packages
-the inequality chains as checkable reports.
+the scalar and operator inequality chains alike as `ChainReport`s.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .quadrature import gauss_legendre_01
 
 __all__ = [
-    "ScalarChainReport",
+    "ChainReport",
     "chain_tolerance",
     "segment_mean_abs",
     "segment_mean_abs_quadrature",
@@ -60,15 +60,26 @@ _HALF_PI = 0.5 * math.pi
 
 
 @dataclass(frozen=True)
-class ScalarChainReport:
-    """One checked three-term inequality chain lhs <= mid <= rhs."""
+class ChainReport:
+    """A checked inequality chain over named terms, scalar or operator.
 
-    lhs: float
-    mid: float
-    rhs: float
-    slack_low: float   # mid - lhs
-    slack_high: float  # rhs - mid
+    `terms` lists each link of the chain in order as (name, value) pairs;
+    `worst_slack` is the most negative adjacent gap (an equality link
+    contributes its negated absolute gap). When the defining angle is
+    degenerate the report is marked `angle_undefined` and carries no verdict.
+    """
+
+    terms: tuple[tuple[str, float], ...]
     holds: bool
+    worst_slack: float
+    input_digest: str = ""
+    angle_undefined: bool = False
+
+    @property
+    def outcome(self) -> str:
+        if self.angle_undefined:
+            return "angle-undefined"
+        return "pass" if self.holds else "fail"
 
 
 def chain_tolerance(c: complex, d: complex) -> float:
@@ -76,17 +87,24 @@ def chain_tolerance(c: complex, d: complex) -> float:
     return max(SCALAR_ABS_TOL, SCALAR_REL_TOL * max(abs(c), abs(d), 1.0))
 
 
-def _chain_report(lhs: float, mid: float, rhs: float, tol: float) -> ScalarChainReport:
-    slack_low = mid - lhs
-    slack_high = rhs - mid
-    return ScalarChainReport(
-        lhs=lhs,
-        mid=mid,
-        rhs=rhs,
-        slack_low=slack_low,
-        slack_high=slack_high,
-        holds=(slack_low >= -tol) and (slack_high >= -tol),
-    )
+def _chain(terms, tol: float, equality_gaps=(), input_digest: str = "") -> ChainReport:
+    """The report of the chain `terms`, each adjacent gap allowed down to -tol.
+
+    Each (gap, gap_tol) in `equality_gaps` is an exact equality: it enters
+    `worst_slack` as -|gap| and fails the chain beyond gap_tol.
+    """
+    worst = prev = None  # a plain loop, cheaper than min() over a comprehension
+    for _, value in terms:
+        if prev is not None and (worst is None or value - prev < worst):
+            worst = value - prev
+        prev = value
+    if worst is None:
+        worst = 0.0
+    holds = worst >= -tol
+    for gap, gap_tol in equality_gaps:
+        worst = min(worst, -abs(gap))
+        holds = holds and abs(gap) <= gap_tol
+    return ChainReport(terms, holds, worst, input_digest)
 
 
 def segment_mean_abs(c: complex, d: complex) -> float:
@@ -155,8 +173,8 @@ def segment_mean_abs_quadrature(c: complex, d: complex, nodes: int = 64) -> floa
     return float(np.sum(w * np.abs(s * complex(c) + (1.0 - s) * complex(d))))
 
 
-def check_triangle_refinement(c: complex, d: complex, tol: float | None = None) -> ScalarChainReport:
-    """Check |c+d|/2 <= I(c, d) <= (|c|+|d|)/2."""
+def check_triangle_refinement(c: complex, d: complex, tol: float | None = None) -> ChainReport:
+    """Check |c+d|/2 <= I(c, d) <= (|c|+|d|)/2: terms lhs, mid, rhs."""
     c = complex(c)
     d = complex(d)
     if tol is None:
@@ -164,12 +182,12 @@ def check_triangle_refinement(c: complex, d: complex, tol: float | None = None) 
     lhs = abs(c + d) / 2.0
     mid = segment_mean_abs(c, d)
     rhs = (abs(c) + abs(d)) / 2.0
-    return _chain_report(lhs, mid, rhs, tol)
+    return _chain((("lhs", lhs), ("mid", mid), ("rhs", rhs)), tol)
 
 
 def check_reverse_triangle(
     c: complex, d: complex, t: float, tol: float | None = None
-) -> ScalarChainReport:
+) -> ChainReport:
     """Check the reverse bound with weight r_t = min(t, 1-t):
 
         (|c|+|d|)/2 - ((1-t)|c| + t|d| - |(1-t)c + t*d|) / (2*r_t)
@@ -197,9 +215,9 @@ def check_reverse_triangle(
     mixed = abs((1.0 - t) * c + t * d)
     lhs = mean_abs - ((1.0 - t) * abs_c + t * abs_d - mixed) / (2.0 * r_t)
     mid = abs(c + d) / 2.0
-    report = _chain_report(lhs, mid, mean_abs, tol)
+    report = _chain((("lhs", lhs), ("mid", mid), ("rhs", mean_abs)), tol)
     equiv_holds = mixed <= (1.0 - t) * abs_c + t * abs_d - 2.0 * r_t * (mean_abs - mid) + tol
-    return replace(report, holds=report.holds and equiv_holds)
+    return report if equiv_holds else replace(report, holds=False)
 
 
 def check_log_bound(x: float, tol: float = 1e-12) -> bool:

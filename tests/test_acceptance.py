@@ -81,7 +81,7 @@ def test_criterion_01_scalar_refinement_sweep():
     worst = math.inf
     for c, d in zip(cs, ds):
         rep = check_triangle_refinement(complex(c), complex(d), tol=1e-10)
-        worst = min(worst, rep.slack_low, rep.slack_high)
+        worst = min(worst, rep.worst_slack)
         if not rep.holds:
             break
     elapsed = time.perf_counter() - start
@@ -89,8 +89,9 @@ def test_criterion_01_scalar_refinement_sweep():
     for z in (1 + 0j, -2.5 + 0.3j, 7j):
         rep = check_triangle_refinement(z, z)
         scale = max(abs(z), 1.0)
-        equality_ok &= abs(rep.slack_low) <= 1e-14 * scale
-        equality_ok &= abs(rep.slack_high) <= 1e-14 * scale
+        (_, lhs), (_, mid), (_, rhs) = rep.terms
+        equality_ok &= abs(mid - lhs) <= 1e-14 * scale
+        equality_ok &= abs(rhs - mid) <= 1e-14 * scale
         equality_ok &= rep.holds
     ok = worst >= -1e-10 and equality_ok and elapsed <= 5.0
     _line(1, ok, f"1e5 pairs, worst slack {worst:.2e}, equality ok {equality_ok}, "
@@ -278,7 +279,8 @@ def test_criterion_07_reverse_triangle_sweep():
     worst = math.inf
     for c, d, t in zip(cs, ds, ts):
         rep = check_reverse_triangle(complex(c), complex(d), float(t), tol=1e-10)
-        worst = min(worst, rep.slack_low)
+        (_, lhs), (_, mid), _ = rep.terms
+        worst = min(worst, mid - lhs)
         if not rep.holds:
             break
     ok = worst >= -1e-10

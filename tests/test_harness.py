@@ -12,7 +12,7 @@ from opineq.harness import (
     trial_rng,
     write_report,
 )
-from opineq.linalg import is_psd, is_unitary
+from opineq.linalg import is_unitary
 
 SMALL = dict(seed=1, trials=60, operator_trials=6, dims=(2, 3))
 
@@ -68,7 +68,8 @@ def test_gen_instance_kinds():
     H = gen_instance(rng, "hermitian", 4)
     assert np.allclose(H, H.conj().T)
     P = gen_instance(trial_rng(1, 2, 4), "psd", 3)
-    assert is_psd(P, tol=1e-10)
+    assert np.allclose(P, P.conj().T)
+    assert np.linalg.eigvalsh(P).min() >= -1e-10
     U = gen_instance(trial_rng(7, 2, 5), "unitary", 5)
     assert is_unitary(U, tol=1e-10)
     N = gen_instance(trial_rng(1, 2, 6), "nilpotent-like", 4)
@@ -190,6 +191,19 @@ def test_write_report_csv_agrees_with_json(tmp_path):
         row = rows[entry["name"]]
         assert [int(row[1]), int(row[2]), int(row[3]), int(row[4])] == [
             entry["pass"], entry["fail"], entry["undefined"], entry["skipped"]]
+
+
+def test_write_report_csv_slacks_are_plain_floats(tmp_path):
+    # every worst_slack cell must parse as a number, including the operator
+    # checks and the grid checks
+    summary = run_suite(SweepConfig(**SMALL))
+    path = tmp_path / "r.csv"
+    write_report(summary, path, format="csv")
+    rows = path.read_text().strip().splitlines()[1:]
+    cells = [row.split(",")[5] for row in rows]
+    assert len(cells) == 11 and all(cells)
+    for cell in cells:
+        float(cell)
 
 
 def test_write_report_empty_summary(tmp_path):

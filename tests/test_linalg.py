@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 
 from opineq.linalg import (
-    angle,
     frac_power,
     geometric_mean,
     hermitian_eig,
-    is_hermitian,
-    is_psd,
     is_unitary,
     load_matrix,
     matrix_from_json,
@@ -42,16 +39,8 @@ def random_psd(rng, n):
 
 
 def test_predicates():
-    rng = np.random.default_rng(0)
-    H = random_hermitian(rng, 5)
-    G = random_complex(rng, 5)
-    assert is_hermitian(H)
-    assert not is_hermitian(G)
     assert is_unitary(np.eye(4))
     assert not is_unitary(2.0 * np.eye(4))
-    assert is_psd(random_psd(rng, 4))
-    assert not is_psd(np.diag([1.0, -1.0]))
-    assert not is_hermitian(np.ones((2, 3)))
 
 
 # --- hermitian_eig -------------------------------------------------------
@@ -353,30 +342,6 @@ def test_empty_matrices_rejected_everywhere():
             op(empty)
     with pytest.raises(ValueError, match="nonempty"):
         frac_power(empty, 0.5)
-
-
-# --- angle -------------------------------------------------------------------
-
-
-def test_angle_pins():
-    assert angle([1.0, 0.0], [1.0, 0.0]) == 0.0
-    assert angle([1.0, 0.0], [0.0, 1.0]) == pytest.approx(math.pi / 2.0, abs=1e-15)
-    assert angle([1.0, 0.0], [1.0, 1.0]) == pytest.approx(math.pi / 4.0, abs=1e-14)
-
-
-def test_angle_phase_invariant_and_bounded():
-    rng = np.random.default_rng(33)
-    for _ in range(500):
-        x = rng.normal(size=3) + 1j * rng.normal(size=3)
-        y = rng.normal(size=3) + 1j * rng.normal(size=3)
-        th = angle(x, y)
-        assert 0.0 <= th <= math.pi / 2.0
-        assert angle(np.exp(0.7j) * x, y) == pytest.approx(th, abs=1e-12)
-
-
-def test_angle_rejects_zero_vectors():
-    with pytest.raises(ValueError, match="zero"):
-        angle([0.0, 0.0], [1.0, 0.0])
 
 
 # --- matrix JSON -------------------------------------------------------------

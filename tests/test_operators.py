@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opineq.harness import MATRIX_KINDS, gen_instance, trial_rng
 from opineq.linalg import numerical_radius, polar, spectral_norm
 from opineq.operators import (
     angle_profile,
@@ -52,6 +53,15 @@ def test_kittaneh_between_radius_and_norm():
         kb = kittaneh_bound(A)
         assert numerical_radius(A) <= kb + 1e-8
         assert kb <= spectral_norm(A) + 1e-8
+
+
+@pytest.mark.parametrize("kind", MATRIX_KINDS)
+@pytest.mark.parametrize("dim", [2, 5])
+def test_kittaneh_is_refined_bound_at_half_weight_exactly(kind, dim):
+    # |A| + |A*| is S = |A|^2v + |A*|^2(1-v) at v = 1/2, and mu(0) = 1: both
+    # bounds build S along the same path, so they agree to the last bit
+    A = gen_instance(trial_rng(17, 4, 0, dim), kind, dim)
+    assert kittaneh_bound(A) == refined_radius_bound(A, 0.5, 0.0)
 
 
 # --- refined_radius_bound ------------------------------------------------------

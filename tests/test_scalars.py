@@ -154,15 +154,16 @@ def test_quadrature_validates_node_count():
 
 def test_triangle_chain_equality_case():
     rep = check_triangle_refinement(1, 1)
-    assert rep.lhs == rep.mid == rep.rhs == 1.0
+    assert rep.terms == (("lhs", 1.0), ("mid", 1.0), ("rhs", 1.0))
     assert rep.holds
 
 
 def test_triangle_chain_antipodal():
     rep = check_triangle_refinement(1, -1)
-    assert rep.lhs == 0.0
-    assert rep.mid == pytest.approx(0.5, abs=1e-15)
-    assert rep.rhs == 1.0
+    (_, lhs), (_, mid), (_, rhs) = rep.terms
+    assert lhs == 0.0
+    assert mid == pytest.approx(0.5, abs=1e-15)
+    assert rhs == 1.0
     assert rep.holds
 
 
@@ -174,15 +175,17 @@ def test_chain_tolerance_scales():
 
 def test_reverse_triangle_equal_scalars():
     rep = check_reverse_triangle(1, 1, 0.3)
-    assert rep.lhs == pytest.approx(1.0, abs=1e-14)
-    assert rep.mid == 1.0
+    (_, lhs), (_, mid), _ = rep.terms
+    assert lhs == pytest.approx(1.0, abs=1e-14)
+    assert mid == 1.0
     assert rep.holds
 
 
 def test_reverse_triangle_antipodal_half():
     rep = check_reverse_triangle(1, -1, 0.5)
-    assert rep.lhs == pytest.approx(0.0, abs=1e-14)
-    assert rep.mid == 0.0
+    (_, lhs), (_, mid), _ = rep.terms
+    assert lhs == pytest.approx(0.0, abs=1e-14)
+    assert mid == 0.0
     assert rep.holds
 
 
