@@ -107,7 +107,8 @@ def _cmd_reverse_triangle(args) -> int:
 
 def _cmd_radius(args) -> int:
     A = load_matrix(args.input)
-    w = numerical_radius(A, grid=args.grid, refine_tol=args.refine_tol)
+    given = {"grid": args.grid, "refine_tol": args.refine_tol}
+    w = numerical_radius(A, **{k: v for k, v in given.items() if v is not None})
     _emit(args, {"radius": w}, repr(w))
     return 0
 
@@ -222,8 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("radius", _cmd_radius, "numerical radius of a matrix from JSON")
     p.add_argument("--input", required=True, metavar="M.json")
-    p.add_argument("--grid", type=int, default=720)
-    p.add_argument("--refine-tol", type=float, default=1e-10, dest="refine_tol")
+    p.add_argument("--grid", type=int, default=None,
+                   help="scan points (default: numerical_radius's own)")
+    p.add_argument("--refine-tol", type=float, default=None, dest="refine_tol",
+                   help="stop Newton steps on phi below this (default: numerical_radius's own)")
 
     p = add("bounds", _cmd_bounds, "norm, radius, and radius upper bounds")
     p.add_argument("--input", required=True, metavar="M.json")

@@ -92,6 +92,10 @@ class SweepConfig:
         if self.scalar_scale <= 0.0:
             raise ValueError("SweepConfig: scalar_scale must be positive")
         merged = _default_tolerances()
+        unknown = sorted(set(self.tolerances) - set(merged))
+        if unknown:
+            raise ValueError(f"SweepConfig: unknown tolerance key(s) {unknown!r}; "
+                             f"valid keys are {sorted(merged)!r}")
         merged.update(self.tolerances)
         object.__setattr__(self, "tolerances", merged)
 
@@ -188,7 +192,8 @@ class _Stats:
             if self.worst_slack is None or s < self.worst_slack:
                 self.worst_slack = s
                 self.worst_digest = digest
-            self.buckets[_slack_bucket(s)] = self.buckets.get(_slack_bucket(s), 0) + 1
+            bucket = _slack_bucket(s)
+            self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
 
     def freeze(self) -> CheckStats:
         ordered = tuple(sorted(self.buckets.items(), key=lambda kv: _bucket_order(kv[0])))

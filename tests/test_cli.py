@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from opineq.cli import main
-from opineq.linalg import save_matrix
+from opineq.linalg import numerical_radius, save_matrix
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -82,6 +82,27 @@ def test_radius_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "radius", "--input", str(path))
     assert code == 0
     assert float(out.strip()) == pytest.approx(0.5, abs=1e-8)
+
+
+def test_radius_subcommand_uses_library_defaults(capsys, tmp_path, monkeypatch):
+    rng = np.random.default_rng(77)
+    A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    path = tmp_path / "m.json"
+    save_matrix(A, path)
+    code, out, _ = run(capsys, "radius", "--input", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["radius"] == numerical_radius(A)
+    # absent flags leave numerical_radius on its own defaults
+    seen = []
+    monkeypatch.setattr("opineq.cli.numerical_radius",
+                        lambda M, **kwargs: seen.append(kwargs) or 0.0)
+    assert run(capsys, "radius", "--input", str(path))[0] == 0
+    assert seen == [{}]
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "radius", "--input", str(path), "--json",
+                       "--grid", "100", "--refine-tol", "1e-6")
+    assert code == 0
+    assert json.loads(out)["radius"] == numerical_radius(A, grid=100, refine_tol=1e-6)
 
 
 def test_bounds_subcommand(capsys, tmp_path):

@@ -52,6 +52,14 @@ def test_config_tolerances_merge_with_defaults():
     assert cfg.tolerances["scalar_chain"] == 1e-10
 
 
+def test_config_rejects_unknown_tolerance_key():
+    with pytest.raises(ValueError, match="'scalar_chian'") as err:
+        SweepConfig(tolerances={"scalar_chian": 1.0})
+    assert "'scalar_chain'" in str(err.value)  # the valid keys are listed
+    with pytest.raises(ValueError, match="'log_bound'"):
+        SweepConfig(tolerances={"log_bound": 1e-12})
+
+
 # --- gen_instance -------------------------------------------------------------
 
 

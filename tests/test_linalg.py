@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from opineq.harness import MATRIX_KINDS, gen_instance, trial_rng
 from opineq.linalg import (
     frac_power,
     geometric_mean,
@@ -317,6 +319,107 @@ def test_radius_dominates_brute_force_sampling():
         sampled = max(sampled, abs(np.vdot(x, B @ x)))
     assert sampled <= wb + 1e-10
     assert wb - sampled <= 0.05 * wb
+
+
+def _support_tops(A, phis):
+    """Top eigenvalue of (e^{i phi} A + e^{-i phi} A*)/2 at each phi."""
+    phase = np.exp(1j * np.asarray(phis, dtype=float))[:, None, None]
+    return np.linalg.eigvalsh((phase * A + np.conj(phase) * A.conj().T) / 2.0)[:, -1]
+
+
+def _dense_radius(A, points=2048):
+    """Reference w(A): a dense scan, then bounded Brent on every scan peak."""
+    step = 2.0 * np.pi / points
+    phis = step * np.arange(points)
+    tops = _support_tops(A, phis)
+    best = float(tops.max())
+    peaks = np.flatnonzero((tops >= np.roll(tops, 1)) & (tops >= np.roll(tops, -1)))
+    for i in peaks[np.argsort(tops[peaks])[::-1][:8]]:
+        res = minimize_scalar(lambda p: -float(_support_tops(A, [p])[0]),
+                              bounds=(phis[i] - step, phis[i] + step), method="bounded",
+                              options={"xatol": 1e-10})
+        best = max(best, -float(res.fun))
+    return best
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_radius_jordan_block_pin(n):
+    # the numerical range of the n x n Jordan block is the disk of radius cos(pi/(n+1))
+    assert numerical_radius(np.diag(np.ones(n - 1), 1)) == pytest.approx(
+        math.cos(math.pi / (n + 1)), abs=1e-13)
+
+
+def test_radius_scalar_identity_and_normal_pins():
+    for a in (3 - 4j, -2.5, 1e-200j, 7e250 + 1e250j):
+        assert numerical_radius(np.array([[a]])) == pytest.approx(abs(a), rel=1e-14)
+        assert numerical_radius(a * np.eye(4)) == pytest.approx(abs(a), rel=1e-14)
+    rng = np.random.default_rng(36)
+    for n in (2, 3, 5, 8, 13):
+        U = polar(random_complex(rng, n)).unitary
+        lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+        w = numerical_radius((U * lam) @ U.conj().T)
+        assert w == pytest.approx(np.abs(lam).max(), rel=1e-13)
+
+
+def test_radius_unitary_ensemble_is_one():
+    for n in range(1, 17):
+        for trial in range(3):
+            U = gen_instance(trial_rng(37, 0, trial, n), "unitary", n)
+            assert abs(numerical_radius(U) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("b", [0.3, 1.0, 4.0, 25.0])
+@pytest.mark.parametrize("shift", [1e-9, -1e-9])
+def test_radius_picks_the_higher_of_two_peaks(b, shift):
+    # W([[1, b], [0, -1]]) is the ellipse with foci +-1 and semi-minor axis
+    # b/2; shifted by `shift`, its two farthest points differ in modulus by
+    # 2|shift|, and w is the farther one
+    A = np.array([[1.0, b], [0.0, -1.0]]) + shift * np.eye(2)
+    exact = math.sqrt(1.0 + b * b / 4.0) + abs(shift)
+    assert abs(numerical_radius(A) - exact) <= 1e-13 * exact
+
+
+@pytest.mark.parametrize("delta", [1e-9, 1e-6])
+def test_radius_finds_the_peak_the_scan_misses(delta):
+    # normal, eigenvalues 1 (on a 64-point scan angle) and 1 + delta (half
+    # a scan step off one): the scan's best value belongs to the lower peak
+    rng = np.random.default_rng(41)
+    U = polar(random_complex(rng, 3)).unitary
+    lam = np.array([1.0, (1.0 + delta) * np.exp(2j * np.pi * 20.5 / 64), 0.3j])
+    assert numerical_radius((U * lam) @ U.conj().T) == pytest.approx(1.0 + delta, rel=1e-14)
+
+
+def test_radius_matches_dense_reference_on_the_ensembles():
+    rng = np.random.default_rng(38)
+    for n in range(1, 17):
+        for kind in MATRIX_KINDS:
+            A = gen_instance(rng, kind, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            w = numerical_radius(A)
+            ref = _dense_radius(A)
+            assert ref - w <= 1e-13 * ref, (n, kind, w, ref)
+            # never below a 1024-point scan, up to the rounding of one eigvalsh
+            scan = float(_support_tops(A, 2.0 * np.pi * np.arange(1024) / 1024).max())
+            assert w >= scan * (1.0 - 4.0 * np.finfo(float).eps), (n, kind, w, scan)
+
+
+def test_radius_flat_support_function_stops_early(monkeypatch):
+    # the numerical range of a 2 x 2 nilpotent is a disk about 0, so f is
+    # constant: only the no-gain stop rule can end the Newton phase
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(M):
+        calls.append(M.shape)
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        c = rng.uniform(0.1, 10.0) * np.exp(2j * np.pi * rng.uniform())
+        calls.clear()
+        w = numerical_radius(np.array([[0.0, c], [0.0, 0.0]]))
+        assert w == pytest.approx(abs(c) / 2.0, rel=1e-14)
+        assert len(calls) <= 4, calls
 
 
 def test_absolute_value_factors_share_the_norm():
