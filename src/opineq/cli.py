@@ -242,9 +242,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("check", _cmd_check, "run the property-check suite")
     p.add_argument("--suite", choices=("scalar", "operator", "all"), default="all")
-    p.add_argument("--trials", type=int, default=10_000)
-    p.add_argument("--operator-trials", type=int, default=200, dest="operator_trials")
-    p.add_argument("--seed", type=int, default=SweepConfig().seed)
+    defaults = SweepConfig()
+    p.add_argument("--trials", type=int, default=defaults.trials)
+    p.add_argument("--operator-trials", type=int, default=defaults.operator_trials,
+                   dest="operator_trials")
+    p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--out", default=None, metavar="report.json")
     p.add_argument("--csv", default=None, metavar="report.csv")
 

@@ -19,8 +19,13 @@ import numpy as np
 
 from . import operators, scalars
 from .linalg import numerical_radius, polar, spectral_norm
-from .operators import kittaneh_bound
-from .scalars import ChainReport
+from .operators import (
+    GEOMEAN_EQUALITY_TOL,
+    OPERATOR_SLACK_TOL,
+    REVERSE_CS_EQUALITY_TOL,
+    kittaneh_bound,
+)
+from .scalars import SCALAR_ABS_TOL, ChainReport
 
 __all__ = [
     "SweepConfig",
@@ -49,12 +54,13 @@ _OPERATOR_STREAM = 2
 
 
 def _default_tolerances() -> dict:
+    """The check modules' own defaults, plus the harness-only tolerances."""
     return {
-        "scalar_chain": 1e-10,
-        "operator_chain": 1e-8,
+        "scalar_chain": SCALAR_ABS_TOL,
+        "operator_chain": OPERATOR_SLACK_TOL,
         "radius": 1e-8,
-        "equality": 1e-12,
-        "geomean_equality": 1e-10,
+        "equality": REVERSE_CS_EQUALITY_TOL,
+        "geomean_equality": GEOMEAN_EQUALITY_TOL,
         "grid_monotonicity": 1e-12,
         "derivative_rel": 1e-6,
     }
@@ -98,18 +104,6 @@ class SweepConfig:
                              f"valid keys are {sorted(merged)!r}")
         merged.update(self.tolerances)
         object.__setattr__(self, "tolerances", merged)
-
-
-@dataclass(frozen=True)
-class CheckStats:
-    name: str
-    n_pass: int
-    n_fail: int
-    n_undefined: int
-    n_skipped: int
-    worst_slack: float | None
-    worst_digest: str | None
-    slack_histogram: tuple  # ((bucket label, count), ...)
 
 
 @dataclass(frozen=True)
@@ -162,120 +156,91 @@ def gen_instance(rng: np.random.Generator, kind: str, dim: int, scale: float = 1
 
 # --- aggregation -------------------------------------------------------------
 
-
-class _Stats:
-    __slots__ = ("name", "n_pass", "n_fail", "n_undefined", "n_skipped",
-                 "worst_slack", "worst_digest", "buckets")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.n_pass = 0
-        self.n_fail = 0
-        self.n_undefined = 0
-        self.n_skipped = 0
-        self.worst_slack = None
-        self.worst_digest = None
-        self.buckets = {}
-
-    def add(self, digest: str, report: ChainReport | None):
-        outcome = "skipped" if report is None else report.outcome
-        if outcome == "pass":
-            self.n_pass += 1
-        elif outcome == "fail":
-            self.n_fail += 1
-        elif outcome == "angle-undefined":
-            self.n_undefined += 1
-        else:
-            self.n_skipped += 1
-        if outcome in ("pass", "fail"):
-            s = report.worst_slack
-            if self.worst_slack is None or s < self.worst_slack:
-                self.worst_slack = s
-                self.worst_digest = digest
-            bucket = _slack_bucket(s)
-            self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-
-    def freeze(self) -> CheckStats:
-        ordered = tuple(sorted(self.buckets.items(), key=lambda kv: _bucket_order(kv[0])))
-        return CheckStats(
-            name=self.name,
-            n_pass=self.n_pass,
-            n_fail=self.n_fail,
-            n_undefined=self.n_undefined,
-            n_skipped=self.n_skipped,
-            worst_slack=self.worst_slack,
-            worst_digest=self.worst_digest,
-            slack_histogram=ordered,
-        )
+# slack-histogram buckets in report order: sign, then decades 1e-18 .. 1e+03
+_BUCKETS = ("negative", "zero") + tuple(f"1e{e:+03d}" for e in range(-18, 4))
 
 
-def _slack_bucket(s: float) -> str:
-    """Decade bucket for the slack histogram: tightness at a glance."""
+def _slack_bucket(s: float) -> int:
+    """Index in _BUCKETS of slack s's decade bucket: tightness at a glance."""
     if s < 0.0:
-        return "negative"
+        return 0
     if s == 0.0:
-        return "zero"
-    e = min(3, max(-18, int(math.floor(math.log10(s)))))
-    return f"1e{e:+03d}"
+        return 1
+    return 2 + min(21, max(0, math.floor(math.log10(s)) + 18))
 
 
-def _bucket_order(label: str) -> float:
-    if label == "negative":
-        return -1e9
-    if label == "zero":
-        return -1e8
-    return float(label[2:])
+@dataclass(slots=True)
+class CheckStats:
+    """Outcomes of one check, accumulated one attempt at a time by `add`."""
 
+    name: str
+    n_pass: int = 0
+    n_fail: int = 0
+    n_undefined: int = 0
+    n_skipped: int = 0
+    worst_slack: float | None = None
+    worst_digest: str | None = None
+    _counts: list = field(default_factory=lambda: [0] * len(_BUCKETS), init=False, repr=False)
 
-class _Recorder:
-    def __init__(self):
-        self._stats: dict[str, _Stats] = {}
+    def add(self, digest: str, report: ChainReport | None) -> None:
+        """Record one attempt; None records a skipped one."""
+        if report is None:
+            self.n_skipped += 1
+            return
+        if report.angle_undefined:
+            self.n_undefined += 1
+            return
+        if report.holds:
+            self.n_pass += 1
+        else:
+            self.n_fail += 1
+        s = report.worst_slack
+        if self.worst_slack is None or s < self.worst_slack:
+            self.worst_slack = s
+            self.worst_digest = digest
+        self._counts[_slack_bucket(s)] += 1
 
-    def add(self, name: str, digest: str, report: ChainReport | None):
-        """Record one attempt of check `name`; None records a skipped one."""
-        stats = self._stats.get(name)
-        if stats is None:
-            stats = self._stats[name] = _Stats(name)
-        stats.add(digest, report)
-
-    def freeze(self) -> tuple:
-        return tuple(stats.freeze() for stats in self._stats.values())
+    @property
+    def slack_histogram(self) -> tuple:
+        """((bucket label, count), ...) in decade order, empty buckets left out."""
+        return tuple((label, n) for label, n in zip(_BUCKETS, self._counts) if n)
 
 
 # --- scalar checks -----------------------------------------------------------
 
 
-def _run_scalar_trials(cfg: SweepConfig, rec: _Recorder) -> None:
+def _run_scalar_trials(cfg: SweepConfig) -> tuple:
     tol = cfg.tolerances["scalar_chain"]
     t_grid = cfg.t_grid
+    tri, rev, log = (CheckStats(name) for name in
+                     ("triangle_refinement", "reverse_triangle", "log_bound"))
     for k in range(cfg.trials):
         digest = f"seed={cfg.seed};trial={k}"
 
         rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 1)
         c, d = gen_instance(rng, "scalar-pair", 0, cfg.scalar_scale)
-        rec.add("triangle_refinement", digest, scalars.check_triangle_refinement(c, d, tol=tol))
+        tri.add(digest, scalars.check_triangle_refinement(c, d, tol=tol))
 
         rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 2)
         c, d = gen_instance(rng, "scalar-pair", 0, cfg.scalar_scale)
         t = t_grid[k % len(t_grid)]
-        rec.add("reverse_triangle", f"{digest};t={t:g}",
-                scalars.check_reverse_triangle(c, d, t, tol=tol))
+        rev.add(f"{digest};t={t:g}", scalars.check_reverse_triangle(c, d, t, tol=tol))
 
         rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 3)
         x = float(rng.uniform(-0.9999, 0.9999))
-        lhs = 2.0 * x / (x * x + 1.0)
-        rhs = math.log1p(x) - math.log1p(-x)
-        margin = (rhs - lhs) if x >= 0.0 else (lhs - rhs)
-        ok = scalars.check_log_bound(x)
-        rec.add("log_bound", f"{digest};x={x!r}", ChainReport((("x", x),), ok, margin))
+        log.add(f"{digest};x={x!r}", ChainReport(
+            (("x", x),), scalars.check_log_bound(x), scalars._log_bound_margin(x)))
+    return tri, rev, log
 
 
-def _add_grid(rec: _Recorder, name: str, points: int, worst: float) -> None:
-    """Record a grid property check: it passes when its worst margin is >= 0."""
-    rec.add(name, "grid", ChainReport((("grid_points", float(points)),), worst >= 0.0, worst))
+def _grid_stats(name: str, points: int, worst: float) -> CheckStats:
+    """A grid property check's one attempt: it passes when its worst margin is >= 0."""
+    stats = CheckStats(name)
+    stats.add("grid", ChainReport((("grid_points", float(points)),), worst >= 0.0, worst))
+    return stats
 
 
-def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
+def _run_grid_checks(cfg: SweepConfig) -> tuple:
     mono_tol = cfg.tolerances["grid_monotonicity"]
     deriv_tol = cfg.tolerances["derivative_rel"]
 
@@ -292,7 +257,7 @@ def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
         margins.append(mono_tol - float(diffs[left].max()))      # non-increasing
     if right.any():
         margins.append(mono_tol + float(diffs[right].min()))     # non-decreasing
-    _add_grid(rec, "mu_grid_properties", n, min(margins))
+    mu_stats = _grid_stats("mu_grid_properties", n, min(margins))
 
     # gamma: range is enforced by construction; check symmetry, monotonicity,
     # and the pinned endpoint values across the t grid
@@ -311,7 +276,7 @@ def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
         margins.append(mono_tol + float(diffs[right].min()))
         margins.append(1e-15 - float(abs(vals[0] - 1.0)))
         margins.append(1e-15 - float(abs(vals[-1] - 1.0)))
-    _add_grid(rec, "gamma_grid_properties", n, min(margins))
+    gamma_stats = _grid_stats("gamma_grid_properties", n, min(margins))
 
     # mu': closed form vs central finite differences, and nu <= 0
     h = 1e-6
@@ -326,17 +291,19 @@ def _run_grid_checks(cfg: SweepConfig, rec: _Recorder) -> None:
         rel = abs(an - fd) / max(abs(an), 1e-300)
         worst = min(worst, deriv_tol - rel)
         worst = min(worst, -scalars.nu(float(th)) + 1e-15)
-    _add_grid(rec, "mu_derivative_consistency", grid.size, worst)
+    return mu_stats, gamma_stats, _grid_stats("mu_derivative_consistency", grid.size, worst)
 
 
 # --- operator checks ---------------------------------------------------------
 
 
-def _run_operator_trials(cfg: SweepConfig, rec: _Recorder) -> None:
+def _run_operator_trials(cfg: SweepConfig) -> tuple:
     tol_op = cfg.tolerances["operator_chain"]
     tol_rad = cfg.tolerances["radius"]
     eq_tol = cfg.tolerances["equality"]
     geo_tol = cfg.tolerances["geomean_equality"]
+    stats = mixed, chain, rev, geo, sandwich = tuple(CheckStats(name) for name in (
+        "mixed_schwarz", "radius_chain", "reverse_cs", "geomean_lower", "radius_sandwich"))
 
     for dim in cfg.dims:
         dim = int(dim)
@@ -353,10 +320,9 @@ def _run_operator_trials(cfg: SweepConfig, rec: _Recorder) -> None:
             x_vec = gen_instance(rng, "vector", dim)
             y_vec = gen_instance(rng, "vector", dim)
 
-            rec.add("mixed_schwarz", digest,
-                    operators.check_mixed_schwarz(A, x_unit, y_unit, v, tol=tol_op))
-            rec.add("radius_chain", digest, operators.check_radius_chain(A, v, x_unit, tol=tol_op))
-            rec.add("reverse_cs", digest, operators.check_reverse_cs(
+            mixed.add(digest, operators.check_mixed_schwarz(A, x_unit, y_unit, v, tol=tol_op))
+            chain.add(digest, operators.check_radius_chain(A, v, x_unit, tol=tol_op))
+            rev.add(digest, operators.check_reverse_cs(
                 x_vec, y_vec, t, tol=tol_op, equality_tol=eq_tol))
 
             rep = None  # skipped unless A is invertible enough
@@ -366,7 +332,7 @@ def _run_operator_trials(cfg: SweepConfig, rec: _Recorder) -> None:
                         A, v, x_unit, tol=tol_op, equality_tol=geo_tol)
                 except ValueError:
                     pass
-            rec.add("geomean_lower", digest, rep)
+            geo.add(digest, rep)
 
             w = numerical_radius(A)
             nrm = spectral_norm(A)
@@ -375,8 +341,8 @@ def _run_operator_trials(cfg: SweepConfig, rec: _Recorder) -> None:
                      ("kittaneh", kb), ("norm", nrm))
             slacks = (w - nrm / 2.0, nrm - w, kb - w, nrm - kb)
             worst = min(slacks)
-            rec.add("radius_sandwich", digest,
-                    ChainReport(terms, worst >= -tol_rad * max(1.0, nrm), worst))
+            sandwich.add(digest, ChainReport(terms, worst >= -tol_rad * max(1.0, nrm), worst))
+    return stats
 
 
 def run_suite(config: SweepConfig, suite: str = "all") -> SuiteSummary:
@@ -389,14 +355,13 @@ def run_suite(config: SweepConfig, suite: str = "all") -> SuiteSummary:
     if suite not in ("scalar", "operator", "all"):
         raise ValueError(f"run_suite: suite must be scalar|operator|all, got {suite!r}")
     start = time.perf_counter()
-    rec = _Recorder()
+    checks = ()
     if suite in ("scalar", "all"):
-        _run_scalar_trials(config, rec)
-        _run_grid_checks(config, rec)
+        checks += _run_scalar_trials(config) + _run_grid_checks(config)
     if suite in ("operator", "all"):
-        _run_operator_trials(config, rec)
+        checks += _run_operator_trials(config)
     wall_ms = (time.perf_counter() - start) * 1000.0
-    return SuiteSummary(config=config, checks=rec.freeze(), wall_ms=wall_ms)
+    return SuiteSummary(config=config, checks=checks, wall_ms=wall_ms)
 
 
 # --- serialization -----------------------------------------------------------

@@ -10,6 +10,7 @@ their reconstruction contracts in the test suite.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,13 +161,13 @@ def polar(A) -> PolarFrame:
     return PolarFrame(*svd(A))
 
 
-def frac_power(P, p: float, tol: float | None = None) -> np.ndarray:
+def frac_power(P, p: float) -> np.ndarray:
     """Spectral power P^p of a positive semidefinite matrix.
 
     Eigenvalues map to lambda^p with the conventions 0^p = 0 for p > 0 and
     p = 0 -> identity (also on the kernel). Eigenvalues in [-tol, 0) are
-    clamped to 0 first; anything below -tol is rejected as not PSD. The
-    default tol is 1e-10 * max(1, ||P||).
+    clamped to 0 first; anything below -tol is rejected as not PSD, with
+    tol = PD_FLOOR_REL * max(1, ||P||).
     """
     A = _as_square(P, "frac_power")
     if not (np.isfinite(p) and p >= 0.0):
@@ -174,7 +175,7 @@ def frac_power(P, p: float, tol: float | None = None) -> np.ndarray:
     eig = hermitian_eig(A, tol=1e-8)
     lam = eig.values
     scale = max(abs(float(lam[0])), abs(float(lam[-1])))
-    clamp = (PD_FLOOR_REL * max(1.0, scale)) if tol is None else tol
+    clamp = PD_FLOOR_REL * max(1.0, scale)
     if lam[0] < -clamp:
         raise ValueError(
             f"frac_power: matrix is not positive semidefinite "
@@ -187,11 +188,11 @@ def frac_power(P, p: float, tol: float | None = None) -> np.ndarray:
     return _hermitian_part(_from_spectrum(eig.vectors, lam**p))
 
 
-def geometric_mean(A, B, t: float, pd_floor_rel: float = PD_FLOOR_REL) -> np.ndarray:
+def geometric_mean(A, B, t: float) -> np.ndarray:
     """Weighted geometric mean A #_t B = A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2).
 
     Both arguments must be Hermitian with smallest eigenvalue above
-    pd_floor_rel times their spectral norm; otherwise the congruence
+    PD_FLOOR_REL times their spectral norm; otherwise the congruence
     inversion is refused. t = 1/2 gives the (symmetric) geometric mean.
     """
     A = _as_square(A, "geometric_mean")
@@ -204,7 +205,7 @@ def geometric_mean(A, B, t: float, pd_floor_rel: float = PD_FLOOR_REL) -> np.nda
     def _pd_eig(M, label):
         eig = hermitian_eig(M, tol=1e-8)
         scale = max(abs(float(eig.values[0])), abs(float(eig.values[-1])), 1e-300)
-        floor = pd_floor_rel * scale
+        floor = PD_FLOOR_REL * scale
         if eig.values[0] < floor:
             raise ValueError(
                 f"geometric_mean: {label} is not positive definite enough for "
@@ -254,6 +255,8 @@ def numerical_radius(A, grid: int = 64, refine_tol: float = 1e-10) -> float:
     lower estimate of w(A).
     """
     A = _as_square(A, "numerical_radius")
+    if not np.isfinite(A).all():
+        raise ValueError("numerical_radius: matrix has non-finite entries")
     grid = int(grid)
     if grid < 8:
         raise ValueError(f"numerical_radius: grid must be at least 8, got {grid}")
@@ -328,8 +331,10 @@ def matrix_from_json(obj) -> np.ndarray:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise ValueError(f"matrix JSON: entry ({i},{j}) must be an [re, im] pair")
             re, im = entry
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (re, im)):
-                raise ValueError(f"matrix JSON: entry ({i},{j}) must hold two numbers")
+            # the bound rejects NaN, +-Infinity and integers beyond the double range
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       and abs(v) <= sys.float_info.max for v in (re, im)):
+                raise ValueError(f"matrix JSON: entry ({i},{j}) must hold two finite numbers")
             out[i, j] = complex(re, im)
     return out
 

@@ -55,12 +55,18 @@ OPERATOR_SLACK_TOL = 1e-8
 # |<x,x> - 1| allowed when an operation requires a unit vector
 UNIT_NORM_TOL = 1e-8
 
+# relative tolerances of the exact-equality links: the t = 1/2 sharpness of
+# check_reverse_cs and the last link of check_geomean_lower
+REVERSE_CS_EQUALITY_TOL = 1e-12
+GEOMEAN_EQUALITY_TOL = 1e-10
+
 # auxiliary vectors shorter than this (relative to the natural scale) leave
 # theta undefined; such trials are reported, not failed
 _AUX_DEGENERATE_TOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
 _PROFILE_STREAM = 0x70726F66  # fixed second key word for angle_profile draws
+_PROFILE_BINS = 36  # equal-width histogram bins over [0, pi/2]
 
 
 @dataclass(frozen=True)
@@ -193,7 +199,7 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
 
 
 def check_reverse_cs(
-    x, y, t: float, tol: float = OPERATOR_SLACK_TOL, equality_tol: float = 1e-12
+    x, y, t: float, tol: float = OPERATOR_SLACK_TOL, equality_tol: float = REVERSE_CS_EQUALITY_TOL
 ) -> ChainReport:
     """Reverse Cauchy-Schwarz chain 0 <= gamma_t(theta) ||x|| ||y|| <= |<x,y>|.
 
@@ -227,7 +233,7 @@ def check_reverse_cs(
 
 
 def check_geomean_lower(
-    A, v: float, x, tol: float = OPERATOR_SLACK_TOL, equality_tol: float = 1e-10
+    A, v: float, x, tol: float = OPERATOR_SLACK_TOL, equality_tol: float = GEOMEAN_EQUALITY_TOL
 ) -> ChainReport:
     """Geometric-mean lower bound on |<Ax, x>| for invertible A.
 
@@ -292,7 +298,7 @@ def refined_radius_bound(A, v: float, theta_ref: float) -> float:
     return mu(theta_ref) / 2.0 * spectral_norm(_power_sum(polar(A), v))
 
 
-def angle_profile(A, v: float, samples: int, seed: int, bins: int = 36) -> AngleProfile:
+def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
     """Sample theta_x over Haar-uniform unit vectors x (Gaussian normalize).
 
     Deterministic for a fixed seed. Vectors whose auxiliary images are
@@ -304,9 +310,6 @@ def angle_profile(A, v: float, samples: int, seed: int, bins: int = 36) -> Angle
     samples = int(samples)
     if samples < 1:
         raise ValueError(f"angle_profile: need samples >= 1, got {samples}")
-    bins = int(bins)
-    if bins < 1:
-        raise ValueError(f"angle_profile: need bins >= 1, got {bins}")
 
     n = A.shape[0]
     frame = polar(A)
@@ -330,7 +333,7 @@ def angle_profile(A, v: float, samples: int, seed: int, bins: int = 36) -> Angle
     inner = np.abs(np.sum(np.conj(A2[defined]) * A1[defined], axis=1))
     ratios = np.minimum(1.0, inner / (n1[defined] * n2[defined]))
     thetas = np.arccos(ratios)
-    counts, edges = np.histogram(thetas, bins=bins, range=(0.0, math.pi / 2.0))
+    counts, edges = np.histogram(thetas, bins=_PROFILE_BINS, range=(0.0, math.pi / 2.0))
     centers = (edges[:-1] + edges[1:]) / 2.0
     return AngleProfile(
         v=v,

@@ -220,16 +220,20 @@ def check_reverse_triangle(
     return report if equiv_holds else replace(report, holds=False)
 
 
+def _log_bound_margin(x: float) -> float:
+    """Signed margin of the log bound at x, nonnegative where it holds:
+    log((1+x)/(1-x)) - 2x/(x^2+1) for x >= 0, its negation for x < 0."""
+    lhs = 2.0 * x / (x * x + 1.0)
+    rhs = math.log1p(x) - math.log1p(-x)
+    return rhs - lhs if x >= 0.0 else lhs - rhs
+
+
 def check_log_bound(x: float, tol: float = 1e-12) -> bool:
     """Check 2x/(x^2+1) <= log((1+x)/(1-x)) for 0 <= x < 1 and the reversed
     inequality for -1 < x <= 0, within `tol`."""
     if not (math.isfinite(x) and -1.0 < x < 1.0):
         raise ValueError(f"check_log_bound: need |x| < 1, got {x!r}")
-    lhs = 2.0 * x / (x * x + 1.0)
-    rhs = math.log1p(x) - math.log1p(-x)
-    if x >= 0.0:
-        return rhs >= lhs - tol
-    return rhs <= lhs + tol
+    return _log_bound_margin(x) >= -tol
 
 
 def _reduce_mod_pi(theta: float) -> float:

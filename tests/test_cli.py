@@ -174,3 +174,17 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 
     code, _, err = run(capsys, "mu", "--theta", "nan")
     assert code == 2 and "error:" in err
+
+
+def test_radius_rejects_non_finite_matrix_json(capsys, tmp_path):
+    # Python's json reads and writes NaN and Infinity; the matrix loader must not
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2,
+                                "data": [[[math.nan, 0.0], [1.0, 0.0]],
+                                         [[0.0, 0.0], [0.0, 0.0]]]}))
+    code, out, err = run(capsys, "radius", "--input", str(path))
+    assert code == 2 and out == "" and "finite" in err
+    # an integer beyond the double range is no finite entry either
+    path.write_text('{"rows": 1, "cols": 1, "data": [[[1' + "0" * 400 + ', 0]]]}')
+    code, out, err = run(capsys, "radius", "--input", str(path))
+    assert code == 2 and out == "" and "finite" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opineq.harness import (
+    CheckStats,
     SuiteSummary,
     SweepConfig,
     gen_instance,
@@ -13,6 +14,7 @@ from opineq.harness import (
     write_report,
 )
 from opineq.linalg import is_unitary
+from opineq.scalars import ChainReport
 
 SMALL = dict(seed=1, trials=60, operator_trials=6, dims=(2, 3))
 
@@ -163,6 +165,29 @@ def test_zero_tolerance_turns_round_off_into_fails():
     for c in chain_checks:
         if c.worst_slack is not None:
             assert c.worst_slack >= -1e-10, c
+
+
+# --- aggregation ---------------------------------------------------------------
+
+
+def test_check_stats_add_counts_buckets_and_keeps_first_worst():
+    stats = CheckStats("probe")
+    stats.add("skipped", None)
+    # an undefined report is counted, but its slack is no verdict's slack
+    stats.add("undefined", ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True))
+    for digest, slack in [("big", 5e4), ("mid", 3e-7), ("first-worst", -1e-20),
+                          ("zero", 0.0), ("tiny", 5e-19)]:
+        stats.add(digest, ChainReport((("t", 1.0),), True, slack))
+    stats.add("tied-worst", ChainReport((("t", 1.0),), False, -1e-20))
+
+    assert (stats.n_pass, stats.n_fail, stats.n_undefined, stats.n_skipped) == (5, 1, 1, 1)
+    assert stats.worst_slack == -1e-20
+    assert stats.worst_digest == "first-worst"
+    # 5e-19 and 5e4 clamp to the end decades; order is by decade, not arrival
+    expected = [["negative", 2], ["zero", 1], ["1e-18", 1], ["1e-07", 1], ["1e+03", 1]]
+    assert [list(b) for b in stats.slack_histogram] == expected
+    summary = SuiteSummary(config=SweepConfig(**SMALL), checks=(stats,), wall_ms=0.0)
+    assert summary_to_dict(summary)["checks"][0]["slack_histogram"] == expected
 
 
 # --- reports -------------------------------------------------------------------

@@ -438,6 +438,14 @@ def test_radius_validates_input():
         numerical_radius(np.eye(2), grid=4)
 
 
+def test_radius_rejects_non_finite_matrix():
+    # eigvalsh of a NaN stack still returns numbers, so NaN must be caught first
+    with pytest.raises(ValueError, match="non-finite"):
+        numerical_radius(np.array([[np.nan, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError, match="non-finite"):
+        numerical_radius(np.array([[1.0, np.inf], [0.0, 0.0]]))
+
+
 def test_empty_matrices_rejected_everywhere():
     empty = np.zeros((0, 0), dtype=complex)
     for op in (spectral_norm, polar, svd, hermitian_eig, numerical_radius):
