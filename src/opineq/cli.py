@@ -15,7 +15,7 @@ import sys
 
 from .harness import SweepConfig, run_suite, summary_to_dict, write_report
 from .linalg import load_matrix, numerical_radius, spectral_norm
-from .operators import angle_profile, kittaneh_bound, refined_radius_bound
+from .operators import angle_profile, kittaneh_bound
 from .scalars import (
     check_reverse_triangle,
     check_triangle_refinement,
@@ -118,20 +118,19 @@ def _cmd_bounds(args) -> int:
     norm = spectral_norm(A)
     w = numerical_radius(A)
     kb = kittaneh_bound(A)
-    refined = refined_radius_bound(A, args.v, args.theta_ref)
+    weighted = kittaneh_bound(A, args.v)
     payload = {
         "spectral_norm": norm,
         "numerical_radius": w,
         "kittaneh_bound": kb,
-        "refined_bound": refined,
+        "weighted_bound": weighted,
         "v": args.v,
-        "theta_ref": args.theta_ref,
     }
     human = (
         f"spectral_norm    = {norm!r}\n"
         f"numerical_radius = {w!r}\n"
         f"kittaneh_bound   = {kb!r}\n"
-        f"refined_bound    = {refined!r}   (v={args.v:g}, theta_ref={args.theta_ref:g})"
+        f"weighted_bound   = {weighted!r}   (v={args.v:g})"
     )
     _emit(args, payload, human)
     return 0
@@ -230,9 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("bounds", _cmd_bounds, "norm, radius, and radius upper bounds")
     p.add_argument("--input", required=True, metavar="M.json")
-    p.add_argument("--v", type=float, required=True)
-    p.add_argument("--theta-ref", type=float, default=0.0, dest="theta_ref",
-                   help="angle hypothesis for the refined bound (sampled hypothesis)")
+    p.add_argument("--v", type=float, required=True,
+                   help="weight of the bound || |A|^2v + |A*|^2(1-v) || / 2")
 
     p = add("angle-profile", _cmd_angle_profile, "sampled distribution of theta_x")
     p.add_argument("--input", required=True, metavar="M.json")

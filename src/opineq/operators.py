@@ -10,7 +10,8 @@ sigma^v (V* x) and sigma^(1-v) (W* y). The chains checked here:
   * mixed Schwarz:   |<Ax,y>| <= mu(theta) * sqrt(<|A|^2v x,x><|A*|^2(1-v) y,y>)
                                 <= the unrefined bound,
   * numerical radius, per unit vector: the four-term proof chain ending in
-    mu(theta_x)/2 * || |A|^2v + |A*|^2(1-v) ||,
+    mu(theta_x)/2 * || |A|^2v + |A*|^2(1-v) ||, mu(theta_x) times
+    `kittaneh_bound(A, v)`,
   * reverse Cauchy-Schwarz: 0 <= gamma_t(theta) ||x|| ||y|| <= |<x,y>|,
   * geometric-mean lower bound: cos(theta_x) <(|A|^2v # |A*|^2(1-v)) x, x>
     <= |<Ax,x>| with an exact-equality last link.
@@ -45,7 +46,6 @@ __all__ = [
     "check_reverse_cs",
     "check_geomean_lower",
     "kittaneh_bound",
-    "refined_radius_bound",
     "angle_profile",
     "OPERATOR_SLACK_TOL",
 ]
@@ -73,8 +73,8 @@ _PROFILE_BINS = 36  # equal-width histogram bins over [0, pi/2]
 class AngleProfile:
     """Empirical distribution of theta_x = angle(|A|^v x, |A|^(1-v) U* x)
     over sampled unit vectors x. `histogram` holds (bin center, count) pairs
-    over [0, pi/2]; sampled hypothesis only - the true extrema over the unit
-    sphere may lie outside [theta_min, theta_max]."""
+    over [0, pi/2]. theta_min and theta_max are the sampled extremes only;
+    the extremes over the whole unit sphere may lie outside them."""
 
     v: float
     samples: int
@@ -274,28 +274,17 @@ def check_geomean_lower(
     return replace(report, terms=terms)
 
 
-def kittaneh_bound(A) -> float:
-    """Upper bound w(A) <= || |A| + |A*| || / 2, itself at most ||A||."""
-    return 0.5 * spectral_norm(_power_sum(polar(A), 0.5))
+def kittaneh_bound(A, v: float = 0.5) -> float:
+    """Upper bound w(A) <= || |A|^2v + |A*|^2(1-v) || / 2.
 
-
-def refined_radius_bound(A, v: float, theta_ref: float) -> float:
-    """mu(theta_ref)/2 * || |A|^2v + |A*|^2(1-v) ||.
-
-    Valid as a numerical radius bound only under the hypothesis that
-    theta_ref lower-bounds theta_x over ALL unit vectors; this function does
-    not verify the hypothesis (pair it with an AngleProfile, sampled
-    hypothesis only). theta_ref must lie in [0, pi/2]; beyond pi/2 the
-    mirrored branch is degenerate under the modulus angle. At theta_ref = 0
-    this reduces to the v-weighted version of the Kittaneh bound.
+    At v = 1/2 this is Kittaneh's || |A| + |A*| || / 2 <= ||A|| (Studia
+    Math. 158, 2003); the weighted form is El-Haddad and Kittaneh's
+    (Studia Math. 182, 2007). The paper's refinement mu(theta_x) applies
+    per unit vector x, as checked by `check_radius_chain`, not to this
+    global bound.
     """
-    A = _as_square(A, "refined_radius_bound")
-    v = _validate_v(v, "refined_radius_bound")
-    if not (np.isfinite(theta_ref) and 0.0 <= theta_ref <= math.pi / 2.0 + 1e-12):
-        raise ValueError(
-            f"refined_radius_bound: theta_ref must lie in [0, pi/2], got {theta_ref!r}"
-        )
-    return mu(theta_ref) / 2.0 * spectral_norm(_power_sum(polar(A), v))
+    v = _validate_v(v, "kittaneh_bound")
+    return 0.5 * spectral_norm(_power_sum(polar(A), v))
 
 
 def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
@@ -303,7 +292,9 @@ def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
 
     Deterministic for a fixed seed. Vectors whose auxiliary images are
     degenerate are skipped and counted; if every sample degenerates the
-    profile is empty and an error is raised.
+    profile is empty and an error is raised. theta_min is the sampled
+    minimum, not a lower bound over all unit vectors: for invertible A the
+    infimum is 0, attained at the eigenvectors of U |A|^(2v-1).
     """
     A = _as_square(A, "angle_profile")
     v = _validate_v(v, "angle_profile")

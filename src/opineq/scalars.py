@@ -14,6 +14,7 @@ the scalar and operator inequality chains alike as `ChainReport`s.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -173,10 +174,17 @@ def segment_mean_abs_quadrature(c: complex, d: complex, nodes: int = 64) -> floa
     return float(np.sum(w * np.abs(s * complex(c) + (1.0 - s) * complex(d))))
 
 
-def check_triangle_refinement(c: complex, d: complex, tol: float | None = None) -> ChainReport:
-    """Check |c+d|/2 <= I(c, d) <= (|c|+|d|)/2: terms lhs, mid, rhs."""
+def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
     c = complex(c)
     d = complex(d)
+    if not (cmath.isfinite(c) and cmath.isfinite(d)):
+        raise ValueError(f"{who}: c and d must be finite, got {c!r} and {d!r}")
+    return c, d
+
+
+def check_triangle_refinement(c: complex, d: complex, tol: float | None = None) -> ChainReport:
+    """Check |c+d|/2 <= I(c, d) <= (|c|+|d|)/2: terms lhs, mid, rhs."""
+    c, d = _finite_pair(c, d, "check_triangle_refinement")
     if tol is None:
         tol = chain_tolerance(c, d)
     lhs = abs(c + d) / 2.0
@@ -202,8 +210,7 @@ def check_reverse_triangle(
     which is the same inequality scaled by 2*r_t and so can never be the
     stricter of the two at a fixed tolerance.
     """
-    c = complex(c)
-    d = complex(d)
+    c, d = _finite_pair(c, d, "check_reverse_triangle")
     if not (math.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_triangle: t must lie strictly in (0, 1), got {t!r}")
     if tol is None:

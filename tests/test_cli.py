@@ -69,6 +69,11 @@ def test_reverse_triangle(capsys):
     assert payload["holds"] is True
 
 
+def test_triangle_non_finite_input_is_usage_error(capsys):
+    code, out, err = run(capsys, "triangle", "--c", "nan,0", "--d", "1,0")
+    assert code == 2 and out == "" and "finite" in err
+
+
 def test_reverse_triangle_bad_weight_is_usage_error(capsys):
     code, _, err = run(capsys, "reverse-triangle", "--c", "1,0", "--d", "-1,0",
                        "--t", "0")
@@ -114,8 +119,19 @@ def test_bounds_subcommand(capsys, tmp_path):
     assert payload["spectral_norm"] == pytest.approx(1.0, abs=1e-12)
     assert payload["numerical_radius"] == pytest.approx(0.5, abs=1e-8)
     assert payload["kittaneh_bound"] == pytest.approx(0.5, abs=1e-12)
-    # theta_ref defaults to 0: the refined bound equals the kittaneh bound
-    assert payload["refined_bound"] == pytest.approx(payload["kittaneh_bound"], rel=1e-12)
+    # at v = 1/2 the weighted bound is the Kittaneh bound
+    assert payload["weighted_bound"] == payload["kittaneh_bound"]
+    assert set(payload) == {"spectral_norm", "numerical_radius", "kittaneh_bound",
+                            "weighted_bound", "v"}
+
+
+def test_bounds_has_no_theta_ref(capsys, tmp_path):
+    # a per-vector refinement has no global angle to take
+    path = tmp_path / "m.json"
+    save_matrix(NILPOTENT, path)
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--input", str(path), "--v", "0.5", "--theta-ref", "0.3"])
+    assert exc.value.code == 2
 
 
 def test_angle_profile_subcommand(capsys, tmp_path):

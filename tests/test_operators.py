@@ -3,17 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from opineq.harness import MATRIX_KINDS, gen_instance, trial_rng
+from opineq.harness import MATRIX_KINDS, SweepConfig, gen_instance, trial_rng
 from opineq.linalg import numerical_radius, polar, spectral_norm
 from opineq.operators import (
+    _aux_angle,
     angle_profile,
     check_geomean_lower,
     check_mixed_schwarz,
     check_radius_chain,
     check_reverse_cs,
     kittaneh_bound,
-    refined_radius_bound,
 )
+from opineq.scalars import mu
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -58,59 +59,39 @@ def test_kittaneh_between_radius_and_norm():
 @pytest.mark.parametrize("kind", MATRIX_KINDS)
 @pytest.mark.parametrize("dim", [2, 5])
 def test_kittaneh_is_refined_bound_at_half_weight_exactly(kind, dim):
-    # |A| + |A*| is S = |A|^2v + |A*|^2(1-v) at v = 1/2, and mu(0) = 1: both
-    # bounds build S along the same path, so they agree to the last bit
-    A = gen_instance(trial_rng(17, 4, 0, dim), kind, dim)
-    assert kittaneh_bound(A) == refined_radius_bound(A, 0.5, 0.0)
+    # the radius chain's last term is mu(theta_x) * kittaneh_bound(A, v): both
+    # compute m * ||S|| / 2 along the same path with one rounding, so they
+    # agree to the last bit
+    rng = trial_rng(17, 4, 0, dim)
+    A = gen_instance(rng, kind, dim)
+    x = gen_instance(rng, "unit-vector", dim)
+    checked = 0
+    for v in SweepConfig().v_grid:
+        rep = check_radius_chain(A, v, x)
+        if rep.angle_undefined:
+            continue
+        _, _, cos_theta = _aux_angle(polar(A), v, x, x, None, "")
+        assert rep.terms[-1][1] == mu(math.acos(cos_theta)) * kittaneh_bound(A, v)
+        checked += 1
+    assert checked > 0
+    assert kittaneh_bound(A) == kittaneh_bound(A, 0.5)
 
 
-# --- refined_radius_bound ------------------------------------------------------
+def test_kittaneh_bound_covers_radius_on_the_ensembles():
+    for kind in MATRIX_KINDS:
+        for dim in range(2, 9):
+            A = gen_instance(trial_rng(23, 4, 0, dim), kind, dim)
+            w = numerical_radius(A)
+            for v in SweepConfig().v_grid:
+                assert kittaneh_bound(A, v) >= w * (1.0 - 1e-12), (kind, dim, v)
+    # nilpotent shift: the bound is tight at v = 1/2
+    assert kittaneh_bound(NILPOTENT) == pytest.approx(numerical_radius(NILPOTENT), abs=1e-12)
 
 
-def test_refined_bound_at_zero_angle_is_weighted_kittaneh():
-    rng = np.random.default_rng(3)
-    A = random_complex(rng, 4)
-    assert refined_radius_bound(A, 0.5, 0.0) == pytest.approx(kittaneh_bound(A), rel=1e-12)
-
-
-def test_refined_bound_at_right_angle_is_quarter_sum_norm():
-    # mu(pi/2) = 1/2, and the quarter bound never exceeds ||A||/2
-    rng = np.random.default_rng(4)
-    A = random_complex(rng, 4)
-    expected = 0.5 * kittaneh_bound(A)
-    got = refined_radius_bound(A, 0.5, math.pi / 2.0)
-    assert got == pytest.approx(expected, rel=1e-12)
-    assert got <= 0.5 * spectral_norm(A) + 1e-12
-
-
-def test_refined_bound_monotone_in_theta():
-    rng = np.random.default_rng(5)
-    A = random_complex(rng, 4)
-    thetas = np.linspace(0.0, math.pi / 2.0, 50)
-    bounds = [refined_radius_bound(A, 0.5, float(t)) for t in thetas]
-    assert all(b2 <= b1 + 1e-12 for b1, b2 in zip(bounds, bounds[1:]))
-
-
-def test_refined_bound_rejects_bad_theta():
-    for theta in (-0.1, math.pi / 2.0 + 0.1, float("nan")):
-        with pytest.raises(ValueError):
-            refined_radius_bound(np.eye(2), 0.5, theta)
-
-
-def test_refined_bound_valid_with_trusted_profile():
-    # Hermitian PD: theta_x = 0 for every x, so theta_min = 0 is trusted and
-    # the bound degenerates to the (valid) Kittaneh bound
-    rng = np.random.default_rng(6)
-    G = random_complex(rng, 4)
-    H = G.conj().T @ G + np.eye(4)
-    prof = angle_profile(H, 0.5, 500, seed=9)
-    assert prof.theta_max <= 1e-7
-    bound = refined_radius_bound(H, 0.5, prof.theta_min)
-    assert numerical_radius(H) <= bound + 1e-8
-    # nilpotent shift: theta_x = 0 identically and the bound is tight (= 1/2)
-    prof = angle_profile(NILPOTENT, 0.5, 500, seed=9)
-    bound = refined_radius_bound(NILPOTENT, 0.5, prof.theta_min)
-    assert numerical_radius(NILPOTENT) == pytest.approx(bound, abs=1e-8)
+def test_kittaneh_bound_rejects_bad_weight():
+    for v in (-0.1, 1.1, float("nan")):
+        with pytest.raises(ValueError, match="weight v"):
+            kittaneh_bound(np.eye(2), v)
 
 
 # --- check_mixed_schwarz -------------------------------------------------------

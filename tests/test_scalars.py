@@ -204,6 +204,15 @@ def test_reverse_triangle_rejects_bad_weight(t):
         check_reverse_triangle(1, 2j, t)
 
 
+def test_scalar_checks_reject_non_finite_input():
+    # a NaN slack would carry no verdict; segment_mean_abs itself propagates
+    for c, d in [(math.nan, 1), (1, complex(0.0, math.inf)), (-math.inf, 0)]:
+        with pytest.raises(ValueError, match="finite"):
+            check_triangle_refinement(c, d)
+        with pytest.raises(ValueError, match="finite"):
+            check_reverse_triangle(c, d, 0.3)
+
+
 # --- log bound ---------------------------------------------------------------
 
 
