@@ -1,10 +1,13 @@
 """Seeded sweep harness.
 
-Generates random instances from counter-based (Philox) per-trial streams,
-drives every scalar and operator check, and aggregates the outcomes into a
-serializable summary. A fixed seed reproduces the exact same trial stream
-regardless of how trials would be scheduled; the only volatile summary
-field is the wall time.
+Generates random instances from counter-based (Philox) streams, drives
+every scalar and operator check, and aggregates the outcomes into a
+serializable summary. Each scalar check draws from one generator, and its
+trial k reads that generator's counter block k, so the scalar trials come in
+block draws and any trial replays after `bit_generator.advance(k)`. Each
+operator trial has its own generator. A fixed seed reproduces the exact same
+trial stream regardless of how trials would be scheduled; the only volatile
+summary field is the wall time.
 """
 
 from __future__ import annotations
@@ -48,9 +51,13 @@ INVERTIBLE_KINDS = ("ginibre", "hermitian", "psd", "unitary")
 
 _MASK64 = (1 << 64) - 1
 
-# stream tags so every (check family, dim, trial) triple has its own key
+# stream tags so every (check family, dim, trial) triple has its own key; the
+# scalar stream puts its check index 1, 2, 3 in the dim slot
 _SCALAR_STREAM = 1
 _OPERATOR_STREAM = 2
+
+# scalar trials drawn per block call: bounds the draw's memory, changes no value
+_SCALAR_CHUNK = 1024
 
 
 def _default_tolerances() -> dict:
@@ -105,6 +112,14 @@ def trial_rng(seed: int, stream: int, trial: int, dim: int = 0) -> np.random.Gen
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _disk_pairs(u: np.ndarray, scale: float) -> np.ndarray:
+    """Complex pairs uniform in the disk of radius `scale`, one per row of
+    uniforms u[..., :4]: radii scale*sqrt(u0, u1), phases 2*pi*(u2, u3)."""
+    radii = scale * np.sqrt(u[..., :2])
+    phases = 2.0 * np.pi * u[..., 2:4]
+    return radii * np.exp(1j * phases)
+
+
 def gen_instance(rng: np.random.Generator, kind: str, dim: int, scale: float = 10.0):
     """Draw one random instance of the requested kind.
 
@@ -116,10 +131,8 @@ def gen_instance(rng: np.random.Generator, kind: str, dim: int, scale: float = 1
     `scale`.
     """
     if kind == "scalar-pair":
-        radii = scale * np.sqrt(rng.uniform(size=2))
-        phases = rng.uniform(0.0, 2.0 * np.pi, size=2)
-        z = radii * np.exp(1j * phases)
-        return complex(z[0]), complex(z[1])
+        c, d = _disk_pairs(rng.random(4), scale).tolist()
+        return c, d
     if kind == "unit-vector":
         z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         return z / np.linalg.norm(z)
@@ -195,26 +208,28 @@ class CheckStats:
 
 
 def _run_scalar_trials(cfg: SweepConfig) -> tuple:
+    """The three scalar checks, each on its own generator trial_rng(seed, 1, 0, j),
+    j = 1, 2, 3. Trial k reads counter block k (four doubles): a disk pair for the
+    triangle checks, x = -0.9999 + 1.9998*u0 for the log bound."""
     tol = cfg.tolerances["scalar_chain"]
+    scale = cfg.scalar_scale
     t_grid = cfg.t_grid
     tri, rev, log = (CheckStats(name) for name in
                      ("triangle_refinement", "reverse_triangle", "log_bound"))
-    for k in range(cfg.trials):
-        digest = f"seed={cfg.seed};trial={k}"
-
-        rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 1)
-        c, d = gen_instance(rng, "scalar-pair", 0, cfg.scalar_scale)
-        tri.add(digest, scalars.check_triangle_refinement(c, d, tol=tol))
-
-        rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 2)
-        c, d = gen_instance(rng, "scalar-pair", 0, cfg.scalar_scale)
-        t = t_grid[k % len(t_grid)]
-        rev.add(f"{digest};t={t:g}", scalars.check_reverse_triangle(c, d, t, tol=tol))
-
-        rng = trial_rng(cfg.seed, _SCALAR_STREAM, k, 3)
-        x = float(rng.uniform(-0.9999, 0.9999))
-        log.add(f"{digest};x={x!r}", ChainReport(
-            (("x", x),), scalars.check_log_bound(x), scalars._log_bound_margin(x)))
+    rngs = [trial_rng(cfg.seed, _SCALAR_STREAM, 0, j) for j in (1, 2, 3)]
+    for start in range(0, cfg.trials, _SCALAR_CHUNK):
+        n = min(_SCALAR_CHUNK, cfg.trials - start)
+        tri_u, rev_u, log_u = (rng.random((n, 4)) for rng in rngs)
+        tri_pairs = _disk_pairs(tri_u, scale).tolist()
+        rev_pairs = _disk_pairs(rev_u, scale).tolist()
+        xs = (-0.9999 + 1.9998 * log_u[:, 0]).tolist()
+        for k, (c, d), (c2, d2), x in zip(range(start, start + n), tri_pairs, rev_pairs, xs):
+            digest = f"seed={cfg.seed};trial={k}"
+            tri.add(digest, scalars.check_triangle_refinement(c, d, tol=tol))
+            t = t_grid[k % len(t_grid)]
+            rev.add(f"{digest};t={t:g}", scalars.check_reverse_triangle(c2, d2, t, tol=tol))
+            log.add(f"{digest};x={x!r}", ChainReport(
+                (("x", x),), scalars.check_log_bound(x), scalars._log_bound_margin(x)))
     return tri, rev, log
 
 

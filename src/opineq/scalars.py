@@ -187,9 +187,10 @@ def check_triangle_refinement(c: complex, d: complex, tol: float | None = None) 
     c, d = _finite_pair(c, d, "check_triangle_refinement")
     if tol is None:
         tol = chain_tolerance(c, d)
-    lhs = abs(c + d) / 2.0
+    # halve before adding, so that finite inputs near the double range stay finite
+    lhs = abs(c / 2.0 + d / 2.0)
     mid = segment_mean_abs(c, d)
-    rhs = (abs(c) + abs(d)) / 2.0
+    rhs = abs(c) / 2.0 + abs(d) / 2.0
     return _chain((("lhs", lhs), ("mid", mid), ("rhs", rhs)), tol)
 
 
@@ -218,10 +219,10 @@ def check_reverse_triangle(
     r_t = min(t, 1.0 - t)
     abs_c = abs(c)
     abs_d = abs(d)
-    mean_abs = (abs_c + abs_d) / 2.0
+    mean_abs = abs_c / 2.0 + abs_d / 2.0  # halved first, as in check_triangle_refinement
     mixed = abs((1.0 - t) * c + t * d)
     lhs = mean_abs - ((1.0 - t) * abs_c + t * abs_d - mixed) / (2.0 * r_t)
-    mid = abs(c + d) / 2.0
+    mid = abs(c / 2.0 + d / 2.0)
     report = _chain((("lhs", lhs), ("mid", mid), ("rhs", mean_abs)), tol)
     equiv_holds = mixed <= (1.0 - t) * abs_c + t * abs_d - 2.0 * r_t * (mean_abs - mid) + tol
     return report if equiv_holds else replace(report, holds=False)

@@ -69,6 +69,16 @@ def test_reverse_triangle(capsys):
     assert payload["holds"] is True
 
 
+@pytest.mark.parametrize("command", [("triangle",), ("reverse-triangle", "--t", "0.3")])
+def test_triangle_terms_stay_finite_near_the_double_range(capsys, command):
+    code, out, _ = run(capsys, *command, "--c", "1e308,1e308", "--d", "1e308,1e308", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] is True
+    for key in ("lhs", "mid", "rhs"):
+        assert math.isfinite(payload[key]), payload
+
+
 def test_triangle_non_finite_input_is_usage_error(capsys):
     code, out, err = run(capsys, "triangle", "--c", "nan,0", "--d", "1,0")
     assert code == 2 and out == "" and "finite" in err

@@ -1,8 +1,11 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from opineq import harness, scalars
 from opineq.harness import (
     MATRIX_KINDS,
     CheckStats,
@@ -85,6 +88,17 @@ def test_gen_instance_kinds():
         gen_instance(rng, "wishart", 3)
 
 
+def test_gen_instance_scalar_pair_keeps_its_draw():
+    # the disk-pair formula as it read before it was shared with the block draw
+    for trial in range(300):
+        rng = trial_rng(11, 1, trial, trial % 4)
+        radii = 10.0 * np.sqrt(rng.uniform(size=2))
+        z = radii * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=2))
+        pair = gen_instance(trial_rng(11, 1, trial, trial % 4), "scalar-pair", 0, 10.0)
+        assert pair == (complex(z[0]), complex(z[1]))
+        assert all(type(v) is complex for v in pair)
+
+
 # --- run_suite -----------------------------------------------------------------
 
 
@@ -153,6 +167,55 @@ def test_zero_tolerance_turns_round_off_into_fails():
     for c in chain_checks:
         if c.worst_slack is not None:
             assert c.worst_slack >= -1e-10, c
+
+
+def _scalar_report_bytes(cfg):
+    return json.dumps(summary_to_dict(run_suite(cfg, suite="scalar"), include_wall=False),
+                      sort_keys=True)
+
+
+def test_scalar_digest_replays_from_its_counter_block():
+    # 2,500 trials cross two chunk boundaries of the block draw
+    cfg = SweepConfig(trials=2500)
+    by_name = {c.name: c for c in run_suite(cfg, suite="scalar").checks}
+
+    def block(j, digest):
+        k = int(re.search(r";trial=(\d+)", digest).group(1))
+        rng = trial_rng(cfg.seed, 1, 0, j)
+        rng.bit_generator.advance(k)
+        return rng
+
+    tri = by_name["triangle_refinement"]
+    c, d = gen_instance(block(1, tri.worst_digest), "scalar-pair", 0, cfg.scalar_scale)
+    assert scalars.check_triangle_refinement(c, d).worst_slack == tri.worst_slack
+
+    rev = by_name["reverse_triangle"]
+    c, d = gen_instance(block(2, rev.worst_digest), "scalar-pair", 0, cfg.scalar_scale)
+    t = float(re.search(r";t=([^;]+)", rev.worst_digest).group(1))
+    assert scalars.check_reverse_triangle(c, d, t).worst_slack == rev.worst_slack
+
+    log = by_name["log_bound"]
+    x = float(block(3, log.worst_digest).uniform(-0.9999, 0.9999))
+    assert log.worst_digest.endswith(f";x={x!r}")
+    assert scalars._log_bound_margin(x) == log.worst_slack
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_scalar_report_is_independent_of_the_chunk_size(monkeypatch, chunk):
+    cfg = SweepConfig(seed=5, trials=2500)
+    expected = _scalar_report_bytes(cfg)
+    monkeypatch.setattr(harness, "_SCALAR_CHUNK", chunk)
+    assert _scalar_report_bytes(cfg) == expected
+
+
+def test_scalar_trials_draw_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        harness._run_scalar_trials(SweepConfig(trials=10_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20, peak
 
 
 # --- aggregation ---------------------------------------------------------------

@@ -213,6 +213,18 @@ def test_scalar_checks_reject_non_finite_input():
             check_reverse_triangle(c, d, 0.3)
 
 
+def test_scalar_checks_stay_finite_near_the_double_range():
+    # |c + d| and |c| + |d| overflow here, though every term of the chain is finite
+    big = complex(1e308, 1e308)
+    for report in (check_triangle_refinement(big, big),
+                   check_reverse_triangle(big, big, 0.3),
+                   check_triangle_refinement(big, 1e308 - 1e308j)):
+        values = [value for _, value in report.terms]
+        assert all(math.isfinite(v) for v in values), report
+        assert report.holds and math.isfinite(report.worst_slack)
+    assert check_triangle_refinement(big, big).terms[0][1] == abs(big)
+
+
 # --- log bound ---------------------------------------------------------------
 
 
