@@ -5,8 +5,12 @@ every scalar and operator check, and aggregates the outcomes into a
 serializable summary. Each scalar check draws from one generator, and its
 trial k reads that generator's counter block k, so the scalar trials come in
 block draws and any trial replays after `bit_generator.advance(k)`. Each
-operator trial has its own generator. A fixed seed reproduces the exact same
-trial stream regardless of how trials would be scheduled; the only volatile
+operator trial has its own generator. The operator trials of one dimension
+run in blocks of stacked arrays: one stacked SVD gives every trial's polar
+frame, and each check's stacked kernel (in `operators` and `linalg`, the same
+one its public function runs) serves the whole block; the reports are then
+built trial by trial. A fixed seed reproduces the exact same trial stream
+regardless of how trials would be scheduled or blocked; the only volatile
 summary field is the wall time.
 """
 
@@ -21,13 +25,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import operators, scalars
-from .linalg import numerical_radius, polar, spectral_norm
-from .operators import (
-    GEOMEAN_EQUALITY_TOL,
-    OPERATOR_SLACK_TOL,
-    REVERSE_CS_EQUALITY_TOL,
-    kittaneh_bound,
+from .linalg import (
+    _norms,
+    _numerical_radii,
+    _pd_refused,
+    _polar_frames,
+    _spectral_norms,
+    numerical_radius,  # noqa: F401 -- no call here; the benchmark's tracer test reads it
+    polar,
 )
+from .operators import GEOMEAN_EQUALITY_TOL, OPERATOR_SLACK_TOL, REVERSE_CS_EQUALITY_TOL
 from .scalars import SCALAR_ABS_TOL, ChainReport
 
 __all__ = [
@@ -49,8 +56,6 @@ MATRIX_KINDS = ("ginibre", "hermitian", "psd", "unitary", "nilpotent-like")
 # restricted to these
 INVERTIBLE_KINDS = ("ginibre", "hermitian", "psd", "unitary")
 
-_MASK64 = (1 << 64) - 1
-
 # stream tags so every (check family, dim, trial) triple has its own key; the
 # scalar stream puts its check index 1, 2, 3 in the dim slot
 _SCALAR_STREAM = 1
@@ -58,6 +63,9 @@ _OPERATOR_STREAM = 2
 
 # scalar trials drawn per block call: bounds the draw's memory, changes no value
 _SCALAR_CHUNK = 1024
+
+# operator trials per stacked block: bounds the block's memory, changes no value
+_OPERATOR_BLOCK = 50
 
 
 def _default_tolerances() -> dict:
@@ -108,8 +116,7 @@ class SuiteSummary:
 def trial_rng(seed: int, stream: int, trial: int, dim: int = 0) -> np.random.Generator:
     """Independent per-trial generator keyed by (seed, stream, dim, trial)."""
     word = ((stream & 0xFF) << 56) | ((dim & 0xFF) << 48) | (trial & 0xFFFFFFFFFFFF)
-    key = np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return operators._philox(seed, word)
 
 
 def _disk_pairs(u: np.ndarray, scale: float) -> np.ndarray:
@@ -297,7 +304,20 @@ def _run_grid_checks(cfg: SweepConfig) -> tuple:
 # --- operator checks ---------------------------------------------------------
 
 
+def _rows(columns) -> list:
+    """Per-trial tuples of Python floats from a kernel's per-term arrays."""
+    return list(zip(*(column.tolist() for column in columns)))
+
+
 def _run_operator_trials(cfg: SweepConfig) -> tuple:
+    """The operator checks, dimension by dimension, in blocks of stacked trials.
+
+    Trial k of dimension n draws A and its four vectors from its own
+    generator trial_rng(seed, 2, k, n). A block shares one stacked SVD (the
+    polar frames of every A) and one call of each check's stacked kernel;
+    each trial's reports are then built from its own values, so the block
+    size changes no value.
+    """
     tol_op = cfg.tolerances["operator_chain"]
     tol_rad = cfg.tolerances["radius"]
     eq_tol = cfg.tolerances["equality"]
@@ -307,41 +327,48 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
 
     for dim in cfg.dims:
         dim = int(dim)
-        for k in range(cfg.operator_trials):
-            kind = cfg.ensembles[k % len(cfg.ensembles)]
-            v = cfg.v_grid[k % len(cfg.v_grid)]
-            t = cfg.t_grid[k % len(cfg.t_grid)]
-            digest = f"seed={cfg.seed};dim={dim};trial={k};kind={kind};v={v:g};t={t:g}"
+        for start in range(0, cfg.operator_trials, _OPERATOR_BLOCK):
+            ks = range(start, min(start + _OPERATOR_BLOCK, cfg.operator_trials))
+            kinds = [cfg.ensembles[k % len(cfg.ensembles)] for k in ks]
+            vs = [cfg.v_grid[k % len(cfg.v_grid)] for k in ks]
+            ts = [cfg.t_grid[k % len(cfg.t_grid)] for k in ks]
+            draws = []
+            for k, kind in zip(ks, kinds):
+                rng = trial_rng(cfg.seed, _OPERATOR_STREAM, k, dim)
+                draws.append([gen_instance(rng, kind, dim)] + [gen_instance(rng, vk, dim) for vk in (
+                    "unit-vector", "unit-vector", "vector", "vector")])
+            A, X, Y, XV, YV = (np.stack(column) for column in zip(*draws))
+            v = np.array(vs)
+            frame = _polar_frames(A)
+            mixed_rows = _rows(operators._schwarz_terms(A, frame, v, X, Y))
+            unit_rows = _rows(operators._schwarz_terms(A, frame, v, X, X))
+            power_norms = operators._power_sum_norms(frame, v).tolist()
+            reverse_rows = _rows(operators._reverse_cs_terms(XV, YV))
+            nx, ny = _norms(X).tolist(), _norms(Y).tolist()
+            geo_forms, lam_p, lam_q = operators._geomean_forms(frame, v, X)
+            geo_forms = geo_forms.tolist()
+            refused = (_pd_refused(lam_p) | _pd_refused(lam_q)).tolist()
+            sandwich_rows = _rows((_numerical_radii(A), _spectral_norms(A),
+                                   operators._kittaneh_bounds(frame, 0.5)))
 
-            rng = trial_rng(cfg.seed, _OPERATOR_STREAM, k, dim)
-            A = gen_instance(rng, kind, dim)
-            x_unit = gen_instance(rng, "unit-vector", dim)
-            y_unit = gen_instance(rng, "unit-vector", dim)
-            x_vec = gen_instance(rng, "vector", dim)
-            y_vec = gen_instance(rng, "vector", dim)
-
-            mixed.add(digest, operators.check_mixed_schwarz(A, x_unit, y_unit, v, tol=tol_op))
-            chain.add(digest, operators.check_radius_chain(A, v, x_unit, tol=tol_op))
-            rev.add(digest, operators.check_reverse_cs(
-                x_vec, y_vec, t, tol=tol_op, equality_tol=eq_tol))
-
-            rep = None  # skipped unless A is invertible enough
-            if kind in INVERTIBLE_KINDS:
-                try:
-                    rep = operators.check_geomean_lower(
-                        A, v, x_unit, tol=tol_op, equality_tol=geo_tol)
-                except ValueError:
-                    pass
-            geo.add(digest, rep)
-
-            w = numerical_radius(A)
-            nrm = spectral_norm(A)
-            kb = kittaneh_bound(A)
-            terms = (("half_norm", nrm / 2.0), ("radius", w),
-                     ("kittaneh", kb), ("norm", nrm))
-            slacks = (w - nrm / 2.0, nrm - w, kb - w, nrm - kb)
-            worst = min(slacks)
-            sandwich.add(digest, ChainReport(terms, worst >= -tol_rad * max(1.0, nrm), worst))
+            for i, (k, kind, v_k, t) in enumerate(zip(ks, kinds, vs, ts)):
+                digest = f"seed={cfg.seed};dim={dim};trial={k};kind={kind};v={v_k:g};t={t:g}"
+                mixed.add(digest, operators._mixed_schwarz_report(
+                    *mixed_rows[i], v_k, nx[i], ny[i], tol_op))
+                chain.add(digest, operators._radius_chain_report(
+                    *unit_rows[i], power_norms[i], v_k, tol_op))
+                rev.add(digest, operators._reverse_cs_report(*reverse_rows[i], t, tol_op, eq_tol))
+                rep = None  # skipped unless A is invertible enough
+                if kind in INVERTIBLE_KINDS and not refused[i]:
+                    rep = operators._geomean_report(
+                        geo_forms[i], *unit_rows[i], v_k, tol_op, geo_tol)
+                geo.add(digest, rep)
+                w, nrm, kb = sandwich_rows[i]
+                terms = (("half_norm", nrm / 2.0), ("radius", w),
+                         ("kittaneh", kb), ("norm", nrm))
+                slacks = (w - nrm / 2.0, nrm - w, kb - w, nrm - kb)
+                worst = min(slacks)
+                sandwich.add(digest, ChainReport(terms, worst >= -tol_rad * max(1.0, nrm), worst))
     return stats
 
 

@@ -49,13 +49,66 @@ class EigSystem:
     vectors: np.ndarray  # orthonormal columns
 
 
+# Array helpers: each takes one matrix (or vector) or a stack of them along
+# leading axes. The public functions validate one matrix and call them on it.
+
+
+def _ct(M: np.ndarray) -> np.ndarray:
+    """Conjugate transpose over the last two axes."""
+    return M.conj().swapaxes(-1, -2)
+
+
 def _from_spectrum(Q: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Q diag(d) Q*, before Hermitian symmetrisation."""
-    return (Q * d) @ Q.conj().T
+    return (Q * d[..., None, :]) @ _ct(Q)
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    return (M + M.conj().T) / 2.0
+    return (M + _ct(M)) / 2.0
+
+
+def _matvecs(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x, row by row of a stack."""
+    return (M @ x[..., :, None])[..., 0]
+
+
+def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """np.vdot(x, y) = x* y, row by row; np.vecdot runs the same BLAS dot as
+    np.vdot, so each row's value is bit-identical to it."""
+    return np.vecdot(x, y)
+
+
+def _moduli(z: np.ndarray) -> np.ndarray:
+    """|z| elementwise as abs() of a numpy complex scalar computes it (hypot);
+    np.abs on a complex array may take a vectorised path with other rounding."""
+    return np.hypot(z.real, z.imag)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, summed as np.linalg.norm sums a complex
+    vector (the real parts' dot plus the imaginary parts' dot), so each value
+    is bit-identical to it; np.linalg.norm(x, axis=-1) sums otherwise."""
+    re, im = x.real, x.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _powers(sigma: np.ndarray, p) -> np.ndarray:
+    """sigma ** p, each row of a stack raised to its own entry of p. Each
+    distinct exponent is applied as one scalar, so numpy's fast paths
+    (**0.5 -> sqrt, **2 -> square) act exactly as for a float p."""
+    if not isinstance(p, np.ndarray):
+        return sigma**p
+    out = np.empty_like(sigma)
+    for q in np.unique(p):
+        rows = p == q
+        out[rows] = sigma[rows] ** float(q)
+    return out
+
+
+def _spectral_norms(M: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix; the singular values alone, as
+    np.linalg.norm(M, 2) computes them."""
+    return np.linalg.svd(M, compute_uv=False)[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,6 +117,7 @@ class PolarFrame:
 
     Every power of |A| and |A*| comes from the same factors:
     U = W V*, |A|^p = V diag(sigma^p) V* and |A*|^p = W diag(sigma^p) W*.
+    A frame from `_polar_frames` holds a stack of them, one per matrix.
     """
 
     W: np.ndarray
@@ -72,20 +126,20 @@ class PolarFrame:
 
     @property
     def unitary(self) -> np.ndarray:
-        return self.W @ self.V.conj().T
+        return self.W @ _ct(self.V)
 
     @property
     def positive(self) -> np.ndarray:
         """|A| = (A*A)^(1/2)."""
         return self.abs_power(1.0)
 
-    def abs_power(self, p: float) -> np.ndarray:
-        """|A|^p, Hermitian."""
-        return _hermitian_part(_from_spectrum(self.V, self.sigma**p))
+    def abs_power(self, p) -> np.ndarray:
+        """|A|^p, Hermitian; p may hold one exponent per matrix of a stack."""
+        return _hermitian_part(_from_spectrum(self.V, _powers(self.sigma, p)))
 
-    def abs_star_power(self, p: float) -> np.ndarray:
+    def abs_star_power(self, p) -> np.ndarray:
         """|A*|^p = U |A|^p U*, Hermitian."""
-        return _hermitian_part(_from_spectrum(self.W, self.sigma**p))
+        return _hermitian_part(_from_spectrum(self.W, _powers(self.sigma, p)))
 
 
 def _as_matrix(M, who: str) -> np.ndarray:
@@ -128,15 +182,19 @@ def hermitian_eig(M, tol: float = DEFAULT_TOL) -> EigSystem:
     Rejects non-square input and input whose Hermiticity defect
     ||M - M*|| exceeds tol * ||M||.
     """
-    A = _as_square(M, "hermitian_eig")
+    A = _require_hermitian(_as_square(M, "hermitian_eig"), tol)
+    w, V = np.linalg.eigh(_hermitian_part(A))
+    return EigSystem(values=w, vectors=V)
+
+
+def _require_hermitian(A: np.ndarray, tol: float) -> np.ndarray:
     defect = _fro(A - A.conj().T)
     if defect > tol * _fro(A):
         raise ValueError(
             f"hermitian_eig: matrix is not Hermitian: defect ||M - M*|| = {defect:.3e} "
             f"exceeds tol*||M|| = {tol * _fro(A):.3e}"
         )
-    w, V = np.linalg.eigh(_hermitian_part(A))
-    return EigSystem(values=w, vectors=V)
+    return A
 
 
 def svd(M):
@@ -145,9 +203,14 @@ def svd(M):
     Returns (W, sigma, V) with sigma descending and W, V unitary (full,
     also for singular M).
     """
-    A = _as_square(M, "svd")
+    frame = polar(M)
+    return frame.W, frame.sigma, frame.V
+
+
+def _polar_frames(A: np.ndarray) -> PolarFrame:
+    """The polar frame of A, or of every matrix of a stack, from one SVD call."""
     W, sigma, Vh = np.linalg.svd(A)
-    return W, sigma, Vh.conj().T
+    return PolarFrame(W, sigma, _ct(Vh))
 
 
 def polar(A) -> PolarFrame:
@@ -158,7 +221,7 @@ def polar(A) -> PolarFrame:
     unitary completion when A is singular), which makes the transport
     identity U |A|^p U* = |A*|^p hold for every p > 0.
     """
-    return PolarFrame(*svd(A))
+    return _polar_frames(_as_square(A, "svd"))
 
 
 def frac_power(P, p: float) -> np.ndarray:
@@ -201,37 +264,63 @@ def geometric_mean(A, B, t: float) -> np.ndarray:
         raise ValueError(f"geometric_mean: shape mismatch {A.shape} vs {B.shape}")
     if not (np.isfinite(t) and 0.0 <= t <= 1.0):
         raise ValueError(f"geometric_mean: weight t must lie in [0, 1], got {t!r}")
+    G, lam_a, lam_b = _geometric_means(A, B, t)
+    _require_hermitian(A, 1e-8)
+    _require_pd(lam_a, "first operand")
+    _require_hermitian(B, 1e-8)
+    _require_pd(lam_b, "second operand")
+    return G
 
-    def _pd_eig(M, label):
-        eig = hermitian_eig(M, tol=1e-8)
-        scale = max(abs(float(eig.values[0])), abs(float(eig.values[-1])), 1e-300)
-        floor = PD_FLOOR_REL * scale
-        if eig.values[0] < floor:
-            raise ValueError(
-                f"geometric_mean: {label} is not positive definite enough for "
-                f"congruence inversion (min eigenvalue {eig.values[0]:.3e} < {floor:.3e})"
-            )
-        return eig
 
-    ea = _pd_eig(A, "first operand")
-    _pd_eig(B, "second operand")
-    Va = ea.vectors
-    root = _from_spectrum(Va, np.sqrt(ea.values))
-    inv_root = _from_spectrum(Va, 1.0 / np.sqrt(ea.values))
+def _pd_floor(lam: np.ndarray) -> np.ndarray:
+    """The eigenvalue floor of positive definiteness, per ascending spectrum
+    (last axis): PD_FLOOR_REL times the spectral norm."""
+    scale = np.maximum(np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1])), 1e-300)
+    return PD_FLOOR_REL * scale
+
+
+def _pd_refused(lam: np.ndarray) -> np.ndarray:
+    """Whether each ascending spectrum falls below its `_pd_floor`."""
+    return lam[..., 0] < _pd_floor(lam)
+
+
+def _require_pd(lam: np.ndarray, label: str) -> None:
+    """Refuse one ascending spectrum below its `_pd_floor`, naming the operand."""
+    if _pd_refused(lam):
+        raise ValueError(
+            f"geometric_mean: {label} is not positive definite enough for "
+            f"congruence inversion (min eigenvalue {lam[0]:.3e} < {_pd_floor(lam):.3e})"
+        )
+
+
+def _geometric_means(A: np.ndarray, B: np.ndarray, t: float):
+    """(A #_t B, spectrum of A, spectrum of B) for one pair or a stack of
+    pairs. Where A or B falls below `_pd_floor`, the mean is not defined and
+    its entry is a finite placeholder."""
+    lam_a, Va = np.linalg.eigh(_hermitian_part(A))
+    lam_b = np.linalg.eigh(_hermitian_part(B))[0]
+    bad = _pd_refused(lam_a) | _pd_refused(lam_b)
+    # keep the inner eigh finite on the pairs that are refused
+    lam = np.where(bad[..., None], 1.0, lam_a)
+    root = _from_spectrum(Va, np.sqrt(lam))
+    inv_root = _from_spectrum(Va, 1.0 / np.sqrt(lam))
     wi, Vi = np.linalg.eigh(_hermitian_part(inv_root @ B @ inv_root))
     wi = np.where(wi < 0.0, 0.0, wi)  # round-off guard; inner is PD here
-    return _hermitian_part(root @ _from_spectrum(Vi, wi**t) @ root)
+    return _hermitian_part(root @ _from_spectrum(Vi, wi**t) @ root), lam_a, lam_b
 
 
 def spectral_norm(M) -> float:
     """Largest singular value of M."""
-    A = _as_matrix(M, "spectral_norm")
-    return float(np.linalg.norm(A, 2))
+    return float(_spectral_norms(_as_matrix(M, "spectral_norm")))
 
 
 # Cap on the stacked eigh calls of the Newton phase; the stop rules end it
 # after a handful.
 _NEWTON_STEPS = 40
+
+# Matrices per stacked scan in `_numerical_radii`: each takes `grid` Hermitian
+# matrices, so this bounds the scan's memory; it changes no value.
+_RADIUS_SCAN_CHUNK = 4
 
 
 def numerical_radius(A, grid: int = 64, refine_tol: float = 1e-10) -> float:
@@ -262,35 +351,64 @@ def numerical_radius(A, grid: int = 64, refine_tol: float = 1e-10) -> float:
         raise ValueError(f"numerical_radius: grid must be at least 8, got {grid}")
     if not (np.isfinite(refine_tol) and refine_tol > 0.0):
         raise ValueError(f"numerical_radius: refine_tol must be positive, got {refine_tol!r}")
+    return float(_numerical_radii(A[None], grid, refine_tol)[0])
+
+
+def _numerical_radii(A: np.ndarray, grid: int = 64, refine_tol: float = 1e-10) -> np.ndarray:
+    """`numerical_radius` of each matrix of the stack A (m, n, n).
+
+    Every matrix keeps its own best value, its own stop rule and its own
+    candidate merge; only the eigen-solver calls are shared. So each value
+    is bit-identical to `numerical_radius` of that matrix alone.
+    """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
     step = 2.0 * np.pi / grid
     phis = step * np.arange(grid)
-    tops = np.linalg.eigvalsh(np.cos(phis)[:, None, None] * Hr
-                              + np.sin(phis)[:, None, None] * Hi)[:, -1]
-    best = float(tops.max())
-    ring = np.concatenate((tops[-1:], tops, tops[:1]))
-    anchor = phi = phis[(tops >= ring[:-2]) & (tops >= ring[2:])]
+    cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
+    m, n = A.shape[0], A.shape[-1]
+    tops = np.empty((m, grid))
+    scan = np.empty((min(m, _RADIUS_SCAN_CHUNK), grid, n, n), dtype=complex)
+    term = np.empty_like(scan)
+    for lo in range(0, m, _RADIUS_SCAN_CHUNK):
+        rows = slice(lo, lo + _RADIUS_SCAN_CHUNK)
+        H, K = scan[: len(tops[rows])], term[: len(tops[rows])]
+        np.multiply(cos, Hr[rows, None], out=H)
+        np.add(H, np.multiply(sin, Hi[rows, None], out=K), out=H)
+        tops[rows] = np.linalg.eigvalsh(H)[..., -1]
+    del scan, term
+    best = tops.max(axis=1)
+    ring = np.concatenate((tops[:, -1:], tops, tops[:, :1]), axis=1)
+    # candidates stay grouped by owner matrix, in ascending phi within each
+    owner, cell = np.nonzero((tops >= ring[:, :-2]) & (tops >= ring[:, 2:]))
+    anchor = phi = phis[cell]
     f_prev = np.full(phi.shape, -np.inf)
     for _ in range(_NEWTON_STEPS):
         cos, sin = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
-        lam, Q = np.linalg.eigh(cos * Hr + sin * Hi)
+        hr, hi = Hr[owner], Hi[owner]
+        lam, Q = np.linalg.eigh(cos * hr + sin * hi)
         f, x = lam[:, -1], Q[:, :, -1:]
-        best = max(best, float(f.max()))
-        c = (Q.conj().transpose(0, 2, 1) @ (cos * (Hi @ x) - sin * (Hr @ x)))[:, :, 0]  # q_k* K x
+        # each owner's best: max(best, its candidates' max), NaN ignored as by max()
+        first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+        top, own = np.maximum.reduceat(f, first), owner[first]
+        best[own] = np.where(top > best[own], top, best[own])
+        c = (_ct(Q) @ (cos * (hi @ x) - sin * (hr @ x)))[:, :, 0]  # q_k* K x
         slope = c[:, -1].real
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             curv = 2.0 * np.sum(np.abs(c[:, :-1]) ** 2 / (f[:, None] - lam[:, :-1]), axis=1) - f
             dphi = np.where(curv < 0.0, -slope / curv, slope / np.abs(f))
         # A = 0 gives the step 0/0 = NaN, which fails the step test below
         nxt = np.clip(phi + dphi, anchor - step, anchor + step)
-        # rounding: four units in the last place of the best value so far
-        live = (f - f_prev > 4.0 * np.spacing(abs(best))) & (np.abs(nxt - phi) > refine_tol)
+        # rounding: four units in the last place of the owner's best value so far
+        live = (f - f_prev > 4.0 * np.spacing(np.abs(best[owner]))) & (np.abs(nxt - phi) > refine_tol)
         if not live.any():
             break
-        keep = np.flatnonzero(live)[np.argsort(nxt[live], kind="stable")]
-        keep = keep[np.concatenate(([True], np.diff(nxt[keep]) > refine_tol))]
-        phi, anchor, f_prev = nxt[keep], anchor[keep], f[keep]
+        # sort by owner, then phi (stable), and merge within each owner
+        keep = np.flatnonzero(live)
+        keep = keep[np.lexsort((nxt[keep], owner[keep]))]
+        same = owner[keep][1:] == owner[keep][:-1]
+        keep = keep[np.concatenate(([True], ~same | (np.diff(nxt[keep]) > refine_tol)))]
+        phi, anchor, f_prev, owner = nxt[keep], anchor[keep], f[keep], owner[keep]
     return best
 
 

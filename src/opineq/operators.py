@@ -2,7 +2,7 @@
 
 Every check reduces to the scalar refinement through the polar
 decomposition A = U |A|: each takes one `PolarFrame` (one SVD
-A = W diag(sigma) V*) from `polar`, whose two absolute-value powers are
+A = W diag(sigma) V*), whose two absolute-value powers are
 |A|^p = V diag(sigma^p) V* and |A*|^p = W diag(sigma^p) W*. The auxiliary
 vectors |A|^v x and |A|^(1-v) U* y live in the V-coordinate frame as
 sigma^v (V* x) and sigma^(1-v) (W* y). The chains checked here:
@@ -16,7 +16,10 @@ sigma^v (V* x) and sigma^(1-v) (W* y). The chains checked here:
   * geometric-mean lower bound: cos(theta_x) <(|A|^2v # |A*|^2(1-v)) x, x>
     <= |<Ax,x>| with an exact-equality last link.
 
-Inner products are linear in the first slot: <u, w> = w* u.
+Inner products are linear in the first slot: <u, w> = w* u. The arithmetic
+of every check lives in one stacked kernel that the harness runs on blocks
+of trials; each public check validates one input and runs it on a stack of
+one, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -31,11 +34,18 @@ from .linalg import (
     PolarFrame,
     _as_square,
     _as_vector,
+    _ct,
     _from_spectrum,
     _hermitian_part,
-    geometric_mean,
-    polar,
-    spectral_norm,
+    _matvecs,
+    _moduli,
+    _norms,
+    _geometric_means,
+    _polar_frames,
+    _powers,
+    _require_pd,
+    _spectral_norms,
+    _vdots,
 )
 from .scalars import ChainReport, _chain, gamma, mu
 
@@ -67,6 +77,12 @@ _AUX_DEGENERATE_TOL = 1e-12
 _MASK64 = (1 << 64) - 1
 _PROFILE_STREAM = 0x70726F66  # fixed second key word for angle_profile draws
 _PROFILE_BINS = 36  # equal-width histogram bins over [0, pi/2]
+
+
+def _philox(seed: int, word: int) -> np.random.Generator:
+    """Counter-based generator keyed by the two 64-bit words (seed, word)."""
+    key = np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -107,34 +123,132 @@ def _require_unit(x: np.ndarray, who: str) -> np.ndarray:
     return x
 
 
-def _aux_tol(sigma: np.ndarray, p: float) -> float:
-    top = float(sigma[0]) if sigma.size else 0.0
+def _aux_tol(top: float, p: float) -> float:
+    """Degeneracy floor of an auxiliary vector scaled by sigma^p, top = sigma_max."""
     return _AUX_DEGENERATE_TOL * max(1.0, top**p if top > 0.0 else 0.0)
 
 
-def _aux_angle(frame: PolarFrame, v: float, x, y, first, digest: str, x_scale=1.0, y_scale=1.0):
-    """(n1, n2, cos(theta)) for the auxiliary vectors |A|^v x, |A|^(1-v) U* y.
+# --- stacked kernels ---------------------------------------------------------
+#
+# Each kernel takes a stack of trials (A of shape (m, n, n), vectors (m, n),
+# the polar frames of all of A from one SVD call, v a float or one weight per
+# trial) and returns one array per term. The public checks run them on a stack
+# of one; the harness runs them on blocks of trials. A check's report is then
+# built per trial from Python floats, where mu, gamma and acos stay scalar.
 
-    If either norm is below its degeneracy tolerance (times x_scale or
-    y_scale), returns the angle-undefined report holding only term `first`.
-    """
+
+def _schwarz_terms(A, frame: PolarFrame, v, x, y):
+    """(|<Ax,y>|, n1, n2, cos(theta), sigma_max) per trial, where n1, n2 are
+    the norms of the auxiliary vectors |A|^v x and |A|^(1-v) U* y and theta
+    is their angle. In the frame's coordinates these vectors are
+    sigma^v (V* x) and sigma^(1-v) (W* y)."""
     sigma = frame.sigma
-    a1 = sigma**v * (frame.V.conj().T @ x)
-    a2 = sigma ** (1.0 - v) * (frame.W.conj().T @ y)
-    n1 = float(np.linalg.norm(a1))
-    n2 = float(np.linalg.norm(a2))
-    if n1 <= _aux_tol(sigma, v) * x_scale or n2 <= _aux_tol(sigma, 1.0 - v) * y_scale:
+    a1 = _powers(sigma, v) * _matvecs(_ct(frame.V), x)
+    a2 = _powers(sigma, 1.0 - v) * _matvecs(_ct(frame.W), y)
+    n1, n2 = _norms(a1), _norms(a2)
+    # a degenerate row's report never reads cos; inf keeps 0/0 out of it
+    base = n1 * n2
+    cos = np.fmin(1.0, _moduli(_vdots(a2, a1)) / np.where(base > 0.0, base, np.inf))
+    return _moduli(_vdots(y, _matvecs(A, x))), n1, n2, cos, sigma[..., 0]
+
+
+def _power_sum_norms(frame: PolarFrame, v) -> np.ndarray:
+    """||S|| per trial, S = |A|^2v + |A*|^2(1-v); Kittaneh's |A| + |A*| is S at v = 1/2."""
+    sigma = frame.sigma
+    S = _hermitian_part(_from_spectrum(frame.V, _powers(sigma, 2.0 * v))
+                        + _from_spectrum(frame.W, _powers(sigma, 2.0 * (1.0 - v))))
+    return _spectral_norms(S)
+
+
+def _kittaneh_bounds(frame: PolarFrame, v) -> np.ndarray:
+    """`kittaneh_bound` per trial: ||S|| / 2."""
+    return 0.5 * _power_sum_norms(frame, v)
+
+
+def _geomean_forms(frame: PolarFrame, v, x):
+    """(<G x, x>, spectrum of |A|^2v, spectrum of |A*|^2(1-v)) per trial,
+    G = |A|^2v # |A*|^2(1-v). The form is meaningless where either spectrum
+    is refused by `linalg._pd_refused` (A not invertible enough)."""
+    G, lam_p, lam_q = _geometric_means(
+        frame.abs_power(2.0 * v), frame.abs_star_power(2.0 * (1.0 - v)), 0.5)
+    return _vdots(x, _matvecs(G, x)).real, lam_p, lam_q
+
+
+def _reverse_cs_terms(x, y):
+    """(||x||, ||y||, |<x,y>|) per trial."""
+    return _norms(x), _norms(y), _moduli(_vdots(y, x))
+
+
+def _undefined(n1, n2, top, v, first, digest, x_scale=1.0, y_scale=1.0):
+    """The angle-undefined report holding only term `first` when an auxiliary
+    norm is at or below its degeneracy floor (times x_scale or y_scale), else None."""
+    if n1 <= _aux_tol(top, v) * x_scale or n2 <= _aux_tol(top, 1.0 - v) * y_scale:
         return ChainReport((first,), True, 0.0, digest, angle_undefined=True)
-    return n1, n2, min(1.0, float(abs(np.vdot(a2, a1))) / (n1 * n2))
+    return None
 
 
-def _power_sum(frame: PolarFrame, v: float) -> np.ndarray:
-    """S = |A|^2v + |A*|^2(1-v), Hermitian; Kittaneh's |A| + |A*| is S at v = 1/2."""
-    sigma = frame.sigma
-    return _hermitian_part(
-        _from_spectrum(frame.V, sigma ** (2.0 * v))
-        + _from_spectrum(frame.W, sigma ** (2.0 * (1.0 - v)))
+def _mixed_schwarz_report(t1, n1, n2, cos, top, v, nx, ny, tol, digest="") -> ChainReport:
+    undefined = _undefined(n1, n2, top, v, ("abs_inner", t1), digest, nx, ny)
+    if undefined:
+        return undefined
+    base = n1 * n2
+    terms = (
+        ("abs_inner", t1),
+        ("refined_schwarz", mu(math.acos(cos)) * base),
+        ("kato_schwarz", base),
     )
+    return _chain(terms, tol * max(1.0, base), input_digest=digest)
+
+
+def _radius_chain_report(t1, n1, n2, cos, top, s_norm, v, tol, digest="") -> ChainReport:
+    undefined = _undefined(n1, n2, top, v, ("abs_quadratic_form", t1), digest)
+    if undefined:
+        return undefined
+    m = mu(math.acos(cos))
+    terms = (
+        ("abs_quadratic_form", t1),
+        ("refined_schwarz", m * n1 * n2),
+        ("arithmetic_mean", m / 2.0 * (n1 * n1 + n2 * n2)),
+        ("operator_norm_bound", m / 2.0 * s_norm),
+    )
+    return _chain(terms, tol * max(1.0, n1 * n2), input_digest=digest)
+
+
+def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol, digest="") -> ChainReport:
+    prod = nx * ny
+    theta = math.acos(min(1.0, inner / prod))
+    terms = (
+        ("zero", 0.0),
+        ("reverse_bound", gamma(t, theta) * prod),
+        ("abs_inner", inner),
+    )
+    sharp_gap = gamma(0.5, theta) * prod - inner
+    scale = max(1.0, prod)
+    return _chain(terms, tol * scale, ((sharp_gap, equality_tol * scale),), digest)
+
+
+def _geomean_report(g, t3, n1, n2, cos, top, v, tol, equality_tol, digest="") -> ChainReport:
+    undefined = _undefined(n1, n2, top, v, ("abs_quadratic_form", t3), digest)
+    if undefined:
+        return undefined
+    t2 = cos * n1 * n2
+    terms = (
+        ("geomean_form", cos * g),
+        ("schwarz_form", t2),
+        ("abs_quadratic_form", t3),
+    )
+    scale = max(1.0, n1 * n2)
+    # the last link is checked two-sided through its gap, not as an ordering
+    report = _chain(terms[:2], tol * scale, ((t3 - t2, equality_tol * scale),), digest)
+    return replace(report, terms=terms)
+
+
+def _first(arrays) -> list:
+    """The first trial's value of each kernel output, as Python floats."""
+    return [float(a[0]) for a in arrays]
+
+
+# --- public checks -----------------------------------------------------------
 
 
 def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
@@ -149,24 +263,13 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
     xv = _as_vector(x, "check_mixed_schwarz")
     yv = _as_vector(y, "check_mixed_schwarz")
     v = _validate_v(v, "check_mixed_schwarz")
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
+    nx = float(_norms(xv))
+    ny = float(_norms(yv))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("check_mixed_schwarz: x and y must be nonzero")
     digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, yv, v)}"
-
-    t1 = float(abs(np.vdot(yv, A @ xv)))
-    aux = _aux_angle(polar(A), v, xv, yv, ("abs_inner", t1), digest, nx, ny)
-    if isinstance(aux, ChainReport):
-        return aux
-    n1, n2, cos_theta = aux
-    base = n1 * n2
-    terms = (
-        ("abs_inner", t1),
-        ("refined_schwarz", mu(math.acos(cos_theta)) * base),
-        ("kato_schwarz", base),
-    )
-    return _chain(terms, tol * max(1.0, base), input_digest=digest)
+    terms = _first(_schwarz_terms(A[None], _polar_frames(A[None]), v, xv[None], yv[None]))
+    return _mixed_schwarz_report(*terms, v, nx, ny, tol, digest)
 
 
 def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
@@ -181,21 +284,9 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
     xv = _require_unit(_as_vector(x, "check_radius_chain"), "check_radius_chain")
     v = _validate_v(v, "check_radius_chain")
     digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, v)}"
-
-    frame = polar(A)
-    t1 = float(abs(np.vdot(xv, A @ xv)))
-    aux = _aux_angle(frame, v, xv, xv, ("abs_quadratic_form", t1), digest)
-    if isinstance(aux, ChainReport):
-        return aux
-    n1, n2, cos_theta = aux
-    m = mu(math.acos(cos_theta))
-    terms = (
-        ("abs_quadratic_form", t1),
-        ("refined_schwarz", m * n1 * n2),
-        ("arithmetic_mean", m / 2.0 * (n1 * n1 + n2 * n2)),
-        ("operator_norm_bound", m / 2.0 * spectral_norm(_power_sum(frame, v))),
-    )
-    return _chain(terms, tol * max(1.0, n1 * n2), input_digest=digest)
+    frame = _polar_frames(A[None])
+    terms = _first(_schwarz_terms(A[None], frame, v, xv[None], xv[None]))
+    return _radius_chain_report(*terms, float(_power_sum_norms(frame, v)[0]), v, tol, digest)
 
 
 def check_reverse_cs(
@@ -211,25 +302,13 @@ def check_reverse_cs(
     yv = _as_vector(y, "check_reverse_cs")
     if xv.shape != yv.shape:
         raise ValueError(f"check_reverse_cs: shape mismatch {xv.shape} vs {yv.shape}")
-    nx = float(np.linalg.norm(xv))
-    ny = float(np.linalg.norm(yv))
+    nx, ny, inner = _first(_reverse_cs_terms(xv[None], yv[None]))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("check_reverse_cs: x and y must be nonzero")
     if not (np.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_cs: t must lie strictly in (0, 1), got {t!r}")
     digest = f"n={xv.size};t={t:g};{_content_digest(xv, yv, t)}"
-
-    inner = float(abs(np.vdot(yv, xv)))
-    prod = nx * ny
-    theta = math.acos(min(1.0, inner / prod))
-    terms = (
-        ("zero", 0.0),
-        ("reverse_bound", gamma(t, theta) * prod),
-        ("abs_inner", inner),
-    )
-    sharp_gap = gamma(0.5, theta) * prod - inner
-    scale = max(1.0, prod)
-    return _chain(terms, tol * scale, ((sharp_gap, equality_tol * scale),), digest)
+    return _reverse_cs_report(nx, ny, inner, t, tol, equality_tol, digest)
 
 
 def check_geomean_lower(
@@ -246,32 +325,18 @@ def check_geomean_lower(
     xv = _require_unit(_as_vector(x, "check_geomean_lower"), "check_geomean_lower")
     v = _validate_v(v, "check_geomean_lower")
     digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, v)}"
-
-    frame = polar(A)
+    frame = _polar_frames(A[None])
+    forms, lam_p, lam_q = _geomean_forms(frame, v, xv[None])
     try:
-        G = geometric_mean(frame.abs_power(2.0 * v), frame.abs_star_power(2.0 * (1.0 - v)), 0.5)
+        _require_pd(lam_p[0], "first operand")
+        _require_pd(lam_q[0], "second operand")
     except ValueError as err:
         raise ValueError(
             "check_geomean_lower: needs |A|^2v and |A*|^2(1-v) positive definite "
             f"(invertible A): {err}"
         ) from err
-
-    t3 = float(abs(np.vdot(xv, A @ xv)))
-    aux = _aux_angle(frame, v, xv, xv, ("abs_quadratic_form", t3), digest)
-    if isinstance(aux, ChainReport):
-        return aux
-    n1, n2, cos_theta = aux
-    t1 = cos_theta * float(np.vdot(xv, G @ xv).real)
-    t2 = cos_theta * n1 * n2
-    terms = (
-        ("geomean_form", t1),
-        ("schwarz_form", t2),
-        ("abs_quadratic_form", t3),
-    )
-    scale = max(1.0, n1 * n2)
-    # the last link is checked two-sided through its gap, not as an ordering
-    report = _chain(terms[:2], tol * scale, ((t3 - t2, equality_tol * scale),), digest)
-    return replace(report, terms=terms)
+    terms = _first(_schwarz_terms(A[None], frame, v, xv[None], xv[None]))
+    return _geomean_report(float(forms[0]), *terms, v, tol, equality_tol, digest)
 
 
 def kittaneh_bound(A, v: float = 0.5) -> float:
@@ -284,7 +349,8 @@ def kittaneh_bound(A, v: float = 0.5) -> float:
     global bound.
     """
     v = _validate_v(v, "kittaneh_bound")
-    return 0.5 * spectral_norm(_power_sum(polar(A), v))
+    A = _as_square(A, "kittaneh_bound")
+    return float(_kittaneh_bounds(_polar_frames(A[None]), v)[0])
 
 
 def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
@@ -303,11 +369,9 @@ def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
         raise ValueError(f"angle_profile: need samples >= 1, got {samples}")
 
     n = A.shape[0]
-    frame = polar(A)
+    frame = _polar_frames(A)
     sigma = frame.sigma
-    rng = np.random.Generator(
-        np.random.Philox(key=np.array([seed & _MASK64, _PROFILE_STREAM], dtype=np.uint64))
-    )
+    rng = _philox(seed, _PROFILE_STREAM)
     Z = rng.normal(size=(samples, n)) + 1j * rng.normal(size=(samples, n))
     norms = np.linalg.norm(Z, axis=1)
     norms[norms == 0.0] = 1.0
@@ -317,7 +381,8 @@ def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
     A2 = (X @ frame.W.conj()) * sigma ** (1.0 - v)
     n1 = np.linalg.norm(A1, axis=1)
     n2 = np.linalg.norm(A2, axis=1)
-    defined = (n1 > _aux_tol(sigma, v)) & (n2 > _aux_tol(sigma, 1.0 - v))
+    top = float(sigma[0])
+    defined = (n1 > _aux_tol(top, v)) & (n2 > _aux_tol(top, 1.0 - v))
     skipped = int(samples - defined.sum())
     if not defined.any():
         raise ValueError("angle_profile: profile empty (every sampled angle was undefined)")

@@ -175,10 +175,14 @@ def segment_mean_abs_quadrature(c: complex, d: complex, nodes: int = 64) -> floa
 
 
 def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
+    """c and d as complex numbers, each finite with a modulus that is too."""
     c = complex(c)
     d = complex(d)
-    if not (cmath.isfinite(c) and cmath.isfinite(d)):
-        raise ValueError(f"{who}: c and d must be finite, got {c!r} and {d!r}")
+    # abs() raises OverflowError where the modulus leaves the double range
+    if not all(cmath.isfinite(z) and math.isfinite(math.hypot(z.real, z.imag)) for z in (c, d)):
+        raise ValueError(
+            f"{who}: c and d must be finite, with moduli inside the double range, "
+            f"got {c!r} and {d!r}")
     return c, d
 
 

@@ -84,6 +84,12 @@ def test_triangle_non_finite_input_is_usage_error(capsys):
     assert code == 2 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("command", [("triangle",), ("reverse-triangle", "--t", "0.3")])
+def test_triangle_modulus_overflow_is_usage_error(capsys, command):
+    code, out, err = run(capsys, *command, "--c", "1.5e308,1.5e308", "--d", "1.5e308,1.5e308")
+    assert code == 2 and out == "" and "double range" in err
+
+
 def test_reverse_triangle_bad_weight_is_usage_error(capsys):
     code, _, err = run(capsys, "reverse-triangle", "--c", "1,0", "--d", "-1,0",
                        "--t", "0")

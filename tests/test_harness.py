@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opineq import harness, scalars
+from opineq import harness, operators, scalars
 from opineq.harness import (
     MATRIX_KINDS,
     CheckStats,
@@ -17,7 +17,7 @@ from opineq.harness import (
     trial_rng,
     write_report,
 )
-from opineq.linalg import is_unitary
+from opineq.linalg import is_unitary, numerical_radius, spectral_norm
 from opineq.scalars import ChainReport
 
 SMALL = dict(seed=1, trials=60, operator_trials=6)
@@ -216,6 +216,67 @@ def test_scalar_trials_draw_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1 << 20, peak
+
+
+def _operator_report_bytes(cfg):
+    return json.dumps(summary_to_dict(run_suite(cfg, suite="operator"), include_wall=False),
+                      sort_keys=True)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_operator_report_is_independent_of_the_block_size(monkeypatch, block):
+    # 60 trials per dimension cross one boundary of the default block
+    cfg = SweepConfig(seed=5, operator_trials=60)
+    expected = _operator_report_bytes(cfg)
+    monkeypatch.setattr(harness, "_OPERATOR_BLOCK", block)
+    assert _operator_report_bytes(cfg) == expected
+
+
+def test_operator_blocks_report_what_the_public_checks_report():
+    # the stacked kernels against the public checks, one trial at a time
+    cfg = SweepConfig(seed=11, operator_trials=24)
+    tol = cfg.tolerances
+    stats = {name: CheckStats(name) for name in (
+        "mixed_schwarz", "radius_chain", "reverse_cs", "geomean_lower", "radius_sandwich")}
+    for dim in cfg.dims:
+        for k in range(cfg.operator_trials):
+            kind, v, t = (grid[k % len(grid)] for grid in (cfg.ensembles, cfg.v_grid, cfg.t_grid))
+            digest = f"seed={cfg.seed};dim={dim};trial={k};kind={kind};v={v:g};t={t:g}"
+            rng = trial_rng(cfg.seed, 2, k, dim)
+            A = gen_instance(rng, kind, dim)
+            x, y, xv, yv = (gen_instance(rng, vk, dim)
+                            for vk in ("unit-vector", "unit-vector", "vector", "vector"))
+            op_tol = tol["operator_chain"]
+            stats["mixed_schwarz"].add(digest, operators.check_mixed_schwarz(A, x, y, v, op_tol))
+            stats["radius_chain"].add(digest, operators.check_radius_chain(A, v, x, op_tol))
+            stats["reverse_cs"].add(digest, operators.check_reverse_cs(
+                xv, yv, t, op_tol, tol["equality"]))
+            geo = None
+            if kind in harness.INVERTIBLE_KINDS:
+                try:
+                    geo = operators.check_geomean_lower(A, v, x, op_tol, tol["geomean_equality"])
+                except ValueError:
+                    pass
+            stats["geomean_lower"].add(digest, geo)
+            w, nrm, kb = numerical_radius(A), spectral_norm(A), operators.kittaneh_bound(A)
+            slacks = (w - nrm / 2.0, nrm - w, kb - w, nrm - kb)
+            stats["radius_sandwich"].add(digest, ChainReport(
+                (), min(slacks) >= -tol["radius"] * max(1.0, nrm), min(slacks)))
+    expected = summary_to_dict(SuiteSummary(cfg, tuple(stats.values()), 0.0), include_wall=False)
+    got = summary_to_dict(run_suite(cfg, suite="operator"), include_wall=False)
+    assert got == expected
+
+
+def test_operator_trials_run_in_bounded_memory():
+    harness._run_operator_trials(SweepConfig(operator_trials=5))  # first-call allocations
+    tracemalloc.start()
+    try:
+        harness._run_operator_trials(SweepConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # 1.9 MiB in 50-trial blocks; whole-dimension blocks of 200 take 5.7 MiB
+    assert peak <= 3 << 20, peak
 
 
 # --- aggregation ---------------------------------------------------------------

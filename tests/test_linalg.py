@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from opineq.harness import MATRIX_KINDS, gen_instance, trial_rng
 from opineq.linalg import (
+    _numerical_radii,
     frac_power,
     geometric_mean,
     hermitian_eig,
@@ -420,6 +421,26 @@ def test_radius_flat_support_function_stops_early(monkeypatch):
         w = numerical_radius(np.array([[0.0, c], [0.0, 0.0]]))
         assert w == pytest.approx(abs(c) / 2.0, rel=1e-14)
         assert len(calls) <= 4, calls
+
+
+def test_stacked_radius_kernel_is_bit_identical_to_numerical_radius():
+    # each matrix of a stack keeps its own best value, its own stop rule and
+    # its own candidate merge, so stacking changes no bit
+    for n in range(1, 17):
+        stack = [gen_instance(trial_rng(43, 0, k, n), kind, n) for k, kind in enumerate(MATRIX_KINDS)]
+        assert _numerical_radii(np.stack(stack)).tolist() == [numerical_radius(A) for A in stack], n
+    # one mixed stack: two-peak ellipses, a flat nilpotent (its stop rule ends
+    # the Newton phase early), and one matrix at scales far apart. A stop rule
+    # shared across the stack (4 ulps of the largest value) would end the
+    # small copies' Newton steps early; at 1e-6 against 1e6 before the first
+    # step's gain counts
+    G = random_complex(np.random.default_rng(44), 2)
+    stack = [np.array([[1.0, b], [0.0, -1.0]]) + shift * np.eye(2)
+             for b in (0.3, 25.0) for shift in (1e-9, -1e-9)]
+    stack += [np.array([[0.0, 2.0 - 1.5j], [0.0, 0.0]])]
+    stack += [scale * G for scale in (1e-6, 1e-3, 1e3, 1e6)]
+    expected = [numerical_radius(A) for A in stack]
+    assert _numerical_radii(np.stack(stack).astype(complex)).tolist() == expected
 
 
 def test_absolute_value_factors_share_the_norm():

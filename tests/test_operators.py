@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from opineq.harness import MATRIX_KINDS, SweepConfig, gen_instance, trial_rng
-from opineq.linalg import numerical_radius, polar, spectral_norm
+from opineq.linalg import _polar_frames, numerical_radius, spectral_norm
 from opineq.operators import (
-    _aux_angle,
+    _schwarz_terms,
     angle_profile,
     check_geomean_lower,
     check_mixed_schwarz,
@@ -70,7 +70,7 @@ def test_kittaneh_is_refined_bound_at_half_weight_exactly(kind, dim):
         rep = check_radius_chain(A, v, x)
         if rep.angle_undefined:
             continue
-        _, _, cos_theta = _aux_angle(polar(A), v, x, x, None, "")
+        cos_theta = float(_schwarz_terms(A[None], _polar_frames(A[None]), v, x[None], x[None])[3][0])
         assert rep.terms[-1][1] == mu(math.acos(cos_theta)) * kittaneh_bound(A, v)
         checked += 1
     assert checked > 0

@@ -213,6 +213,18 @@ def test_scalar_checks_reject_non_finite_input():
             check_reverse_triangle(c, d, 0.3)
 
 
+def test_scalar_checks_reject_a_modulus_beyond_the_double_range():
+    # finite parts whose modulus overflows: abs() would raise OverflowError
+    huge = complex(1.5e308, 1.5e308)
+    for c, d in [(huge, huge), (1.0, huge), (complex(-1.5e308, 1.5e308), 0.0)]:
+        with pytest.raises(ValueError, match="double range"):
+            check_triangle_refinement(c, d)
+        with pytest.raises(ValueError, match="double range"):
+            check_reverse_triangle(c, d, 0.3)
+    # the largest finite modulus is still accepted
+    assert check_triangle_refinement(complex(1.2e308, 1.2e308), 0.0).holds
+
+
 def test_scalar_checks_stay_finite_near_the_double_range():
     # |c + d| and |c| + |d| overflow here, though every term of the chain is finite
     big = complex(1e308, 1e308)
