@@ -99,9 +99,9 @@ def _powers(sigma: np.ndarray, p) -> np.ndarray:
     if not isinstance(p, np.ndarray):
         return sigma**p
     out = np.empty_like(sigma)
-    for q in np.unique(p):
+    for q in dict.fromkeys(p.tolist()):
         rows = p == q
-        out[rows] = sigma[rows] ** float(q)
+        out[rows] = sigma[rows] ** q
     return out
 
 
@@ -368,15 +368,12 @@ def _numerical_radii(A: np.ndarray, grid: int = 64, refine_tol: float = 1e-10) -
     cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
     m, n = A.shape[0], A.shape[-1]
     tops = np.empty((m, grid))
-    scan = np.empty((min(m, _RADIUS_SCAN_CHUNK), grid, n, n), dtype=complex)
-    term = np.empty_like(scan)
     for lo in range(0, m, _RADIUS_SCAN_CHUNK):
         rows = slice(lo, lo + _RADIUS_SCAN_CHUNK)
-        H, K = scan[: len(tops[rows])], term[: len(tops[rows])]
-        np.multiply(cos, Hr[rows, None], out=H)
-        np.add(H, np.multiply(sin, Hi[rows, None], out=K), out=H)
+        H = cos * Hr[rows, None]
+        H += sin * Hi[rows, None]
         tops[rows] = np.linalg.eigvalsh(H)[..., -1]
-    del scan, term
+        del H
     best = tops.max(axis=1)
     ring = np.concatenate((tops[:, -1:], tops, tops[:, :1]), axis=1)
     # candidates stay grouped by owner matrix, in ascending phi within each
@@ -385,7 +382,9 @@ def _numerical_radii(A: np.ndarray, grid: int = 64, refine_tol: float = 1e-10) -
     f_prev = np.full(phi.shape, -np.inf)
     for _ in range(_NEWTON_STEPS):
         cos, sin = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
-        hr, hi = Hr[owner], Hi[owner]
+        # a lone matrix broadcasts over its candidates instead of being copied
+        # per candidate, which keeps large matrices in cache
+        hr, hi = (Hr, Hi) if m == 1 else (Hr[owner], Hi[owner])
         lam, Q = np.linalg.eigh(cos * hr + sin * hi)
         f, x = lam[:, -1], Q[:, :, -1:]
         # each owner's best: max(best, its candidates' max), NaN ignored as by max()

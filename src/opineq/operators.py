@@ -36,11 +36,11 @@ from .linalg import (
     _as_vector,
     _ct,
     _from_spectrum,
+    _geometric_means,
     _hermitian_part,
     _matvecs,
     _moduli,
     _norms,
-    _geometric_means,
     _polar_frames,
     _powers,
     _require_pd,

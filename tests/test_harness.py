@@ -275,7 +275,7 @@ def test_operator_trials_run_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # 1.9 MiB in 50-trial blocks; whole-dimension blocks of 200 take 5.7 MiB
+    # 1.3 MiB in 50-trial blocks; whole-dimension blocks of 200 take 4.8 MiB
     assert peak <= 3 << 20, peak
 
 
