@@ -366,14 +366,14 @@ def _numerical_radii(A: np.ndarray, grid: int = 64, refine_tol: float = 1e-10) -
     step = 2.0 * np.pi / grid
     phis = step * np.arange(grid)
     cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
-    m, n = A.shape[0], A.shape[-1]
+    m = A.shape[0]
     tops = np.empty((m, grid))
     for lo in range(0, m, _RADIUS_SCAN_CHUNK):
         rows = slice(lo, lo + _RADIUS_SCAN_CHUNK)
         H = cos * Hr[rows, None]
         H += sin * Hi[rows, None]
         tops[rows] = np.linalg.eigvalsh(H)[..., -1]
-        del H
+        del H  # before the next chunk's product is allocated
     best = tops.max(axis=1)
     ring = np.concatenate((tops[:, -1:], tops, tops[:, :1]), axis=1)
     # candidates stay grouped by owner matrix, in ascending phi within each

@@ -179,7 +179,9 @@ def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
     c = complex(c)
     d = complex(d)
     # abs() raises OverflowError where the modulus leaves the double range
-    if not all(cmath.isfinite(z) and math.isfinite(math.hypot(z.real, z.imag)) for z in (c, d)):
+    if not (cmath.isfinite(c) and cmath.isfinite(d)
+            and math.isfinite(math.hypot(c.real, c.imag))
+            and math.isfinite(math.hypot(d.real, d.imag))):
         raise ValueError(
             f"{who}: c and d must be finite, with moduli inside the double range, "
             f"got {c!r} and {d!r}")
