@@ -138,18 +138,14 @@ def _aux_tol(top: float, p: float) -> float:
 
 
 def _schwarz_terms(A, frame: PolarFrame, v, x, y):
-    """(|<Ax,y>|, n1, n2, cos(theta), sigma_max) per trial, where n1, n2 are
-    the norms of the auxiliary vectors |A|^v x and |A|^(1-v) U* y and theta
-    is their angle. In the frame's coordinates these vectors are
-    sigma^v (V* x) and sigma^(1-v) (W* y)."""
+    """(|<Ax,y>|, n1, n2, |<a1,a2>|, sigma_max) per trial for the auxiliary
+    vectors a1 = |A|^v x and a2 = |A|^(1-v) U* y, with norms n1, n2. In the
+    frame's coordinates they are sigma^v (V* x) and sigma^(1-v) (W* y)."""
     sigma = frame.sigma
     a1 = _powers(sigma, v) * _matvecs(_ct(frame.V), x)
     a2 = _powers(sigma, 1.0 - v) * _matvecs(_ct(frame.W), y)
-    n1, n2 = _norms(a1), _norms(a2)
-    # a degenerate row's report never reads cos; inf keeps 0/0 out of it
-    base = n1 * n2
-    cos = np.fmin(1.0, _moduli(_vdots(a2, a1)) / np.where(base > 0.0, base, np.inf))
-    return _moduli(_vdots(y, _matvecs(A, x))), n1, n2, cos, sigma[..., 0]
+    return (_moduli(_vdots(y, _matvecs(A, x))), _norms(a1), _norms(a2),
+            _moduli(_vdots(a2, a1)), sigma[..., 0])
 
 
 def _power_sum_norms(frame: PolarFrame, v) -> np.ndarray:
@@ -179,18 +175,23 @@ def _reverse_cs_terms(x, y):
     return _norms(x), _norms(y), _moduli(_vdots(y, x))
 
 
-def _undefined(n1, n2, top, v, first, digest, x_scale=1.0, y_scale=1.0):
-    """The angle-undefined report holding only term `first` when an auxiliary
-    norm is at or below its degeneracy floor (times x_scale or y_scale), else None."""
+def _cos_theta(n1, n2, inner, top, v, x_scale=1.0, y_scale=1.0):
+    """cos(theta) of the auxiliary vectors, or None when a norm is at or below
+    its degeneracy floor (times x_scale or y_scale) and theta is undefined."""
     if n1 <= _aux_tol(top, v) * x_scale or n2 <= _aux_tol(top, 1.0 - v) * y_scale:
-        return ChainReport((first,), True, 0.0, digest, angle_undefined=True)
-    return None
+        return None
+    return min(1.0, inner / (n1 * n2))
 
 
-def _mixed_schwarz_report(t1, n1, n2, cos, top, v, nx, ny, tol, digest="") -> ChainReport:
-    undefined = _undefined(n1, n2, top, v, ("abs_inner", t1), digest, nx, ny)
-    if undefined:
-        return undefined
+def _undefined(first, digest) -> ChainReport:
+    """The angle-undefined report, holding only the chain's first term."""
+    return ChainReport((first,), True, 0.0, digest, angle_undefined=True)
+
+
+def _mixed_schwarz_report(t1, n1, n2, inner, top, v, nx, ny, tol, digest="") -> ChainReport:
+    cos = _cos_theta(n1, n2, inner, top, v, nx, ny)
+    if cos is None:
+        return _undefined(("abs_inner", t1), digest)
     base = n1 * n2
     terms = (
         ("abs_inner", t1),
@@ -200,10 +201,10 @@ def _mixed_schwarz_report(t1, n1, n2, cos, top, v, nx, ny, tol, digest="") -> Ch
     return _chain(terms, tol * max(1.0, base), input_digest=digest)
 
 
-def _radius_chain_report(t1, n1, n2, cos, top, s_norm, v, tol, digest="") -> ChainReport:
-    undefined = _undefined(n1, n2, top, v, ("abs_quadratic_form", t1), digest)
-    if undefined:
-        return undefined
+def _radius_chain_report(t1, n1, n2, inner, top, s_norm, v, tol, digest="") -> ChainReport:
+    cos = _cos_theta(n1, n2, inner, top, v)
+    if cos is None:
+        return _undefined(("abs_quadratic_form", t1), digest)
     m = mu(math.acos(cos))
     terms = (
         ("abs_quadratic_form", t1),
@@ -227,10 +228,10 @@ def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol, digest="") -> ChainR
     return _chain(terms, tol * scale, ((sharp_gap, equality_tol * scale),), digest)
 
 
-def _geomean_report(g, t3, n1, n2, cos, top, v, tol, equality_tol, digest="") -> ChainReport:
-    undefined = _undefined(n1, n2, top, v, ("abs_quadratic_form", t3), digest)
-    if undefined:
-        return undefined
+def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol, digest="") -> ChainReport:
+    cos = _cos_theta(n1, n2, inner, top, v)
+    if cos is None:
+        return _undefined(("abs_quadratic_form", t3), digest)
     t2 = cos * n1 * n2
     terms = (
         ("geomean_form", cos * g),

@@ -70,7 +70,8 @@ def test_kittaneh_is_refined_bound_at_half_weight_exactly(kind, dim):
         rep = check_radius_chain(A, v, x)
         if rep.angle_undefined:
             continue
-        cos_theta = float(_schwarz_terms(A[None], _polar_frames(A[None]), v, x[None], x[None])[3][0])
+        _, n1, n2, inner, _ = _schwarz_terms(A[None], _polar_frames(A[None]), v, x[None], x[None])
+        cos_theta = min(1.0, float(inner[0]) / float(n1[0] * n2[0]))
         assert rep.terms[-1][1] == mu(math.acos(cos_theta)) * kittaneh_bound(A, v)
         checked += 1
     assert checked > 0
