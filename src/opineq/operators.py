@@ -134,7 +134,8 @@ def _aux_tol(top: float, p: float) -> float:
 # the polar frames of all of A from one SVD call, v a float or one weight per
 # trial) and returns one array per term. The public checks run them on a stack
 # of one; the harness runs them on blocks of trials. A check's report is then
-# built per trial from Python floats, where mu, gamma and acos stay scalar.
+# built per trial from Python floats, where cos(theta), mu, gamma and acos stay
+# scalar.
 
 
 def _schwarz_terms(A, frame: PolarFrame, v, x, y):
