@@ -106,9 +106,7 @@ def _cmd_reverse_triangle(args) -> int:
 
 
 def _cmd_radius(args) -> int:
-    A = load_matrix(args.input)
-    given = {"grid": args.grid, "refine_tol": args.refine_tol}
-    w = numerical_radius(A, **{k: v for k, v in given.items() if v is not None})
+    w = numerical_radius(load_matrix(args.input))
     _emit(args, {"radius": w}, repr(w))
     return 0
 
@@ -222,10 +220,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("radius", _cmd_radius, "numerical radius of a matrix from JSON")
     p.add_argument("--input", required=True, metavar="M.json")
-    p.add_argument("--grid", type=int, default=None,
-                   help="scan points (default: numerical_radius's own)")
-    p.add_argument("--refine-tol", type=float, default=None, dest="refine_tol",
-                   help="stop Newton steps on phi below this (default: numerical_radius's own)")
 
     p = add("bounds", _cmd_bounds, "norm, radius, and radius upper bounds")
     p.add_argument("--input", required=True, metavar="M.json")

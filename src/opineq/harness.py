@@ -366,9 +366,7 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
                 w, nrm, kb = sandwich_rows[i]
                 terms = (("half_norm", nrm / 2.0), ("radius", w),
                          ("kittaneh", kb), ("norm", nrm))
-                slacks = (w - nrm / 2.0, nrm - w, kb - w, nrm - kb)
-                worst = min(slacks)
-                sandwich.add(digest, ChainReport(terms, worst >= -tol_rad * max(1.0, nrm), worst))
+                sandwich.add(digest, scalars._chain(terms, tol_rad * max(1.0, nrm)))
     return stats
 
 

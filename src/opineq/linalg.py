@@ -203,7 +203,7 @@ def svd(M):
     Returns (W, sigma, V) with sigma descending and W, V unitary (full,
     also for singular M).
     """
-    frame = polar(M)
+    frame = _polar_frames(_as_square(M, "svd"))
     return frame.W, frame.sigma, frame.V
 
 
@@ -221,7 +221,7 @@ def polar(A) -> PolarFrame:
     unitary completion when A is singular), which makes the transport
     identity U |A|^p U* = |A*|^p hold for every p > 0.
     """
-    return _polar_frames(_as_square(A, "svd"))
+    return _polar_frames(_as_square(A, "polar"))
 
 
 def frac_power(P, p: float) -> np.ndarray:
@@ -318,17 +318,22 @@ def spectral_norm(M) -> float:
 # after a handful.
 _NEWTON_STEPS = 40
 
-# Matrices per stacked scan in `_numerical_radii`: each takes `grid` Hermitian
-# matrices, so this bounds the scan's memory; it changes no value.
+# Scan points on [0, 2*pi) of the support function, and the phi step or
+# candidate distance at or below which the Newton phase stops and merges.
+_RADIUS_GRID = 64
+_REFINE_TOL = 1e-10
+
+# Matrices per stacked scan in `_numerical_radii`: each takes `_RADIUS_GRID`
+# Hermitian matrices, so this bounds the scan's memory; it changes no value.
 _RADIUS_SCAN_CHUNK = 4
 
 
-def numerical_radius(A, grid: int = 64, refine_tol: float = 1e-10) -> float:
+def numerical_radius(A) -> float:
     """Numerical radius w(A) = sup over unit x of |<Ax, x>|.
 
     w(A) is the maximum over phi of f(phi), the top eigenvalue of
     H(phi) = (e^{i*phi} A + e^{-i*phi} A*)/2: f is the support function of
-    the numerical range. One stacked eigvalsh scans f on `grid` points.
+    the numerical range. One stacked eigvalsh scans f on 64 points.
     Every local maximum of the scan then takes safeguarded Newton steps on
     phi, all candidates through one stacked eigh per step. With top
     eigenpair (f, x), the other pairs (lambda_k, q_k) and
@@ -338,23 +343,18 @@ def numerical_radius(A, grid: int = 64, refine_tol: float = 1e-10) -> float:
     Where f'' >= 0 or is not finite it takes the gradient step f'/|f|: the
     Newton step for f'' = -f, the most negative curvature a support
     function can have (f + f'' >= 0), hence the shortest one. A candidate
-    stops once its step is at most refine_tol or its f gains no more than
-    rounding, and candidates that land within refine_tol of each other
-    merge. The result is the largest f evaluated: an attained value, so a
-    lower estimate of w(A).
+    stops once its step is at most 1e-10 or its f gains no more than
+    rounding, and candidates that land within 1e-10 of each other merge.
+    The result is the largest f evaluated: an attained value, so a lower
+    estimate of w(A).
     """
     A = _as_square(A, "numerical_radius")
     if not np.isfinite(A).all():
         raise ValueError("numerical_radius: matrix has non-finite entries")
-    grid = int(grid)
-    if grid < 8:
-        raise ValueError(f"numerical_radius: grid must be at least 8, got {grid}")
-    if not (np.isfinite(refine_tol) and refine_tol > 0.0):
-        raise ValueError(f"numerical_radius: refine_tol must be positive, got {refine_tol!r}")
-    return float(_numerical_radii(A[None], grid, refine_tol)[0])
+    return float(_numerical_radii(A[None])[0])
 
 
-def _numerical_radii(A: np.ndarray, grid: int = 64, refine_tol: float = 1e-10) -> np.ndarray:
+def _numerical_radii(A: np.ndarray) -> np.ndarray:
     """`numerical_radius` of each matrix of the stack A (m, n, n).
 
     Every matrix keeps its own best value, its own stop rule and its own
@@ -363,11 +363,11 @@ def _numerical_radii(A: np.ndarray, grid: int = 64, refine_tol: float = 1e-10) -
     """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
-    step = 2.0 * np.pi / grid
-    phis = step * np.arange(grid)
+    step = 2.0 * np.pi / _RADIUS_GRID
+    phis = step * np.arange(_RADIUS_GRID)
     cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
     m = A.shape[0]
-    tops = np.empty((m, grid))
+    tops = np.empty((m, _RADIUS_GRID))
     for lo in range(0, m, _RADIUS_SCAN_CHUNK):
         rows = slice(lo, lo + _RADIUS_SCAN_CHUNK)
         H = cos * Hr[rows, None]
@@ -399,14 +399,15 @@ def _numerical_radii(A: np.ndarray, grid: int = 64, refine_tol: float = 1e-10) -
         # A = 0 gives the step 0/0 = NaN, which fails the step test below
         nxt = np.clip(phi + dphi, anchor - step, anchor + step)
         # rounding: four units in the last place of the owner's best value so far
-        live = (f - f_prev > 4.0 * np.spacing(np.abs(best[owner]))) & (np.abs(nxt - phi) > refine_tol)
+        live = ((f - f_prev > 4.0 * np.spacing(np.abs(best[owner])))
+                & (np.abs(nxt - phi) > _REFINE_TOL))
         if not live.any():
             break
         # sort by owner, then phi (stable), and merge within each owner
         keep = np.flatnonzero(live)
         keep = keep[np.lexsort((nxt[keep], owner[keep]))]
         same = owner[keep][1:] == owner[keep][:-1]
-        keep = keep[np.concatenate(([True], ~same | (np.diff(nxt[keep]) > refine_tol)))]
+        keep = keep[np.concatenate(([True], ~same | (np.diff(nxt[keep]) > _REFINE_TOL)))]
         phi, anchor, f_prev, owner = nxt[keep], anchor[keep], f[keep], owner[keep]
     return best
 

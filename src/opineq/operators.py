@@ -17,14 +17,14 @@ sigma^v (V* x) and sigma^(1-v) (W* y). The chains checked here:
     <= |<Ax,x>| with an exact-equality last link.
 
 Inner products are linear in the first slot: <u, w> = w* u. The arithmetic
-of every check lives in one stacked kernel that the harness runs on blocks
-of trials; each public check validates one input and runs it on a stack of
-one, so both give the same bits.
+of every check lives in one kernel that broadcasts over leading axes: the
+harness runs it on blocks of trials, each public check on its one validated
+input, and both give the same bits. theta_x has one formula, the cos(theta)
+of `_schwarz_terms`' auxiliary vectors, which `angle_profile` also samples.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 
@@ -100,16 +100,6 @@ class AngleProfile:
     histogram: tuple[tuple[float, int], ...]
 
 
-def _content_digest(*parts) -> str:
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part).tobytes())
-        else:
-            h.update(repr(part).encode())
-    return h.hexdigest()
-
-
 def _validate_v(v: float, who: str) -> float:
     if not (np.isfinite(v) and 0.0 <= v <= 1.0):
         raise ValueError(f"{who}: weight v must lie in [0, 1], got {v!r}")
@@ -128,14 +118,14 @@ def _aux_tol(top: float, p: float) -> float:
     return _AUX_DEGENERATE_TOL * max(1.0, top**p if top > 0.0 else 0.0)
 
 
-# --- stacked kernels ---------------------------------------------------------
+# --- kernels -----------------------------------------------------------------
 #
-# Each kernel takes a stack of trials (A of shape (m, n, n), vectors (m, n),
-# the polar frames of all of A from one SVD call, v a float or one weight per
-# trial) and returns one array per term. The public checks run them on a stack
-# of one; the harness runs them on blocks of trials. A check's report is then
-# built per trial from Python floats, where cos(theta), mu, gamma and acos stay
-# scalar.
+# Each kernel takes one trial or a stack of them (A of shape (m, n, n),
+# vectors (m, n), the polar frames of all of A from one SVD call, v a float or
+# one weight per trial) and returns one value or array per term. The public
+# checks run them on their one input; the harness runs them on blocks of
+# trials. A check's report is then built per trial from Python floats, where
+# cos(theta), mu, gamma and acos stay scalar.
 
 
 def _schwarz_terms(A, frame: PolarFrame, v, x, y):
@@ -184,28 +174,28 @@ def _cos_theta(n1, n2, inner, top, v, x_scale=1.0, y_scale=1.0):
     return min(1.0, inner / (n1 * n2))
 
 
-def _undefined(first, digest) -> ChainReport:
+def _undefined(first) -> ChainReport:
     """The angle-undefined report, holding only the chain's first term."""
-    return ChainReport((first,), True, 0.0, digest, angle_undefined=True)
+    return ChainReport((first,), True, 0.0, angle_undefined=True)
 
 
-def _mixed_schwarz_report(t1, n1, n2, inner, top, v, nx, ny, tol, digest="") -> ChainReport:
+def _mixed_schwarz_report(t1, n1, n2, inner, top, v, nx, ny, tol) -> ChainReport:
     cos = _cos_theta(n1, n2, inner, top, v, nx, ny)
     if cos is None:
-        return _undefined(("abs_inner", t1), digest)
+        return _undefined(("abs_inner", t1))
     base = n1 * n2
     terms = (
         ("abs_inner", t1),
         ("refined_schwarz", mu(math.acos(cos)) * base),
         ("kato_schwarz", base),
     )
-    return _chain(terms, tol * max(1.0, base), input_digest=digest)
+    return _chain(terms, tol * max(1.0, base))
 
 
-def _radius_chain_report(t1, n1, n2, inner, top, s_norm, v, tol, digest="") -> ChainReport:
+def _radius_chain_report(t1, n1, n2, inner, top, s_norm, v, tol) -> ChainReport:
     cos = _cos_theta(n1, n2, inner, top, v)
     if cos is None:
-        return _undefined(("abs_quadratic_form", t1), digest)
+        return _undefined(("abs_quadratic_form", t1))
     m = mu(math.acos(cos))
     terms = (
         ("abs_quadratic_form", t1),
@@ -213,10 +203,10 @@ def _radius_chain_report(t1, n1, n2, inner, top, s_norm, v, tol, digest="") -> C
         ("arithmetic_mean", m / 2.0 * (n1 * n1 + n2 * n2)),
         ("operator_norm_bound", m / 2.0 * s_norm),
     )
-    return _chain(terms, tol * max(1.0, n1 * n2), input_digest=digest)
+    return _chain(terms, tol * max(1.0, n1 * n2))
 
 
-def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol, digest="") -> ChainReport:
+def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol) -> ChainReport:
     prod = nx * ny
     theta = math.acos(min(1.0, inner / prod))
     terms = (
@@ -226,13 +216,13 @@ def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol, digest="") -> ChainR
     )
     sharp_gap = gamma(0.5, theta) * prod - inner
     scale = max(1.0, prod)
-    return _chain(terms, tol * scale, ((sharp_gap, equality_tol * scale),), digest)
+    return _chain(terms, tol * scale, ((sharp_gap, equality_tol * scale),))
 
 
-def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol, digest="") -> ChainReport:
+def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol) -> ChainReport:
     cos = _cos_theta(n1, n2, inner, top, v)
     if cos is None:
-        return _undefined(("abs_quadratic_form", t3), digest)
+        return _undefined(("abs_quadratic_form", t3))
     t2 = cos * n1 * n2
     terms = (
         ("geomean_form", cos * g),
@@ -241,13 +231,8 @@ def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol, digest="") 
     )
     scale = max(1.0, n1 * n2)
     # the last link is checked two-sided through its gap, not as an ordering
-    report = _chain(terms[:2], tol * scale, ((t3 - t2, equality_tol * scale),), digest)
+    report = _chain(terms[:2], tol * scale, ((t3 - t2, equality_tol * scale),))
     return replace(report, terms=terms)
-
-
-def _first(arrays) -> list:
-    """The first trial's value of each kernel output, as Python floats."""
-    return [float(a[0]) for a in arrays]
 
 
 # --- public checks -----------------------------------------------------------
@@ -269,9 +254,8 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
     ny = float(_norms(yv))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("check_mixed_schwarz: x and y must be nonzero")
-    digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, yv, v)}"
-    terms = _first(_schwarz_terms(A[None], _polar_frames(A[None]), v, xv[None], yv[None]))
-    return _mixed_schwarz_report(*terms, v, nx, ny, tol, digest)
+    terms = map(float, _schwarz_terms(A, _polar_frames(A), v, xv, yv))
+    return _mixed_schwarz_report(*terms, v, nx, ny, tol)
 
 
 def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
@@ -285,10 +269,9 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
     A = _as_square(A, "check_radius_chain")
     xv = _require_unit(_as_vector(x, "check_radius_chain"), "check_radius_chain")
     v = _validate_v(v, "check_radius_chain")
-    digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, v)}"
-    frame = _polar_frames(A[None])
-    terms = _first(_schwarz_terms(A[None], frame, v, xv[None], xv[None]))
-    return _radius_chain_report(*terms, float(_power_sum_norms(frame, v)[0]), v, tol, digest)
+    frame = _polar_frames(A)
+    terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
+    return _radius_chain_report(*terms, float(_power_sum_norms(frame, v)), v, tol)
 
 
 def check_reverse_cs(
@@ -304,13 +287,12 @@ def check_reverse_cs(
     yv = _as_vector(y, "check_reverse_cs")
     if xv.shape != yv.shape:
         raise ValueError(f"check_reverse_cs: shape mismatch {xv.shape} vs {yv.shape}")
-    nx, ny, inner = _first(_reverse_cs_terms(xv[None], yv[None]))
+    nx, ny, inner = map(float, _reverse_cs_terms(xv, yv))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("check_reverse_cs: x and y must be nonzero")
     if not (np.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_cs: t must lie strictly in (0, 1), got {t!r}")
-    digest = f"n={xv.size};t={t:g};{_content_digest(xv, yv, t)}"
-    return _reverse_cs_report(nx, ny, inner, t, tol, equality_tol, digest)
+    return _reverse_cs_report(nx, ny, inner, t, tol, equality_tol)
 
 
 def check_geomean_lower(
@@ -326,19 +308,18 @@ def check_geomean_lower(
     A = _as_square(A, "check_geomean_lower")
     xv = _require_unit(_as_vector(x, "check_geomean_lower"), "check_geomean_lower")
     v = _validate_v(v, "check_geomean_lower")
-    digest = f"n={A.shape[0]};v={v:g};{_content_digest(A, xv, v)}"
-    frame = _polar_frames(A[None])
-    forms, lam_p, lam_q = _geomean_forms(frame, v, xv[None])
+    frame = _polar_frames(A)
+    form, lam_p, lam_q = _geomean_forms(frame, v, xv)
     try:
-        _require_pd(lam_p[0], "first operand")
-        _require_pd(lam_q[0], "second operand")
+        _require_pd(lam_p, "first operand")
+        _require_pd(lam_q, "second operand")
     except ValueError as err:
         raise ValueError(
             "check_geomean_lower: needs |A|^2v and |A*|^2(1-v) positive definite "
             f"(invertible A): {err}"
         ) from err
-    terms = _first(_schwarz_terms(A[None], frame, v, xv[None], xv[None]))
-    return _geomean_report(float(forms[0]), *terms, v, tol, equality_tol, digest)
+    terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
+    return _geomean_report(float(form), *terms, v, tol, equality_tol)
 
 
 def kittaneh_bound(A, v: float = 0.5) -> float:
@@ -352,7 +333,7 @@ def kittaneh_bound(A, v: float = 0.5) -> float:
     """
     v = _validate_v(v, "kittaneh_bound")
     A = _as_square(A, "kittaneh_bound")
-    return float(_kittaneh_bounds(_polar_frames(A[None]), v)[0])
+    return float(_kittaneh_bounds(_polar_frames(A), v))
 
 
 def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
@@ -371,26 +352,19 @@ def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
         raise ValueError(f"angle_profile: need samples >= 1, got {samples}")
 
     n = A.shape[0]
-    frame = _polar_frames(A)
-    sigma = frame.sigma
     rng = _philox(seed, _PROFILE_STREAM)
     Z = rng.normal(size=(samples, n)) + 1j * rng.normal(size=(samples, n))
     norms = np.linalg.norm(Z, axis=1)
     norms[norms == 0.0] = 1.0
     X = Z / norms[:, None]
-    # row i of X @ conj(V) is V* x_i; scale columns by the sigma powers
-    A1 = (X @ frame.V.conj()) * sigma**v
-    A2 = (X @ frame.W.conj()) * sigma ** (1.0 - v)
-    n1 = np.linalg.norm(A1, axis=1)
-    n2 = np.linalg.norm(A2, axis=1)
-    top = float(sigma[0])
+    # the chain checks' theta_x, each sample's cos(theta) as `_cos_theta` takes it
+    _, n1, n2, inner, top = _schwarz_terms(A, _polar_frames(A), v, X, X)
     defined = (n1 > _aux_tol(top, v)) & (n2 > _aux_tol(top, 1.0 - v))
     skipped = int(samples - defined.sum())
     if not defined.any():
         raise ValueError("angle_profile: profile empty (every sampled angle was undefined)")
-    inner = np.abs(np.sum(np.conj(A2[defined]) * A1[defined], axis=1))
-    ratios = np.minimum(1.0, inner / (n1[defined] * n2[defined]))
-    thetas = np.arccos(ratios)
+    n1, n2, inner = n1[defined], n2[defined], inner[defined]
+    thetas = np.arccos(np.minimum(1.0, inner / (n1 * n2)))
     counts, edges = np.histogram(thetas, bins=_PROFILE_BINS, range=(0.0, math.pi / 2.0))
     centers = (edges[:-1] + edges[1:]) / 2.0
     return AngleProfile(

@@ -73,7 +73,6 @@ class ChainReport:
     terms: tuple[tuple[str, float], ...]
     holds: bool
     worst_slack: float
-    input_digest: str = ""
     angle_undefined: bool = False
 
     @property
@@ -85,10 +84,11 @@ class ChainReport:
 
 def chain_tolerance(c: complex, d: complex) -> float:
     """Slack tolerance for a scalar chain at the scale of its inputs."""
+    c, d = _finite_pair(c, d, "chain_tolerance")
     return max(SCALAR_ABS_TOL, SCALAR_REL_TOL * max(abs(c), abs(d), 1.0))
 
 
-def _chain(terms, tol: float, equality_gaps=(), input_digest: str = "") -> ChainReport:
+def _chain(terms, tol: float, equality_gaps=()) -> ChainReport:
     """The report of the chain `terms`, each adjacent gap allowed down to -tol.
 
     Each (gap, gap_tol) in `equality_gaps` is an exact equality: it enters
@@ -105,7 +105,7 @@ def _chain(terms, tol: float, equality_gaps=(), input_digest: str = "") -> Chain
     for gap, gap_tol in equality_gaps:
         worst = min(worst, -abs(gap))
         holds = holds and abs(gap) <= gap_tol
-    return ChainReport(terms, holds, worst, input_digest)
+    return ChainReport(terms, holds, worst)
 
 
 def segment_mean_abs(c: complex, d: complex) -> float:

@@ -1,10 +1,12 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from opineq.cli import main
+from opineq.cli import _build_parser, main
 from opineq.linalg import numerical_radius, save_matrix
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -105,7 +107,7 @@ def test_radius_subcommand(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(0.5, abs=1e-8)
 
 
-def test_radius_subcommand_uses_library_defaults(capsys, tmp_path, monkeypatch):
+def test_radius_subcommand_uses_library_defaults(capsys, tmp_path):
     rng = np.random.default_rng(77)
     A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     path = tmp_path / "m.json"
@@ -113,17 +115,11 @@ def test_radius_subcommand_uses_library_defaults(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "radius", "--input", str(path), "--json")
     assert code == 0
     assert json.loads(out)["radius"] == numerical_radius(A)
-    # absent flags leave numerical_radius on its own defaults
-    seen = []
-    monkeypatch.setattr("opineq.cli.numerical_radius",
-                        lambda M, **kwargs: seen.append(kwargs) or 0.0)
-    assert run(capsys, "radius", "--input", str(path))[0] == 0
-    assert seen == [{}]
-    monkeypatch.undo()
-    code, out, _ = run(capsys, "radius", "--input", str(path), "--json",
-                       "--grid", "100", "--refine-tol", "1e-6")
-    assert code == 0
-    assert json.loads(out)["radius"] == numerical_radius(A, grid=100, refine_tol=1e-6)
+    # the scan grid and the Newton stop are numerical_radius's own constants
+    for flag in ("--grid", "--refine-tol"):
+        with pytest.raises(SystemExit) as exc:
+            main(["radius", "--input", str(path), flag, "100"])
+        assert exc.value.code == 2
 
 
 def test_bounds_subcommand(capsys, tmp_path):
@@ -160,6 +156,21 @@ def test_angle_profile_subcommand(capsys, tmp_path):
     assert payload["samples"] == 500
     assert payload["theta_max"] - payload["theta_min"] > 1.0
     assert len(payload["histogram"]) == 36
+
+
+def test_readme_usage_lines_parse():
+    # every `opineq ...` line of README's CLI block is a valid command line
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("opineq ")]
+    assert len(lines) >= 10
+    parser = _build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        try:
+            parser.parse_args(argv)
+        except SystemExit as exc:
+            pytest.fail(f"README usage line does not parse ({exc.code}): {line}")
 
 
 def test_check_subcommand_writes_reports(capsys, tmp_path):

@@ -6,6 +6,9 @@ import pytest
 from opineq.harness import MATRIX_KINDS, SweepConfig, gen_instance, trial_rng
 from opineq.linalg import _polar_frames, numerical_radius, spectral_norm
 from opineq.operators import (
+    _PROFILE_STREAM,
+    _cos_theta,
+    _philox,
     _schwarz_terms,
     angle_profile,
     check_geomean_lower,
@@ -305,16 +308,25 @@ def test_profile_counts_skips_and_rejects_empty():
         angle_profile(np.eye(2), 0.5, 0, seed=3)
 
 
-# --- reports ----------------------------------------------------------------------
-
-
-def test_report_digests_depend_on_inputs():
-    rng = np.random.default_rng(15)
-    A = random_complex(rng, 3)
-    x = unit_vector(rng, 3)
-    y = unit_vector(rng, 3)
-    r1 = check_mixed_schwarz(A, x, y, 0.5)
-    r2 = check_mixed_schwarz(A, x, y, 0.5)
-    r3 = check_mixed_schwarz(A, y, x, 0.5)
-    assert r1.input_digest == r2.input_digest
-    assert r1.input_digest != r3.input_digest
+def test_profile_samples_the_chain_checks_theta(monkeypatch):
+    # each sample's cos(theta_x) is the one the chain checks take for that
+    # vector, bit for bit; cos, not theta, because np.arccos and math.acos
+    # may round differently
+    samples = 300
+    for k, kind in enumerate(MATRIX_KINDS):
+        for n, v in ((2, 0.0), (3, 0.25), (5, 0.5), (8, 0.9)):
+            A = gen_instance(trial_rng(16, 3, k, n), kind, n)
+            seen = []
+            arccos = np.arccos
+            monkeypatch.setattr(np, "arccos", lambda c: seen.append(c) or arccos(c))
+            angle_profile(A, v, samples, seed=k)
+            monkeypatch.undo()
+            rng = _philox(k, _PROFILE_STREAM)
+            Z = rng.normal(size=(samples, n)) + 1j * rng.normal(size=(samples, n))
+            X = Z / np.linalg.norm(Z, axis=1)[:, None]
+            frame = _polar_frames(A)
+            expected = []
+            for x in X:
+                _, *terms = map(float, _schwarz_terms(A, frame, v, x, x))
+                expected.append(_cos_theta(*terms, v))
+            assert seen[0].tolist() == [c for c in expected if c is not None], (kind, n, v)

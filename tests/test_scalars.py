@@ -173,6 +173,13 @@ def test_chain_tolerance_scales():
     assert chain_tolerance(2e3 + 0j, 0j) == pytest.approx(2e-9)
 
 
+def test_chain_tolerance_rejects_a_modulus_beyond_the_double_range():
+    huge = complex(1.5e308, 1.5e308)
+    for c, d in [(huge, 0), (1.0, huge), (math.nan, 1.0)]:
+        with pytest.raises(ValueError, match="^chain_tolerance: .*finite"):
+            chain_tolerance(c, d)
+
+
 def test_reverse_triangle_equal_scalars():
     rep = check_reverse_triangle(1, 1, 0.3)
     (_, lhs), (_, mid), _ = rep.terms
