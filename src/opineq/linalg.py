@@ -64,7 +64,8 @@ def _from_spectrum(Q: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    return (M + _ct(M)) / 2.0
+    # halved before the sum, which then stays finite for finite M; halving is exact
+    return M / 2.0 + _ct(M) / 2.0
 
 
 def _matvecs(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -323,7 +324,7 @@ _NEWTON_STEPS = 40
 _RADIUS_GRID = 64
 _REFINE_TOL = 1e-10
 
-# Matrices per stacked scan in `_numerical_radii`: each takes `_RADIUS_GRID`
+# Matrices per stacked scan in `_numerical_radii`: each takes `_RADIUS_GRID // 2`
 # Hermitian matrices, so this bounds the scan's memory; it changes no value.
 _RADIUS_SCAN_CHUNK = 4
 
@@ -333,20 +334,20 @@ def numerical_radius(A) -> float:
 
     w(A) is the maximum over phi of f(phi), the top eigenvalue of
     H(phi) = (e^{i*phi} A + e^{-i*phi} A*)/2: f is the support function of
-    the numerical range. One stacked eigvalsh scans f on 64 points.
-    Every local maximum of the scan then takes safeguarded Newton steps on
-    phi, all candidates through one stacked eigh per step. With top
-    eigenpair (f, x), the other pairs (lambda_k, q_k) and
-    K = dH/dphi = H(phi + pi/2), the slope is f' = x* K x (Hellmann-Feynman)
-    and the curvature f'' = -f + 2 sum_k |q_k* K x|^2 / (f - lambda_k).
-    A candidate never leaves the two scan cells around its scan point.
-    Where f'' >= 0 or is not finite it takes the gradient step f'/|f|: the
-    Newton step for f'' = -f, the most negative curvature a support
-    function can have (f + f'' >= 0), hence the shortest one. A candidate
-    stops once its step is at most 1e-10 or its f gains no more than
-    rounding, and candidates that land within 1e-10 of each other merge.
-    The result is the largest f evaluated: an attained value, so a lower
-    estimate of w(A).
+    the numerical range. One stacked eigvalsh scans f on 64 points: 32 in
+    [0, pi) and their antipodes, as f(phi + pi) = -lambda_min(H(phi)). Every
+    local maximum of the scan then takes safeguarded Newton steps on phi, all
+    candidates through one stacked eigh per step. With top eigenpair (f, x),
+    the other pairs (lambda_k, q_k) and K = dH/dphi = H(phi + pi/2), the
+    slope is f' = x* K x (Hellmann-Feynman) and the curvature
+    f'' = -f + 2 sum_k |q_k* K x|^2 / (f - lambda_k). A candidate never
+    leaves the two scan cells around its scan point. Where f'' >= 0 or is
+    not finite it takes the gradient step f'/|f|: the Newton step for
+    f'' = -f, the most negative curvature a support function can have
+    (f + f'' >= 0), hence the shortest one. A candidate stops once its step
+    is at most 1e-10 or its f gains no more than rounding, and candidates
+    that land within 1e-10 of each other merge. The result is the largest f
+    evaluated: an attained value, so a lower estimate of w(A).
     """
     A = _as_square(A, "numerical_radius")
     if not np.isfinite(A).all():
@@ -364,7 +365,7 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
     step = 2.0 * np.pi / _RADIUS_GRID
-    phis = step * np.arange(_RADIUS_GRID)
+    phis = step * np.arange(_RADIUS_GRID // 2)  # [0, pi); f(phi + pi) = -lambda_min
     cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
     m = A.shape[0]
     tops = np.empty((m, _RADIUS_GRID))
@@ -372,13 +373,14 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
         rows = slice(lo, lo + _RADIUS_SCAN_CHUNK)
         H = cos * Hr[rows, None]
         H += sin * Hi[rows, None]
-        tops[rows] = np.linalg.eigvalsh(H)[..., -1]
+        lam = np.linalg.eigvalsh(H)
         del H  # before the next chunk's product is allocated
+        tops[rows] = np.concatenate((lam[..., -1], -lam[..., 0]), axis=-1)
     best = tops.max(axis=1)
     ring = np.concatenate((tops[:, -1:], tops, tops[:, :1]), axis=1)
     # candidates stay grouped by owner matrix, in ascending phi within each
     owner, cell = np.nonzero((tops >= ring[:, :-2]) & (tops >= ring[:, 2:]))
-    anchor = phi = phis[cell]
+    anchor = phi = step * cell
     f_prev = np.full(phi.shape, -np.inf)
     for _ in range(_NEWTON_STEPS):
         cos, sin = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]

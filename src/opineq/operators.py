@@ -20,7 +20,8 @@ Inner products are linear in the first slot: <u, w> = w* u. The arithmetic
 of every check lives in one kernel that broadcasts over leading axes: the
 harness runs it on blocks of trials, each public check on its one validated
 input, and both give the same bits. theta_x has one formula, the cos(theta)
-of `_schwarz_terms`' auxiliary vectors, which `angle_profile` also samples.
+of `_aux_terms`' auxiliary vectors, which the chain checks take through
+`_schwarz_terms` and `angle_profile` samples directly.
 """
 
 from __future__ import annotations
@@ -128,15 +129,20 @@ def _aux_tol(top: float, p: float) -> float:
 # cos(theta), mu, gamma and acos stay scalar.
 
 
-def _schwarz_terms(A, frame: PolarFrame, v, x, y):
-    """(|<Ax,y>|, n1, n2, |<a1,a2>|, sigma_max) per trial for the auxiliary
-    vectors a1 = |A|^v x and a2 = |A|^(1-v) U* y, with norms n1, n2. In the
-    frame's coordinates they are sigma^v (V* x) and sigma^(1-v) (W* y)."""
+def _aux_terms(frame: PolarFrame, v, x, y):
+    """(n1, n2, |<a1,a2>|, sigma_max) per trial for the auxiliary vectors
+    a1 = |A|^v x and a2 = |A|^(1-v) U* y, with norms n1, n2. In the frame's
+    coordinates they are sigma^v (V* x) and sigma^(1-v) (W* y)."""
     sigma = frame.sigma
     a1 = _powers(sigma, v) * _matvecs(_ct(frame.V), x)
     a2 = _powers(sigma, 1.0 - v) * _matvecs(_ct(frame.W), y)
-    return (_moduli(_vdots(y, _matvecs(A, x))), _norms(a1), _norms(a2),
-            _moduli(_vdots(a2, a1)), sigma[..., 0])
+    return _norms(a1), _norms(a2), _moduli(_vdots(a2, a1)), sigma[..., 0]
+
+
+def _schwarz_terms(A, frame: PolarFrame, v, x, y):
+    """(|<Ax,y>|, n1, n2, |<a1,a2>|, sigma_max) per trial: the chain checks'
+    first term, then `_aux_terms`."""
+    return (_moduli(_vdots(y, _matvecs(A, x))), *_aux_terms(frame, v, x, y))
 
 
 def _power_sum_norms(frame: PolarFrame, v) -> np.ndarray:
@@ -358,7 +364,7 @@ def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
     norms[norms == 0.0] = 1.0
     X = Z / norms[:, None]
     # the chain checks' theta_x, each sample's cos(theta) as `_cos_theta` takes it
-    _, n1, n2, inner, top = _schwarz_terms(A, _polar_frames(A), v, X, X)
+    n1, n2, inner, top = _aux_terms(_polar_frames(A), v, X, X)
     defined = (n1 > _aux_tol(top, v)) & (n2 > _aux_tol(top, 1.0 - v))
     skipped = int(samples - defined.sum())
     if not defined.any():

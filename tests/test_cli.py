@@ -107,6 +107,15 @@ def test_radius_subcommand(capsys, tmp_path):
     assert float(out.strip()) == pytest.approx(0.5, abs=1e-8)
 
 
+def test_radius_subcommand_near_the_double_range(capsys, tmp_path):
+    # finite entries whose Hermitian part once overflowed to inf
+    path = tmp_path / "m.json"
+    save_matrix(np.array([[1e308, 1e308], [0.0, 0.0]]), path)
+    code, out, _ = run(capsys, "radius", "--input", str(path))
+    assert code == 0
+    assert float(out.strip()) == pytest.approx((1.0 + math.sqrt(2.0)) / 2.0 * 1e308, rel=1e-14)
+
+
 def test_radius_subcommand_uses_library_defaults(capsys, tmp_path):
     rng = np.random.default_rng(77)
     A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

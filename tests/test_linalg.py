@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from opineq.harness import MATRIX_KINDS, gen_instance, trial_rng
 from opineq.linalg import (
+    _RADIUS_GRID,
     _numerical_radii,
     frac_power,
     geometric_mean,
@@ -390,11 +391,37 @@ def test_radius_picks_the_higher_of_two_peaks(b, shift):
 @pytest.mark.parametrize("delta", [1e-9, 1e-6])
 def test_radius_finds_the_peak_the_scan_misses(delta):
     # normal, eigenvalues 1 (on a 64-point scan angle) and 1 + delta (half
-    # a scan step off one): the scan's best value belongs to the lower peak
+    # a scan step off one): the scan's best value belongs to the lower peak.
+    # Cell 52.5 puts the peak in the half of the scan read from lambda_min
     rng = np.random.default_rng(41)
     U = polar(random_complex(rng, 3)).unitary
-    lam = np.array([1.0, (1.0 + delta) * np.exp(2j * np.pi * 20.5 / 64), 0.3j])
-    assert numerical_radius((U * lam) @ U.conj().T) == pytest.approx(1.0 + delta, rel=1e-14)
+    for cell in (20.5, 20.5 + 32):
+        lam = np.array([1.0, (1.0 + delta) * np.exp(2j * np.pi * cell / 64), 0.3j])
+        w = numerical_radius((U * lam) @ U.conj().T)
+        assert w == pytest.approx(1.0 + delta, rel=1e-14), cell
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_radius_scan_solves_half_the_grid(monkeypatch, n):
+    # H(phi + pi) = -H(phi): the scan's one eigvalsh takes the angles of
+    # [0, pi) only and reads f on [pi, 2 pi) from their smallest eigenvalues
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(M):
+        calls.append(M.shape)
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    numerical_radius(random_complex(np.random.default_rng(45), n))
+    assert calls == [(1, _RADIUS_GRID // 2, n, n)]
+
+
+def test_radius_near_the_double_range_stays_finite():
+    # the Hermitian parts halve before they add, so (M + M*)/2 cannot overflow
+    assert numerical_radius(np.array([[1.5e308, 0.0], [0.0, 0.0]])) == 1.5e308
+    w = numerical_radius(np.array([[1e308, 1e308], [0.0, 0.0]]))
+    assert w == pytest.approx((1.0 + math.sqrt(2.0)) / 2.0 * 1e308, rel=1e-14)
 
 
 def test_radius_matches_dense_reference_on_the_ensembles():
