@@ -64,7 +64,7 @@ def _from_spectrum(Q: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(M: np.ndarray) -> np.ndarray:
-    # halved before the sum, which then stays finite for finite M; halving is exact
+    # halved before the sum, so finite M stays finite; halving is exact above subnormals
     return M / 2.0 + _ct(M) / 2.0
 
 

@@ -20,8 +20,7 @@ Inner products are linear in the first slot: <u, w> = w* u. The arithmetic
 of every check lives in one kernel that broadcasts over leading axes: the
 harness runs it on blocks of trials, each public check on its one validated
 input, and both give the same bits. theta_x has one formula, the cos(theta)
-of `_aux_terms`' auxiliary vectors, which the chain checks take through
-`_schwarz_terms` and `angle_profile` samples directly.
+of `_aux_terms`' auxiliary vectors; the checks and `angle_profile` share it.
 """
 
 from __future__ import annotations
