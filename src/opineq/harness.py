@@ -342,7 +342,7 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
             frame = _polar_frames(A)
             mixed_rows = _rows(operators._schwarz_terms(A, frame, v, X, Y))
             unit_rows = _rows(operators._schwarz_terms(A, frame, v, X, X))
-            power_norms = operators._power_sum_norms(frame, v).tolist()
+            bounds = operators._kittaneh_bounds(frame, v).tolist()
             reverse_rows = _rows(operators._reverse_cs_terms(XV, YV))
             nx, ny = _norms(X).tolist(), _norms(Y).tolist()
             geo_forms, lam_p, lam_q = operators._geomean_forms(frame, v, X)
@@ -356,7 +356,7 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
                 mixed.add(digest, operators._mixed_schwarz_report(
                     *mixed_rows[i], v_k, nx[i], ny[i], tol_op))
                 chain.add(digest, operators._radius_chain_report(
-                    *unit_rows[i], power_norms[i], v_k, tol_op))
+                    *unit_rows[i], bounds[i], v_k, tol_op))
                 rev.add(digest, operators._reverse_cs_report(*reverse_rows[i], t, tol_op, eq_tol))
                 rep = None  # skipped unless A is invertible enough
                 if kind in INVERTIBLE_KINDS and not refused[i]:

@@ -144,17 +144,16 @@ def _schwarz_terms(A, frame: PolarFrame, v, x, y):
     return (_moduli(_vdots(y, _matvecs(A, x))), *_aux_terms(frame, v, x, y))
 
 
-def _power_sum_norms(frame: PolarFrame, v) -> np.ndarray:
-    """||S|| per trial, S = |A|^2v + |A*|^2(1-v); Kittaneh's |A| + |A*| is S at v = 1/2."""
-    sigma = frame.sigma
-    S = _hermitian_part(_from_spectrum(frame.V, _powers(sigma, 2.0 * v))
-                        + _from_spectrum(frame.W, _powers(sigma, 2.0 * (1.0 - v))))
-    return _spectral_norms(S)
-
-
 def _kittaneh_bounds(frame: PolarFrame, v) -> np.ndarray:
-    """`kittaneh_bound` per trial: ||S|| / 2."""
-    return 0.5 * _power_sum_norms(frame, v)
+    """`kittaneh_bound` per trial: ||S/2||, S = |A|^2v + |A*|^2(1-v), with each
+    power halved before the sum so that finite A near the double range stays
+    finite. Kittaneh's |A| + |A*| is S at v = 1/2."""
+    with np.errstate(over="ignore"):
+        p = _powers(frame.sigma, 2.0 * v) / 2.0
+        q = _powers(frame.sigma, 2.0 * (1.0 - v)) / 2.0
+    if np.isinf(p[..., 0] + q[..., 0]).any():  # sigma descends, and so do its powers
+        raise ValueError(f"|A|^2v or |A*|^2(1-v) leaves the double range at v = {v}")
+    return _spectral_norms(_hermitian_part(_from_spectrum(frame.V, p) + _from_spectrum(frame.W, q)))
 
 
 def _geomean_forms(frame: PolarFrame, v, x):
@@ -197,7 +196,7 @@ def _mixed_schwarz_report(t1, n1, n2, inner, top, v, nx, ny, tol) -> ChainReport
     return _chain(terms, tol * max(1.0, base))
 
 
-def _radius_chain_report(t1, n1, n2, inner, top, s_norm, v, tol) -> ChainReport:
+def _radius_chain_report(t1, n1, n2, inner, top, kb, v, tol) -> ChainReport:
     cos = _cos_theta(n1, n2, inner, top, v)
     if cos is None:
         return _undefined(("abs_quadratic_form", t1))
@@ -206,7 +205,7 @@ def _radius_chain_report(t1, n1, n2, inner, top, s_norm, v, tol) -> ChainReport:
         ("abs_quadratic_form", t1),
         ("refined_schwarz", m * n1 * n2),
         ("arithmetic_mean", m / 2.0 * (n1 * n1 + n2 * n2)),
-        ("operator_norm_bound", m / 2.0 * s_norm),
+        ("operator_norm_bound", m * kb),
     )
     return _chain(terms, tol * max(1.0, n1 * n2))
 
@@ -276,7 +275,7 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
     v = _validate_v(v, "check_radius_chain")
     frame = _polar_frames(A)
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
-    return _radius_chain_report(*terms, float(_power_sum_norms(frame, v)), v, tol)
+    return _radius_chain_report(*terms, float(_kittaneh_bounds(frame, v)), v, tol)
 
 
 def check_reverse_cs(

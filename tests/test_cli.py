@@ -60,6 +60,12 @@ def test_triangle_chain_and_exit_code(capsys):
     assert payload["mid"] == pytest.approx(0.5, abs=1e-15)
     assert payload["rhs"] == 1.0
     assert payload["holds"] is True
+    # a segment one ulp long, far from the origin: I(c, d) must not fall below |c + d|/2
+    code, out, _ = run(capsys, "triangle", "--c", "3,1", "--d", "3.0000000000000004,1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mid"] >= payload["lhs"]
+    assert payload["holds"] is True
 
 
 def test_reverse_triangle(capsys):
@@ -110,6 +116,12 @@ def test_radius_subcommand(capsys, tmp_path):
     code, out, _ = run(capsys, "radius", "--input", str(path))
     assert code == 0
     assert float(out.strip()) == pytest.approx((1.0 + math.sqrt(2.0)) / 2.0 * 1e308, rel=1e-14)
+    # ||(|A| + |A*|)/2|| stays finite; at v = 0.3, sigma^1.4 leaves the double range
+    code, out, _ = run(capsys, "bounds", "--input", str(path), "--v", "0.5", "--json")
+    assert code == 0
+    assert all(math.isfinite(value) for value in json.loads(out).values())
+    code, out, err = run(capsys, "bounds", "--input", str(path), "--v", "0.3")
+    assert code == 2 and out == "" and "double range" in err
 
 
 def test_radius_subcommand_uses_library_defaults(capsys, tmp_path):

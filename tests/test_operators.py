@@ -43,6 +43,8 @@ def test_kittaneh_hermitian_equals_norm():
     G = random_complex(rng, 5)
     H = (G + G.conj().T) / 2.0
     assert kittaneh_bound(H) == pytest.approx(spectral_norm(H), abs=1e-12)
+    # each power is halved before the sum, so |A| + |A*| = 2|A| cannot overflow
+    assert kittaneh_bound(np.diag([1.5e308, 0.0])) == 1.5e308
 
 
 def test_kittaneh_nilpotent_is_half():

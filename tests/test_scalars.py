@@ -83,7 +83,7 @@ def test_segment_symmetry_and_scaling():
 
 
 def test_segment_extreme_magnitudes():
-    # fourth-order intermediates must neither overflow nor flush to zero
+    # second-order intermediates must neither overflow nor flush to zero
     for scale in (1e300, 1e-300, 1e160, 1e-160, 1e100, 1e-100, 1e75):
         ref = segment_mean_abs(3 + 4j, 1 - 2j)
         val = segment_mean_abs(scale * (3 + 4j), scale * (1 - 2j))
@@ -94,6 +94,70 @@ def test_segment_extreme_magnitudes():
     # non-finite inputs propagate instead of raising
     assert segment_mean_abs(complex(math.inf, 0.0), 1.0) == math.inf
     assert math.isnan(segment_mean_abs(complex(math.nan, 0.0), 1.0))
+
+
+def _segment_mean_abs_mpmath(c, d):
+    """40-digit oracle for I(c, d): rescaled by a power of two (mpmath.quad's
+    tolerance is absolute) and split at the point nearest the origin."""
+    mpmath = pytest.importorskip("mpmath")
+    big = max(abs(c), abs(d))
+    if big == 0.0:
+        return 0.0
+    k = -math.frexp(big)[1]
+    with mpmath.workdps(40):
+        C = mpmath.mpc(math.ldexp(c.real, k), math.ldexp(c.imag, k))
+        D = mpmath.mpc(math.ldexp(d.real, k), math.ldexp(d.imag, k))
+        E = C - D
+        if E == 0:
+            return abs(c)
+        s0 = -mpmath.re(mpmath.conj(D) * E) / abs(E) ** 2
+        knots = [0, s0, 1] if 0 < s0 < 1 else [0, 1]
+        value = mpmath.quad(lambda s: abs(s * C + (1 - s) * D), knots)
+        return math.ldexp(float(value), -k)
+
+
+def _adversarial_segments(rng, count):
+    """`count` pairs in each regime the harness's uniform disk never draws."""
+    def unit(size=None):
+        return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size))
+
+    pairs = list(zip(*random_disk_pairs(rng, count)))
+    # short segments, separations 1e-15 to 1e-1 relative to |c|
+    c = 10.0 * np.sqrt(rng.uniform(size=count)) * unit(count)
+    pairs += zip(c, c + abs(c) * 10.0 ** rng.uniform(-15, -1, count) * unit(count))
+    # short segments nearly perpendicular to d, whose nearest point lies on them
+    d = 3.0 * unit(count)
+    t = 10.0 ** rng.uniform(-15, -1, count)
+    step = 1j * d / 3.0 * np.exp(1j * t * rng.uniform(-0.1, 0.1, count))
+    pairs += zip(d + t * step, d - rng.uniform(size=count) * t * step)
+    # nearly collinear with the origin, on opposite sides, or one end near it
+    tiny = 10.0 ** rng.uniform(-300, -1, count) * unit(count)
+    pairs += zip(c, -rng.uniform(0.01, 3.0, count) * c + tiny)
+    pairs += zip(c, tiny)
+    # scales of 1e+-200 and 1e+-300
+    cs, ds = random_disk_pairs(rng, count)
+    scale = 10.0 ** rng.choice([200.0, -200.0, 300.0, -300.0], count) * rng.uniform(0.1, 1.0, count)
+    pairs += zip(cs * scale, ds * scale)
+    # segments shorter than an ulp of |c|, parallel to an axis
+    a = rng.uniform(0.1, 10.0, count)
+    t1 = 10.0 ** rng.uniform(-300, -1, count)
+    t2 = t1 + 10.0 ** rng.uniform(-300, -1, count)
+    pairs += zip(a + 1j * t2, a + 1j * t1 * rng.choice([-1.0, 1.0], count))
+    return [(complex(c), complex(d)) for c, d in pairs]
+
+
+def test_segment_matches_mpmath_in_adversarial_regimes():
+    rng = np.random.default_rng(20261018)
+    pairs = _adversarial_segments(rng, 40) + [
+        (3 + 1j, 3.0000000000000004 + 1j),  # the short segment of the CLI reproducer
+        (8.67896231486478 + 2.1470488990613632e-150j, 8.67896231486478 + 8.39616897446875e-299j),
+        (1e150 + 0j, -1e150 + 1e-200j),
+        (5e-324 + 0j, 0j),  # subnormal endpoints
+        (1e-310 + 0j, 1e-310j),
+    ]
+    for c, d in pairs:
+        ref = _segment_mean_abs_mpmath(c, d)
+        assert abs(segment_mean_abs(c, d) - ref) <= 1e-14 * ref, (c, d, ref)
 
 
 def test_segment_bounds_sweep():
