@@ -148,11 +148,12 @@ def _kittaneh_bounds(frame: PolarFrame, v) -> np.ndarray:
     """`kittaneh_bound` per trial: ||S/2||, S = |A|^2v + |A*|^2(1-v), with each
     power halved before the sum so that finite A near the double range stays
     finite. Kittaneh's |A| + |A*| is S at v = 1/2."""
-    with np.errstate(over="ignore"):
-        p = _powers(frame.sigma, 2.0 * v) / 2.0
-        q = _powers(frame.sigma, 2.0 * (1.0 - v)) / 2.0
-    if np.isinf(p[..., 0] + q[..., 0]).any():  # sigma descends, and so do its powers
-        raise ValueError(f"|A|^2v or |A*|^2(1-v) leaves the double range at v = {v}")
+    try:
+        with np.errstate(over="raise"):
+            p = _powers(frame.sigma, 2.0 * v) / 2.0
+            q = _powers(frame.sigma, 2.0 * (1.0 - v)) / 2.0
+    except FloatingPointError:
+        raise ValueError(f"|A|^2v or |A*|^2(1-v) leaves the double range at v = {v}") from None
     return _spectral_norms(_hermitian_part(_from_spectrum(frame.V, p) + _from_spectrum(frame.W, q)))
 
 

@@ -114,44 +114,46 @@ def segment_mean_abs(c: complex, d: complex) -> float:
         I = r1/2 + u0*(u1 + u0)/(2*(r1 + r0)) + h^2/(2L) * D,
         D = asinh(u1/h) - asinh(u0/h).
 
-    After the mirror I(c, d) = I(d, c) that makes u1 + u0 >= 0, no term
-    cancels: D is the sum asinh(u1/h) + asinh(-u0/h) where the nearest point
-    lies on the segment within L of the origin, and elsewhere
-    asinh(L/(r0 + u0*L/(r0 + r1))), whose denominator stays above r0/2. At
-    h = 0 the last term vanishes and the first two give the collinear cases.
+    With d the end nearer the origin (I(c, d) = I(d, c)), r0 <= r1 gives
+    u1 + u0 >= 0, and u0 and h, read off d, are exact to rounding in r0. No
+    term cancels: D is the sum asinh(u1/h) + asinh(-u0/h) where the nearest
+    point lies on the segment within L of the origin. Elsewhere D = asinh(z),
+    z = L/den, den = r0 + u0*L/(r0 + r1) >= r0/2, and the last term is read
+    as h^2/(2*den) * asinh(z)/z, which stays below h where h^2/(2L) need not.
+    At h = 0 the last term vanishes and the first two give the collinear cases.
     """
     c = complex(c)
     d = complex(d)
-    big = max(abs(c), abs(d))
-    if not math.isfinite(big):
-        return (abs(c) + abs(d)) / 2.0  # inf/nan propagate like the endpoints
-    if big > 1e150 or 0.0 < big < 1e-150:
-        # h*h and u0*(u1 + u0) below are second order in the inputs; rescale
-        # by a power of two (exact) so they can neither overflow nor denormalize
-        k = -math.frexp(big)[1]
+    r0, r1 = abs(d), abs(c)
+    if r0 > r1:
+        c, d, r0, r1 = d, c, r1, r0
+    if not math.isfinite(r1) or math.isnan(r0):
+        return (r0 + r1) / 2.0  # inf/nan propagate like the endpoints
+    if r1 > 1e140 or 0.0 < r1 < 1e-140:
+        # h*h and u0*(u1 + u0) below are second order in the inputs, and L/h,
+        # L/den reach r1/h; rescale by a power of two (exact) so that none of
+        # them can overflow or lose digits to the subnormal range
+        k = -math.frexp(r1)[1]
         val = segment_mean_abs(complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)),
                                complex(math.ldexp(d.real, k), math.ldexp(d.imag, k)))
         return math.ldexp(val, -k)
     e = c - d
     L = abs(e)
     if L == 0.0:
-        return abs(c)
+        return r1
     n = e / L  # unit direction, so that u0 and h are first order in the inputs
     u0 = (d.conjugate() * n).real
     u1 = u0 + L  # not a second product: u1 - u0 must be L on short segments too
     h = abs((n.conjugate() * d).imag)
-    r0, r1 = abs(d), abs(c)
-    if u1 + u0 < 0.0:
-        u0, u1, r0, r1 = -u1, -u0, r1, r0
     mean = r1 / 2.0 + u0 * (u1 + u0) / (2.0 * (r1 + r0))
-    w = h * h / (2.0 * L)
-    if w == 0.0:  # collinear, or a last term below the double range
+    hh = h * h
+    if hh == 0.0:  # collinear, or h < 1e-161: the last term is below h, 1e-20 of mean
         return mean
     if u0 < 0.0 and h < L:
-        D = math.asinh(u1 / h) + math.asinh(-u0 / h)
-    else:
-        D = math.asinh(L / (r0 + u0 * (L / (r0 + r1))))
-    return mean + w * D
+        return mean + hh / (2.0 * L) * (math.asinh(u1 / h) + math.asinh(-u0 / h))
+    den = r0 + u0 * (L / (r0 + r1))
+    z = L / den
+    return mean + hh / (2.0 * den) * (math.asinh(z) / z if z else 1.0)
 
 
 def segment_mean_abs_quadrature(c: complex, d: complex, nodes: int = 64) -> float:

@@ -138,10 +138,14 @@ def _adversarial_segments(rng, count):
     cs, ds = random_disk_pairs(rng, count)
     scale = 10.0 ** rng.choice([200.0, -200.0, 300.0, -300.0], count) * rng.uniform(0.1, 1.0, count)
     pairs += zip(cs * scale, ds * scale)
-    # segments shorter than an ulp of |c|, parallel to an axis
+    # parts of independent magnitude 1e-320 to 1e300: an end far nearer the
+    # origin than the other, beyond the reach of the power-of-two rescale
+    parts = rng.choice([-1.0, 1.0], (4, count)) * 10.0 ** rng.uniform(-320, 300, (4, count))
+    pairs += zip(parts[0] + 1j * parts[1], parts[2] + 1j * parts[3])
+    # segments shorter than an ulp of |c|, parallel to an axis, down to subnormal lengths
     a = rng.uniform(0.1, 10.0, count)
-    t1 = 10.0 ** rng.uniform(-300, -1, count)
-    t2 = t1 + 10.0 ** rng.uniform(-300, -1, count)
+    t1 = 10.0 ** rng.uniform(-320, -1, count)
+    t2 = t1 + 10.0 ** rng.uniform(-320, -1, count)
     pairs += zip(a + 1j * t2, a + 1j * t1 * rng.choice([-1.0, 1.0], count))
     return [(complex(c), complex(d)) for c, d in pairs]
 
@@ -154,6 +158,13 @@ def test_segment_matches_mpmath_in_adversarial_regimes():
         (1e150 + 0j, -1e150 + 1e-200j),
         (5e-324 + 0j, 0j),  # subnormal endpoints
         (1e-310 + 0j, 1e-310j),
+        # h^2/(2L) beyond the double range: short segments perpendicular to the radius
+        (1e140 + 1e-30j, 1e140 + 0j),
+        (8 + 1e-310j, 8 + 0j),
+        (1e100 + 1e-250j, 1e100 + 0j),
+        (1e200 + 1e-120j, 1e200 + 0j),
+        # a tiny end against a huge one, where h read off the far end would swamp it
+        (1.828444637579534e-158 + 5.383955349082164e-192j, 4.749078897505698e213 + 2.6181247209794836e284j),
     ]
     for c, d in pairs:
         ref = _segment_mean_abs_mpmath(c, d)
