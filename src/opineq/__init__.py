@@ -11,10 +11,8 @@ from .linalg import (
     is_unitary,
     load_matrix,
     matrix_from_json,
-    matrix_to_json,
     numerical_radius,
     polar,
-    save_matrix,
     spectral_norm,
     svd,
 )
@@ -39,7 +37,6 @@ from .operators import (
 from .quadrature import gauss_legendre, gauss_legendre_01
 from .scalars import (
     ChainReport,
-    chain_tolerance,
     check_log_bound,
     check_reverse_triangle,
     check_triangle_refinement,
@@ -62,7 +59,6 @@ __all__ = [
     "SuiteSummary",
     "SweepConfig",
     "angle_profile",
-    "chain_tolerance",
     "check_geomean_lower",
     "check_log_bound",
     "check_mixed_schwarz",
@@ -81,14 +77,12 @@ __all__ = [
     "kittaneh_bound",
     "load_matrix",
     "matrix_from_json",
-    "matrix_to_json",
     "mu",
     "mu_derivative",
     "nu",
     "numerical_radius",
     "polar",
     "run_suite",
-    "save_matrix",
     "segment_mean_abs",
     "segment_mean_abs_quadrature",
     "spectral_norm",

@@ -26,9 +26,7 @@ __all__ = [
     "geometric_mean",
     "spectral_norm",
     "numerical_radius",
-    "matrix_to_json",
     "matrix_from_json",
-    "save_matrix",
     "load_matrix",
     "DEFAULT_TOL",
     "PD_FLOOR_REL",
@@ -231,7 +229,7 @@ def frac_power(P, p: float) -> np.ndarray:
     Eigenvalues map to lambda^p with the conventions 0^p = 0 for p > 0 and
     p = 0 -> identity (also on the kernel). Eigenvalues in [-tol, 0) are
     clamped to 0 first; anything below -tol is rejected as not PSD, with
-    tol = PD_FLOOR_REL * max(1, ||P||).
+    tol = PD_FLOOR_REL * ||P||, relative as the rounding of the eigenvalues is.
     """
     A = _as_square(P, "frac_power")
     if not (np.isfinite(p) and p >= 0.0):
@@ -239,7 +237,7 @@ def frac_power(P, p: float) -> np.ndarray:
     eig = hermitian_eig(A, tol=1e-8)
     lam = eig.values
     scale = max(abs(float(lam[0])), abs(float(lam[-1])))
-    clamp = PD_FLOOR_REL * max(1.0, scale)
+    clamp = PD_FLOOR_REL * scale
     if lam[0] < -clamp:
         raise ValueError(
             f"frac_power: matrix is not positive semidefinite "
@@ -418,18 +416,8 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
 #
 # {"rows": R, "cols": C, "data": [[[re, im], ...], ...]}  (row-major)
 #
-# Floats survive the round trip bit-exactly: json emits the shortest decimal
-# repr that reparses to the same double.
-
-
-def matrix_to_json(M) -> dict:
-    A = _as_matrix(M, "matrix_to_json")
-    rows, cols = A.shape
-    return {
-        "rows": int(rows),
-        "cols": int(cols),
-        "data": [[[float(z.real), float(z.imag)] for z in row] for row in A],
-    }
+# A double written as json emits it, the shortest decimal repr that reparses
+# to the same double, reads back bit-exactly.
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -457,16 +445,6 @@ def matrix_from_json(obj) -> np.ndarray:
                 raise ValueError(f"matrix JSON: entry ({i},{j}) must hold two finite numbers")
             out[i, j] = complex(re, im)
     return out
-
-
-def save_matrix(M, path) -> None:
-    obj = matrix_to_json(M)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh)
-            fh.write("\n")
-    except OSError as err:
-        raise OSError(f"cannot write matrix to {path}: {err}") from err
 
 
 def load_matrix(path) -> np.ndarray:

@@ -60,6 +60,9 @@ __all__ = [
     "OPERATOR_SLACK_TOL",
 ]
 
+# default slack tolerance of the chains, relative to each chain's own scale:
+# ||A|| ||x|| ||y||, which bounds the rounding of every term, for the chains
+# through A, and ||x|| ||y|| for reverse Cauchy-Schwarz
 OPERATOR_SLACK_TOL = 1e-8
 
 # |<x,x> - 1| allowed when an operation requires a unit vector
@@ -70,8 +73,8 @@ UNIT_NORM_TOL = 1e-8
 REVERSE_CS_EQUALITY_TOL = 1e-12
 GEOMEAN_EQUALITY_TOL = 1e-10
 
-# auxiliary vectors shorter than this (relative to the natural scale) leave
-# theta undefined; such trials are reported, not failed
+# auxiliary vectors shorter than this times sigma_max^p (their largest
+# possible norm) leave theta undefined; such trials are reported, not failed
 _AUX_DEGENERATE_TOL = 1e-12
 
 _MASK64 = (1 << 64) - 1
@@ -115,7 +118,7 @@ def _require_unit(x: np.ndarray, who: str) -> np.ndarray:
 
 def _aux_tol(top: float, p: float) -> float:
     """Degeneracy floor of an auxiliary vector scaled by sigma^p, top = sigma_max."""
-    return _AUX_DEGENERATE_TOL * max(1.0, top**p if top > 0.0 else 0.0)
+    return _AUX_DEGENERATE_TOL * top**p
 
 
 # --- kernels -----------------------------------------------------------------
@@ -194,7 +197,7 @@ def _mixed_schwarz_report(t1, n1, n2, inner, top, v, nx, ny, tol) -> ChainReport
         ("refined_schwarz", mu(math.acos(cos)) * base),
         ("kato_schwarz", base),
     )
-    return _chain(terms, tol * max(1.0, base))
+    return _chain(terms, tol, top * nx * ny)
 
 
 def _radius_chain_report(t1, n1, n2, inner, top, kb, v, tol) -> ChainReport:
@@ -208,7 +211,7 @@ def _radius_chain_report(t1, n1, n2, inner, top, kb, v, tol) -> ChainReport:
         ("arithmetic_mean", m / 2.0 * (n1 * n1 + n2 * n2)),
         ("operator_norm_bound", m * kb),
     )
-    return _chain(terms, tol * max(1.0, n1 * n2))
+    return _chain(terms, tol, top)  # ||A|| ||x||^2, x a unit vector
 
 
 def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol) -> ChainReport:
@@ -220,8 +223,7 @@ def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol) -> ChainReport:
         ("abs_inner", inner),
     )
     sharp_gap = gamma(0.5, theta) * prod - inner
-    scale = max(1.0, prod)
-    return _chain(terms, tol * scale, ((sharp_gap, equality_tol * scale),))
+    return _chain(terms, tol, prod, ((sharp_gap, equality_tol),))
 
 
 def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol) -> ChainReport:
@@ -234,9 +236,8 @@ def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol) -> ChainRep
         ("schwarz_form", t2),
         ("abs_quadratic_form", t3),
     )
-    scale = max(1.0, n1 * n2)
     # the last link is checked two-sided through its gap, not as an ordering
-    report = _chain(terms[:2], tol * scale, ((t3 - t2, equality_tol * scale),))
+    report = _chain(terms[:2], tol, top, ((t3 - t2, equality_tol),))
     return replace(report, terms=terms)
 
 
@@ -249,7 +250,9 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
     terms = [|<Ax,y>|, mu(theta)*B, B] with
     B = sqrt(<|A|^2v x, x> <|A*|^2(1-v) y, y>) and
     theta = angle(|A|^v x, |A|^(1-v) U* y). The last link is the unrefined
-    bound. Degenerate auxiliary vectors give an angle-undefined report.
+    bound. A link fails below -tol*||A|| ||x|| ||y||: `tol` is relative to
+    the chain's scale, which bounds the rounding of every term.
+    Degenerate auxiliary vectors give an angle-undefined report.
     """
     A = _as_square(A, "check_mixed_schwarz")
     xv = _as_vector(x, "check_mixed_schwarz")
@@ -269,7 +272,8 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
     terms = [|<Ax,x>|, mu(theta_x)*sqrt(q1*q2), mu(theta_x)/2*(q1+q2),
     mu(theta_x)/2*||S||] with q1 = <|A|^2v x,x>, q2 = <|A*|^2(1-v) x,x> and
     S = |A|^2v + |A*|^2(1-v). The middle step is the arithmetic-geometric
-    mean inequality; x must be a unit vector.
+    mean inequality; x must be a unit vector. A link fails below
+    -tol*||A||: `tol` is relative to the chain's scale.
     """
     A = _as_square(A, "check_radius_chain")
     xv = _require_unit(_as_vector(x, "check_radius_chain"), "check_radius_chain")
@@ -286,7 +290,8 @@ def check_reverse_cs(
 
     Also verifies the sharpness relation at t = 1/2, where
     gamma_(1/2)(theta) ||x|| ||y|| recovers |<x,y>| exactly (within
-    equality_tol * ||x|| ||y||) by the definition of the angle.
+    equality_tol * ||x|| ||y||) by the definition of the angle. A link fails
+    below -tol * ||x|| ||y||: both tolerances are relative to that scale.
     """
     xv = _as_vector(x, "check_reverse_cs")
     yv = _as_vector(y, "check_reverse_cs")
@@ -308,7 +313,8 @@ def check_geomean_lower(
     terms = [cos(theta_x) <G x, x>, cos(theta_x)*sqrt(q1*q2), |<Ax,x>|] with
     G = |A|^2v # |A*|^2(1-v). The first link is <A#B x,x> <=
     sqrt(<Ax,x><Bx,x>); the last is an exact equality by the definition of
-    theta_x and is verified two-sided within equality_tol.
+    theta_x and is verified two-sided within equality_tol*||A||. The first
+    link fails below -tol*||A||: both tolerances are relative to that scale.
     """
     A = _as_square(A, "check_geomean_lower")
     xv = _require_unit(_as_vector(x, "check_geomean_lower"), "check_geomean_lower")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .quadrature import gauss_legendre_01
 
 __all__ = [
     "ChainReport",
-    "chain_tolerance",
     "segment_mean_abs",
     "segment_mean_abs_quadrature",
     "check_triangle_refinement",
@@ -34,13 +33,10 @@ __all__ = [
     "nu",
     "mu_derivative",
     "gamma",
-    "SCALAR_ABS_TOL",
     "SCALAR_REL_TOL",
 ]
 
-# absolute slack tolerance for scalar chains at scale <= 10, grows
-# scale-relatively beyond that (see chain_tolerance)
-SCALAR_ABS_TOL = 1e-10
+# default slack tolerance of the triangle chains, relative to (|c| + |d|)/2
 SCALAR_REL_TOL = 1e-12
 
 # half-width (radians) of the windows around 0, pi/2, pi (mod pi) where mu
@@ -78,17 +74,15 @@ class ChainReport:
         return "pass" if self.holds else "fail"
 
 
-def chain_tolerance(c: complex, d: complex) -> float:
-    """Slack tolerance for a scalar chain at the scale of its inputs."""
-    c, d = _finite_pair(c, d, "chain_tolerance")
-    return max(SCALAR_ABS_TOL, SCALAR_REL_TOL * max(abs(c), abs(d), 1.0))
+def _chain(terms, tol: float, scale: float, equality_gaps=()) -> ChainReport:
+    """The report of the chain `terms`, each adjacent gap allowed down to
+    -tol*scale, with `scale` the chain's own size.
 
-
-def _chain(terms, tol: float, equality_gaps=()) -> ChainReport:
-    """The report of the chain `terms`, each adjacent gap allowed down to -tol.
-
-    Each (gap, gap_tol) in `equality_gaps` is an exact equality: it enters
-    `worst_slack` as -|gap| and fails the chain beyond gap_tol.
+    The inequalities are homogeneous, and rounding error grows with the
+    operands, so every allowance is relative: no absolute floor, which would
+    swamp the values of a chain at small scale. Each (gap, gap_tol) in
+    `equality_gaps` is an exact equality: it enters `worst_slack` as -|gap|
+    and fails the chain beyond gap_tol*scale.
     """
     worst = prev = None  # a plain loop, cheaper than min() over a comprehension
     for _, value in terms:
@@ -97,11 +91,19 @@ def _chain(terms, tol: float, equality_gaps=()) -> ChainReport:
         prev = value
     if worst is None:
         worst = 0.0
-    holds = worst >= -tol
+    holds = worst >= -tol * scale
     for gap, gap_tol in equality_gaps:
         worst = min(worst, -abs(gap))
-        holds = holds and abs(gap) <= gap_tol
+        holds = holds and abs(gap) <= gap_tol * scale
     return ChainReport(terms, holds, worst)
+
+
+def _unit_scaled(c: complex, d: complex) -> tuple[int, complex, complex]:
+    """(k, c*2^k, d*2^k), k putting the largest real or imaginary part of c, d
+    in [1/2, 1). The products are exact unless they leave the double range."""
+    k = -math.frexp(max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))[1]
+    return (k, complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)),
+            complex(math.ldexp(d.real, k), math.ldexp(d.imag, k)))
 
 
 def segment_mean_abs(c: complex, d: complex) -> float:
@@ -124,19 +126,25 @@ def segment_mean_abs(c: complex, d: complex) -> float:
     """
     c = complex(c)
     d = complex(d)
-    r0, r1 = abs(d), abs(c)
+    try:
+        r0, r1 = abs(d), abs(c)
+    except OverflowError:  # finite parts, but a modulus beyond the double range
+        r0, r1 = math.hypot(d.real, d.imag), math.hypot(c.real, c.imag)
     if r0 > r1:
         c, d, r0, r1 = d, c, r1, r0
-    if not math.isfinite(r1) or math.isnan(r0):
+    if not (cmath.isfinite(c) and cmath.isfinite(d)):
         return (r0 + r1) / 2.0  # inf/nan propagate like the endpoints
     if r1 > 1e140 or 0.0 < r1 < 1e-140:
         # h*h and u0*(u1 + u0) below are second order in the inputs, and L/h,
         # L/den reach r1/h; rescale by a power of two (exact) so that none of
-        # them can overflow or lose digits to the subnormal range
-        k = -math.frexp(r1)[1]
-        val = segment_mean_abs(complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)),
-                               complex(math.ldexp(d.real, k), math.ldexp(d.imag, k)))
-        return math.ldexp(val, -k)
+        # them can overflow or lose digits to the subnormal range. The power
+        # is read off the largest part, as r1 itself may have overflowed.
+        k, c, d = _unit_scaled(c, d)
+        val = segment_mean_abs(c, d)
+        try:
+            return math.ldexp(val, -k)
+        except OverflowError:  # I itself leaves the double range
+            return math.inf
     e = c - d
     L = abs(e)
     if L == 0.0:
@@ -189,20 +197,34 @@ def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
     return c, d
 
 
-def check_triangle_refinement(c: complex, d: complex, tol: float | None = None) -> ChainReport:
-    """Check |c+d|/2 <= I(c, d) <= (|c|+|d|)/2: terms lhs, mid, rhs."""
+def _at_unit_scale(check, c: complex, d: complex, *args) -> ChainReport:
+    """check(c, d, *args) judged where the largest part of c, d lies in
+    [1/2, 1), its terms and worst slack scaled back: exact, as the triangle
+    chains are homogeneous. Below 1e-140 the terms would round on the
+    subnormal grid, where a relative allowance falls below one ulp."""
+    k, c, d = _unit_scaled(c, d)
+    report = check(c, d, *args)
+    terms = tuple((name, math.ldexp(value, -k)) for name, value in report.terms)
+    return replace(report, terms=terms, worst_slack=math.ldexp(report.worst_slack, -k))
+
+
+def check_triangle_refinement(c: complex, d: complex, tol: float = SCALAR_REL_TOL) -> ChainReport:
+    """Check |c+d|/2 <= I(c, d) <= (|c|+|d|)/2: terms lhs, mid, rhs. A link
+    fails below -tol*(|c|+|d|)/2: `tol` is relative to the chain's scale."""
     c, d = _finite_pair(c, d, "check_triangle_refinement")
-    if tol is None:
-        tol = chain_tolerance(c, d)
+    abs_c = abs(c)
+    abs_d = abs(d)
+    if 0.0 < abs_c + abs_d < 1e-140:
+        return _at_unit_scale(check_triangle_refinement, c, d, tol)
     # halve before adding, so that finite inputs near the double range stay finite
     lhs = abs(c / 2.0 + d / 2.0)
     mid = segment_mean_abs(c, d)
-    rhs = abs(c) / 2.0 + abs(d) / 2.0
-    return _chain((("lhs", lhs), ("mid", mid), ("rhs", rhs)), tol)
+    rhs = abs_c / 2.0 + abs_d / 2.0
+    return _chain((("lhs", lhs), ("mid", mid), ("rhs", rhs)), tol, rhs)
 
 
 def check_reverse_triangle(
-    c: complex, d: complex, t: float, tol: float | None = None
+    c: complex, d: complex, t: float, tol: float = SCALAR_REL_TOL
 ) -> ChainReport:
     """Check the reverse bound with weight r_t = min(t, 1-t):
 
@@ -210,37 +232,34 @@ def check_reverse_triangle(
             <= |c+d|/2 <= (|c|+|d|)/2.
 
     The report's chain is reverse bound <= |c+d|/2 <= (|c|+|d|)/2 (the
-    second link is the plain triangle inequality).
+    second link is the plain triangle inequality). A link fails below
+    -tol*(|c|+|d|)/2: `tol` is relative to the chain's scale.
     """
     c, d = _finite_pair(c, d, "check_reverse_triangle")
     if not (math.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_triangle: t must lie strictly in (0, 1), got {t!r}")
-    if tol is None:
-        tol = chain_tolerance(c, d)
-    r_t = min(t, 1.0 - t)
     abs_c = abs(c)
     abs_d = abs(d)
+    if 0.0 < abs_c + abs_d < 1e-140:
+        return _at_unit_scale(check_reverse_triangle, c, d, t, tol)
+    r_t = min(t, 1.0 - t)
     mean_abs = abs_c / 2.0 + abs_d / 2.0  # halved first, as in check_triangle_refinement
     mixed = abs((1.0 - t) * c + t * d)
     lhs = mean_abs - ((1.0 - t) * abs_c + t * abs_d - mixed) / (2.0 * r_t)
     mid = abs(c / 2.0 + d / 2.0)
-    return _chain((("lhs", lhs), ("mid", mid), ("rhs", mean_abs)), tol)
+    return _chain((("lhs", lhs), ("mid", mid), ("rhs", mean_abs)), tol, mean_abs)
 
 
-def _log_bound_margin(x: float) -> float:
-    """Signed margin of the log bound at x, nonnegative where it holds:
-    log((1+x)/(1-x)) - 2x/(x^2+1) for x >= 0, its negation for x < 0."""
-    lhs = 2.0 * x / (x * x + 1.0)
-    rhs = math.log1p(x) - math.log1p(-x)
-    return rhs - lhs if x >= 0.0 else lhs - rhs
-
-
-def check_log_bound(x: float, tol: float = 1e-12) -> bool:
+def check_log_bound(x: float, tol: float = 1e-14) -> ChainReport:
     """Check 2x/(x^2+1) <= log((1+x)/(1-x)) for 0 <= x < 1 and the reversed
-    inequality for -1 < x <= 0, within `tol`."""
+    inequality for -1 < x <= 0: terms bound, log_ratio in the chain's order.
+    The link fails below -tol*|log((1+x)/(1-x))|: `tol` is relative."""
     if not (math.isfinite(x) and -1.0 < x < 1.0):
         raise ValueError(f"check_log_bound: need |x| < 1, got {x!r}")
-    return _log_bound_margin(x) >= -tol
+    bound = ("bound", 2.0 * x / (x * x + 1.0))
+    log_ratio = ("log_ratio", math.log1p(x) - math.log1p(-x))
+    terms = (bound, log_ratio) if x >= 0.0 else (log_ratio, bound)
+    return _chain(terms, tol, abs(log_ratio[1]))
 
 
 def _reduce_mod_pi(theta: float) -> float:

@@ -241,7 +241,7 @@ def test_criterion_04_mu_derivative_consistency():
 
 def test_criterion_05_log_bound_grid():
     xs = np.linspace(-0.9999, 0.9999, 10_000)
-    ok = all(check_log_bound(float(x)) for x in xs)
+    ok = all(check_log_bound(float(x)).holds for x in xs)
     _line(5, ok, "orientation-correct on 1e4-point grid of (-0.9999, 0.9999)")
     assert ok
 

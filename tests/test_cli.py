@@ -6,10 +6,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import opineq
 from opineq.cli import _build_parser, main
-from opineq.linalg import numerical_radius, save_matrix
+from opineq.linalg import numerical_radius
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+
+
+def write_matrix(M, path):
+    """Write M in the matrix JSON interchange format that `--input` reads."""
+    data = [[[z.real, z.imag] for z in row] for row in np.asarray(M, dtype=complex).tolist()]
+    Path(path).write_text(json.dumps({"rows": len(data), "cols": len(data[0]), "data": data}))
 
 
 def run(capsys, *argv):
@@ -50,6 +57,23 @@ def test_segment_with_quadrature(capsys):
     payload = json.loads(out)
     assert payload["closed"] == pytest.approx(2.688107285858488, rel=1e-13)
     assert payload["quadrature"] == pytest.approx(payload["closed"], rel=1e-10)
+
+
+def test_segment_with_a_modulus_beyond_the_double_range(capsys):
+    # finite parts whose modulus |c| overflows, though I(c, 0) = |c|/2 does not
+    code, out, _ = run(capsys, "segment", "--c", "1.5e308,1.5e308", "--d", "0,0", "--json")
+    assert code == 0
+    assert json.loads(out)["closed"] == pytest.approx(1.5e308 / math.sqrt(2.0), rel=1e-15)
+    # where I itself leaves the double range, the closed form is inf
+    code, out, _ = run(capsys, "segment", "--c", "1.5e308,1.5e308", "--d", "1.5e308,1.5e308")
+    assert code == 0
+    assert out.strip() == "closed = inf"
+
+
+def test_triangle_holds_on_subnormal_ends(capsys):
+    code, out, _ = run(capsys, "triangle", "--c", "5e-324,0", "--d", "0,5e-324", "--json")
+    assert code == 0
+    assert json.loads(out)["holds"] is True
 
 
 def test_triangle_chain_and_exit_code(capsys):
@@ -107,12 +131,12 @@ def test_reverse_triangle_bad_weight_is_usage_error(capsys):
 
 def test_radius_subcommand(capsys, tmp_path):
     path = tmp_path / "m.json"
-    save_matrix(NILPOTENT, path)
+    write_matrix(NILPOTENT, path)
     code, out, _ = run(capsys, "radius", "--input", str(path))
     assert code == 0
     assert float(out.strip()) == pytest.approx(0.5, abs=1e-8)
     # finite entries near the double range: (M + M*)/2 must not overflow
-    save_matrix(np.array([[1e308, 1e308], [0.0, 0.0]]), path)
+    write_matrix(np.array([[1e308, 1e308], [0.0, 0.0]]), path)
     code, out, _ = run(capsys, "radius", "--input", str(path))
     assert code == 0
     assert float(out.strip()) == pytest.approx((1.0 + math.sqrt(2.0)) / 2.0 * 1e308, rel=1e-14)
@@ -128,7 +152,7 @@ def test_radius_subcommand_uses_library_defaults(capsys, tmp_path):
     rng = np.random.default_rng(77)
     A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     path = tmp_path / "m.json"
-    save_matrix(A, path)
+    write_matrix(A, path)
     code, out, _ = run(capsys, "radius", "--input", str(path), "--json")
     assert code == 0
     assert json.loads(out)["radius"] == numerical_radius(A)
@@ -141,7 +165,7 @@ def test_radius_subcommand_uses_library_defaults(capsys, tmp_path):
 
 def test_bounds_subcommand(capsys, tmp_path):
     path = tmp_path / "m.json"
-    save_matrix(NILPOTENT, path)
+    write_matrix(NILPOTENT, path)
     code, out, _ = run(capsys, "bounds", "--input", str(path), "--v", "0.5", "--json")
     assert code == 0
     payload = json.loads(out)
@@ -157,7 +181,7 @@ def test_bounds_subcommand(capsys, tmp_path):
 def test_bounds_has_no_theta_ref(capsys, tmp_path):
     # a per-vector refinement has no global angle to take
     path = tmp_path / "m.json"
-    save_matrix(NILPOTENT, path)
+    write_matrix(NILPOTENT, path)
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--input", str(path), "--v", "0.5", "--theta-ref", "0.3"])
     assert exc.value.code == 2
@@ -165,7 +189,7 @@ def test_bounds_has_no_theta_ref(capsys, tmp_path):
 
 def test_angle_profile_subcommand(capsys, tmp_path):
     path = tmp_path / "m.json"
-    save_matrix(NILPOTENT, path)
+    write_matrix(NILPOTENT, path)
     code, out, _ = run(capsys, "angle-profile", "--input", str(path), "--v", "0",
                        "--samples", "500", "--seed", "3", "--json")
     assert code == 0
@@ -188,6 +212,21 @@ def test_readme_usage_lines_parse():
             parser.parse_args(argv)
         except SystemExit as exc:
             pytest.fail(f"README usage line does not parse ({exc.code}): {line}")
+
+
+def test_public_names_are_pinned():
+    # a name joins or leaves the package's surface only on purpose
+    assert sorted(opineq.__all__) == [
+        "AngleProfile", "ChainReport", "CheckStats", "EigSystem", "PolarFrame",
+        "SuiteSummary", "SweepConfig", "angle_profile", "check_geomean_lower",
+        "check_log_bound", "check_mixed_schwarz", "check_radius_chain", "check_reverse_cs",
+        "check_reverse_triangle", "check_triangle_refinement", "frac_power", "gamma",
+        "gauss_legendre", "gauss_legendre_01", "gen_instance", "geometric_mean",
+        "hermitian_eig", "is_unitary", "kittaneh_bound", "load_matrix", "matrix_from_json",
+        "mu", "mu_derivative", "nu", "numerical_radius", "polar", "run_suite",
+        "segment_mean_abs", "segment_mean_abs_quadrature", "spectral_norm",
+        "summary_to_dict", "svd", "write_report"]
+    assert all(hasattr(opineq, name) for name in opineq.__all__)
 
 
 def test_check_subcommand_writes_reports(capsys, tmp_path):

@@ -17,7 +17,7 @@ from opineq.harness import (
     trial_rng,
     write_report,
 )
-from opineq.linalg import is_unitary, numerical_radius, spectral_norm
+from opineq.linalg import is_unitary, numerical_radius, svd
 from opineq.scalars import ChainReport
 
 SMALL = dict(seed=1, trials=60, operator_trials=6)
@@ -54,7 +54,7 @@ def test_config_fixes_grids_and_tolerances():
     assert config["scalar_scale"] == 10.0
     assert config["ensembles"] == MATRIX_KINDS
     assert config["tolerances"] == {
-        "scalar_chain": 1e-10, "operator_chain": 1e-8, "radius": 1e-8, "equality": 1e-12,
+        "scalar_chain": 1e-12, "operator_chain": 1e-8, "radius": 1e-8, "equality": 1e-12,
         "geomean_equality": 1e-10, "grid_monotonicity": 1e-12, "derivative_rel": 1e-6}
 
 
@@ -197,7 +197,7 @@ def test_scalar_digest_replays_from_its_counter_block():
     log = by_name["log_bound"]
     x = float(block(3, log.worst_digest).uniform(-0.9999, 0.9999))
     assert log.worst_digest.endswith(f";x={x!r}")
-    assert scalars._log_bound_margin(x) == log.worst_slack
+    assert scalars.check_log_bound(x).worst_slack == log.worst_slack
 
 
 @pytest.mark.parametrize("chunk", [1, 7])
@@ -258,10 +258,12 @@ def test_operator_blocks_report_what_the_public_checks_report():
                 except ValueError:
                     pass
             stats["geomean_lower"].add(digest, geo)
-            w, nrm, kb = numerical_radius(A), spectral_norm(A), operators.kittaneh_bound(A)
-            slacks = (w - nrm / 2.0, nrm - w, kb - w, nrm - kb)
+            # ||A|| is the top singular value of the polar frame's SVD
+            w, nrm, kb = numerical_radius(A), svd(A)[1][0], operators.kittaneh_bound(A)
+            # the chain ||A||/2 <= w(A) <= kittaneh <= ||A||, one slack per link
+            slacks = (w - nrm / 2.0, kb - w, nrm - kb)
             stats["radius_sandwich"].add(digest, ChainReport(
-                (), min(slacks) >= -tol["radius"] * max(1.0, nrm), min(slacks)))
+                (), min(slacks) >= -tol["radius"] * nrm, min(slacks)))
     expected = summary_to_dict(SuiteSummary(cfg, tuple(stats.values()), 0.0), include_wall=False)
     got = summary_to_dict(run_suite(cfg, suite="operator"), include_wall=False)
     assert got == expected

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opineq import operators
 from opineq.harness import MATRIX_KINDS, SweepConfig, gen_instance, trial_rng
 from opineq.linalg import _polar_frames, numerical_radius, spectral_norm
 from opineq.operators import (
@@ -179,6 +180,35 @@ def test_radius_chain_dominates_numerical_radius_terms():
 def test_radius_chain_requires_unit_vector():
     with pytest.raises(ValueError, match="unit"):
         check_radius_chain(np.eye(2), 0.5, [2.0, 0.0])
+
+
+def test_chain_verdicts_do_not_depend_on_the_scale_of_A(monkeypatch):
+    # the chains scale with A, so a defect of one part in 1e6 must fail at every
+    # scale, and no absolute floor may swamp it on small A
+    D, e1 = np.diag([1.0, 0.5, 0.25]), np.array([1.0, 0.0, 0.0])
+    scales = [2.0**k for k in range(-60, 61)]
+
+    def verdicts():
+        return {(check_mixed_schwarz(s * D, e1, e1, 0.5).holds,
+                 check_radius_chain(s * D, 0.5, e1).holds) for s in scales}
+
+    assert verdicts() == {(True, True)}
+    exact_mu = operators.mu
+    monkeypatch.setattr(operators, "mu", lambda theta: exact_mu(theta) * (1.0 - 1e-6))
+    assert verdicts() == {(False, False)}
+
+
+def test_chains_hold_with_x_near_the_smallest_singular_direction():
+    # the terms round at about eps*||A||, far above the auxiliary norms'
+    # product n1*n2 when x lies in the small singular directions of A
+    rng = np.random.default_rng(0)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    x = Q[:, 1]
+    A = Q @ np.diag([1.0, 1e-7, 0.5]) @ Q.conj().T
+    assert check_geomean_lower(A, 0.5, x).holds
+    A = Q @ np.diag([1.0, 1e-10, 0.5]) @ Q.conj().T
+    assert check_mixed_schwarz(A, x, x, 0.5).holds
+    assert check_radius_chain(A, 0.5, x).holds
 
 
 # --- check_reverse_cs ----------------------------------------------------------

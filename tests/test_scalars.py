@@ -1,10 +1,11 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
+from opineq import scalars
 from opineq.scalars import (
-    chain_tolerance,
     check_log_bound,
     check_reverse_triangle,
     check_triangle_refinement,
@@ -94,13 +95,18 @@ def test_segment_extreme_magnitudes():
     # non-finite inputs propagate instead of raising
     assert segment_mean_abs(complex(math.inf, 0.0), 1.0) == math.inf
     assert math.isnan(segment_mean_abs(complex(math.nan, 0.0), 1.0))
+    # also where the other end's modulus overflows, though its parts are finite
+    big = complex(1.5e308, 1.5e308)
+    assert math.isnan(segment_mean_abs(big, math.nan))
+    assert math.isnan(segment_mean_abs(math.nan, big))
+    assert segment_mean_abs(big, complex(math.inf, 0.0)) == math.inf
 
 
 def _segment_mean_abs_mpmath(c, d):
     """40-digit oracle for I(c, d): rescaled by a power of two (mpmath.quad's
     tolerance is absolute) and split at the point nearest the origin."""
     mpmath = pytest.importorskip("mpmath")
-    big = max(abs(c), abs(d))
+    big = max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag))
     if big == 0.0:
         return 0.0
     k = -math.frexp(big)[1]
@@ -109,7 +115,7 @@ def _segment_mean_abs_mpmath(c, d):
         D = mpmath.mpc(math.ldexp(d.real, k), math.ldexp(d.imag, k))
         E = C - D
         if E == 0:
-            return abs(c)
+            return math.ldexp(float(abs(C)), -k)
         s0 = -mpmath.re(mpmath.conj(D) * E) / abs(E) ** 2
         knots = [0, s0, 1] if 0 < s0 < 1 else [0, 1]
         value = mpmath.quad(lambda s: abs(s * C + (1 - s) * D), knots)
@@ -165,6 +171,8 @@ def test_segment_matches_mpmath_in_adversarial_regimes():
         (1e200 + 1e-120j, 1e200 + 0j),
         # a tiny end against a huge one, where h read off the far end would swamp it
         (1.828444637579534e-158 + 5.383955349082164e-192j, 4.749078897505698e213 + 2.6181247209794836e284j),
+        # finite parts whose modulus |c| leaves the double range, though I does not
+        (1.5e308 + 1.5e308j, 0j),
     ]
     for c, d in pairs:
         ref = _segment_mean_abs_mpmath(c, d)
@@ -242,19 +250,6 @@ def test_triangle_chain_antipodal():
     assert rep.holds
 
 
-def test_chain_tolerance_scales():
-    assert chain_tolerance(1 + 0j, 1 + 0j) == 1e-10
-    assert chain_tolerance(5 + 0j, -3 + 0j) == 1e-10
-    assert chain_tolerance(2e3 + 0j, 0j) == pytest.approx(2e-9)
-
-
-def test_chain_tolerance_rejects_a_modulus_beyond_the_double_range():
-    huge = complex(1.5e308, 1.5e308)
-    for c, d in [(huge, 0), (1.0, huge), (math.nan, 1.0)]:
-        with pytest.raises(ValueError, match="^chain_tolerance: .*finite"):
-            chain_tolerance(c, d)
-
-
 def test_reverse_triangle_equal_scalars():
     rep = check_reverse_triangle(1, 1, 0.3)
     (_, lhs), (_, mid), _ = rep.terms
@@ -323,24 +318,66 @@ def test_scalar_checks_stay_finite_near_the_double_range():
 
 
 def test_log_bound_zero_is_equality():
-    assert check_log_bound(0.0)
+    rep = check_log_bound(0.0)
+    assert rep.holds and rep.worst_slack == 0.0
 
 
 def test_log_bound_positive_and_negative():
     # 2*0.9/1.81 = 0.9945 <= log(19) = 2.9444
-    assert check_log_bound(0.9)
-    assert check_log_bound(-0.5)
+    rep = check_log_bound(0.9)
+    assert rep.holds
+    assert [name for name, _ in rep.terms] == ["bound", "log_ratio"]
+    assert rep.worst_slack == pytest.approx(math.log(19.0) - 1.8 / 1.81, rel=1e-15)
+    # reversed on -1 < x < 0
+    rep = check_log_bound(-0.5)
+    assert rep.holds
+    assert [name for name, _ in rep.terms] == ["log_ratio", "bound"]
 
 
 def test_log_bound_grid():
     for x in np.linspace(-0.9999, 0.9999, 10_000):
-        assert check_log_bound(float(x))
+        assert check_log_bound(float(x)).holds
 
 
 @pytest.mark.parametrize("x", [1.0, -1.0, 1.5, float("inf"), float("nan")])
 def test_log_bound_rejects_out_of_domain(x):
     with pytest.raises(ValueError):
         check_log_bound(x)
+
+
+# --- scale-relative tolerances -------------------------------------------------
+#
+# The chains are homogeneous, so a check's verdict may not depend on the scale
+# of its input: a defect of one part in 1e6 (1e7 for the log bound) fails at
+# every scale, and no absolute floor may swamp it on small inputs.
+
+
+def test_triangle_verdict_does_not_depend_on_the_scale(monkeypatch):
+    # 3s and 2s are exact from the smallest subnormal scale to the largest finite
+    scales = [2.0**k for k in range(-1073, 1023)]
+    assert all(check_triangle_refinement(3 * s, 2 * s).holds for s in scales)
+    assert all(check_reverse_triangle(3 * s, 2j * s, 0.3).holds for s in scales)
+    exact = scalars.segment_mean_abs
+    monkeypatch.setattr(scalars, "segment_mean_abs", lambda c, d: exact(c, d) * (1.0 + 1e-6))
+    assert not any(check_triangle_refinement(3 * s, 2 * s).holds for s in scales)
+
+
+@pytest.mark.parametrize("c, d", [(5e-324, 5e-324j), (1.5e-323, 1.5e-323j), (1e-320, -3e-321 + 5e-324j)])
+def test_triangle_chains_hold_on_subnormal_ends(c, d):
+    # the terms would round on the subnormal grid, where a relative allowance
+    # is below one ulp; the checks judge them at a normal scale instead
+    assert check_triangle_refinement(c, d).holds
+    assert check_reverse_triangle(c, d, 0.3).holds
+
+
+def test_log_bound_fails_a_wrong_term_near_zero(monkeypatch):
+    # at x = 1e-6 the margin is 8x^3/3 = 2.7e-18, against terms of 2e-6
+    assert check_log_bound(1e-6).holds and check_log_bound(-1e-6).holds
+    wrong = types.SimpleNamespace(**vars(math))
+    wrong.log1p = lambda v: math.log1p(v) * (1.0 - 1e-7)
+    monkeypatch.setattr(scalars, "math", wrong)
+    assert not check_log_bound(1e-6).holds
+    assert not check_log_bound(-1e-6).holds
 
 
 # --- mu ----------------------------------------------------------------------
