@@ -130,21 +130,15 @@ class PolarFrame:
     @property
     def positive(self) -> np.ndarray:
         """|A| = (A*A)^(1/2)."""
-        return self.abs_power(1.0)
-
-    def abs_power(self, p) -> np.ndarray:
-        """|A|^p, Hermitian; p may hold one exponent per matrix of a stack."""
-        return _hermitian_part(_from_spectrum(self.V, _powers(self.sigma, p)))
-
-    def abs_star_power(self, p) -> np.ndarray:
-        """|A*|^p = U |A|^p U*, Hermitian."""
-        return _hermitian_part(_from_spectrum(self.W, _powers(self.sigma, p)))
+        return _hermitian_part(_from_spectrum(self.V, self.sigma))
 
 
 def _as_matrix(M, who: str) -> np.ndarray:
     A = np.asarray(M, dtype=complex)
     if A.ndim != 2 or A.size == 0:
         raise ValueError(f"{who}: expected a nonempty 2-D matrix, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError(f"{who}: matrix has non-finite entries")
     return A
 
 
@@ -159,6 +153,8 @@ def _as_vector(x, who: str) -> np.ndarray:
     v = np.asarray(x, dtype=complex).ravel()
     if v.size == 0:
         raise ValueError(f"{who}: empty vector")
+    if not np.isfinite(v).all():
+        raise ValueError(f"{who}: vector has non-finite entries")
     return v
 
 
@@ -181,16 +177,16 @@ def hermitian_eig(M, tol: float = DEFAULT_TOL) -> EigSystem:
     Rejects non-square input and input whose Hermiticity defect
     ||M - M*|| exceeds tol * ||M||.
     """
-    A = _require_hermitian(_as_square(M, "hermitian_eig"), tol)
+    A = _require_hermitian(_as_square(M, "hermitian_eig"), tol, "hermitian_eig")
     w, V = np.linalg.eigh(_hermitian_part(A))
     return EigSystem(values=w, vectors=V)
 
 
-def _require_hermitian(A: np.ndarray, tol: float) -> np.ndarray:
+def _require_hermitian(A: np.ndarray, tol: float, who: str) -> np.ndarray:
     defect = _fro(A - A.conj().T)
     if defect > tol * _fro(A):
         raise ValueError(
-            f"hermitian_eig: matrix is not Hermitian: defect ||M - M*|| = {defect:.3e} "
+            f"{who}: matrix is not Hermitian: defect ||M - M*|| = {defect:.3e} "
             f"exceeds tol*||M|| = {tol * _fro(A):.3e}"
         )
     return A
@@ -234,8 +230,7 @@ def frac_power(P, p: float) -> np.ndarray:
     A = _as_square(P, "frac_power")
     if not (np.isfinite(p) and p >= 0.0):
         raise ValueError(f"frac_power: exponent must be >= 0, got {p!r}")
-    eig = hermitian_eig(A, tol=1e-8)
-    lam = eig.values
+    lam, Q = np.linalg.eigh(_hermitian_part(_require_hermitian(A, 1e-8, "frac_power")))
     scale = max(abs(float(lam[0])), abs(float(lam[-1])))
     clamp = PD_FLOOR_REL * scale
     if lam[0] < -clamp:
@@ -247,7 +242,7 @@ def frac_power(P, p: float) -> np.ndarray:
     if p == 0.0:
         return np.eye(n, dtype=complex)
     lam = np.where(lam < 0.0, 0.0, lam)
-    return _hermitian_part(_from_spectrum(eig.vectors, lam**p))
+    return _hermitian_part(_from_spectrum(Q, lam**p))
 
 
 def geometric_mean(A, B, t: float) -> np.ndarray:
@@ -263,49 +258,36 @@ def geometric_mean(A, B, t: float) -> np.ndarray:
         raise ValueError(f"geometric_mean: shape mismatch {A.shape} vs {B.shape}")
     if not (np.isfinite(t) and 0.0 <= t <= 1.0):
         raise ValueError(f"geometric_mean: weight t must lie in [0, 1], got {t!r}")
-    G, lam_a, lam_b = _geometric_means(A, B, t)
-    _require_hermitian(A, 1e-8)
+    lam_a, Va = np.linalg.eigh(_hermitian_part(_require_hermitian(A, 1e-8, "geometric_mean")))
     _require_pd(lam_a, "first operand")
-    _require_hermitian(B, 1e-8)
-    _require_pd(lam_b, "second operand")
-    return G
+    B = _require_hermitian(B, 1e-8, "geometric_mean")
+    _require_pd(np.linalg.eigvalsh(_hermitian_part(B)), "second operand")
+    root = _from_spectrum(Va, np.sqrt(lam_a))
+    inv_root = _from_spectrum(Va, 1.0 / np.sqrt(lam_a))
+    wi, Vi = np.linalg.eigh(_hermitian_part(inv_root @ B @ inv_root))
+    wi = np.where(wi < 0.0, 0.0, wi)  # round-off guard; inner is PD here
+    return _hermitian_part(root @ _from_spectrum(Vi, wi**t) @ root)
 
 
 def _pd_floor(lam: np.ndarray) -> np.ndarray:
     """The eigenvalue floor of positive definiteness, per ascending spectrum
     (last axis): PD_FLOOR_REL times the spectral norm."""
-    scale = np.maximum(np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1])), 1e-300)
-    return PD_FLOOR_REL * scale
+    return PD_FLOOR_REL * np.maximum(np.abs(lam[..., 0]), np.abs(lam[..., -1]))
 
 
 def _pd_refused(lam: np.ndarray) -> np.ndarray:
-    """Whether each ascending spectrum falls below its `_pd_floor`."""
-    return lam[..., 0] < _pd_floor(lam)
+    """Whether each ascending spectrum falls to its `_pd_floor` or below; the
+    floor is relative, and the zero spectrum meets its floor of 0."""
+    return lam[..., 0] <= _pd_floor(lam)
 
 
 def _require_pd(lam: np.ndarray, label: str) -> None:
-    """Refuse one ascending spectrum below its `_pd_floor`, naming the operand."""
+    """Refuse one ascending spectrum at or below its `_pd_floor`, naming the operand."""
     if _pd_refused(lam):
         raise ValueError(
             f"geometric_mean: {label} is not positive definite enough for "
-            f"congruence inversion (min eigenvalue {lam[0]:.3e} < {_pd_floor(lam):.3e})"
+            f"congruence inversion (min eigenvalue {lam[0]:.3e} <= {_pd_floor(lam):.3e})"
         )
-
-
-def _geometric_means(A: np.ndarray, B: np.ndarray, t: float):
-    """(A #_t B, spectrum of A, spectrum of B) for one pair or a stack of
-    pairs. Where A or B falls below `_pd_floor`, the mean is not defined and
-    its entry is a finite placeholder."""
-    lam_a, Va = np.linalg.eigh(_hermitian_part(A))
-    lam_b = np.linalg.eigh(_hermitian_part(B))[0]
-    bad = _pd_refused(lam_a) | _pd_refused(lam_b)
-    # keep the inner eigh finite on the pairs that are refused
-    lam = np.where(bad[..., None], 1.0, lam_a)
-    root = _from_spectrum(Va, np.sqrt(lam))
-    inv_root = _from_spectrum(Va, 1.0 / np.sqrt(lam))
-    wi, Vi = np.linalg.eigh(_hermitian_part(inv_root @ B @ inv_root))
-    wi = np.where(wi < 0.0, 0.0, wi)  # round-off guard; inner is PD here
-    return _hermitian_part(root @ _from_spectrum(Vi, wi**t) @ root), lam_a, lam_b
 
 
 def spectral_norm(M) -> float:
@@ -348,8 +330,6 @@ def numerical_radius(A) -> float:
     evaluated: an attained value, so a lower estimate of w(A).
     """
     A = _as_square(A, "numerical_radius")
-    if not np.isfinite(A).all():
-        raise ValueError("numerical_radius: matrix has non-finite entries")
     return float(_numerical_radii(A[None])[0])
 
 

@@ -36,11 +36,11 @@ from .linalg import (
     _as_vector,
     _ct,
     _from_spectrum,
-    _geometric_means,
     _hermitian_part,
     _matvecs,
     _moduli,
     _norms,
+    _pd_refused,
     _polar_frames,
     _powers,
     _require_pd,
@@ -162,11 +162,26 @@ def _kittaneh_bounds(frame: PolarFrame, v) -> np.ndarray:
 
 def _geomean_forms(frame: PolarFrame, v, x):
     """(<G x, x>, spectrum of |A|^2v, spectrum of |A*|^2(1-v)) per trial,
-    G = |A|^2v # |A*|^2(1-v). The form is meaningless where either spectrum
-    is refused by `linalg._pd_refused` (A not invertible enough)."""
-    G, lam_p, lam_q = _geometric_means(
-        frame.abs_power(2.0 * v), frame.abs_star_power(2.0 * (1.0 - v)), 0.5)
-    return _vdots(x, _matvecs(G, x)).real, lam_p, lam_q
+    G = |A|^2v # |A*|^2(1-v), read off the frame without forming G.
+
+    The spectra are sigma^2v and sigma^2(1-v), ascending. With
+    P = |A|^2v = V sigma^2v V*, Q = |A*|^2(1-v) = W sigma^2(1-v) W* and
+    B = sigma^-v (V* W) sigma^(1-v), P^(-1/2) Q P^(-1/2) = V (B B*) V*, so
+    <G x, x> = a* (B B*)^(1/2) a with a = sigma^v V* x, which is
+    sum_k s_k |(R* a)_k|^2 for the SVD B = R diag(s) T*. The form is
+    meaningless where either spectrum is refused by `linalg._pd_refused`
+    (A not invertible enough); there sigma = 1 stands in, so it stays finite.
+    """
+    lam_p = _powers(frame.sigma, 2.0 * v)[..., ::-1]
+    lam_q = _powers(frame.sigma, 2.0 * (1.0 - v))[..., ::-1]
+    bad = _pd_refused(lam_p) | _pd_refused(lam_q)
+    sigma = np.where(bad[..., None], 1.0, frame.sigma)
+    a = _powers(sigma, v) * _matvecs(_ct(frame.V), x)
+    B = (_powers(sigma, -v)[..., :, None] * (_ct(frame.V) @ frame.W)
+         * _powers(sigma, 1.0 - v)[..., None, :])
+    R, s, _ = np.linalg.svd(B)
+    c = _matvecs(_ct(R), a)
+    return np.vecdot(s, c.real * c.real + c.imag * c.imag), lam_p, lam_q
 
 
 def _reverse_cs_terms(x, y):

@@ -43,10 +43,7 @@ SCALAR_REL_TOL = 1e-12
 # returns its limit value instead of evaluating the 0*inf closed form
 MU_BRANCH_TOL = 1e-8
 
-# nu rejects arguments with 1 - sin(theta) below this (log singularity);
-# mu_derivative returns its limit 0 inside the slightly wider window
-NU_SIN_TOL = 1e-15
-MU_DERIV_HALF_PI_TOL = 5e-8
+# mu_derivative rejects arguments this close to 0 or pi
 MU_DERIV_EDGE_TOL = 1e-8
 
 _HALF_PI = 0.5 * math.pi
@@ -106,6 +103,15 @@ def _unit_scaled(c: complex, d: complex) -> tuple[int, complex, complex]:
             complex(math.ldexp(d.real, k), math.ldexp(d.imag, k)))
 
 
+def _scaled_back(value: float, k: int) -> float:
+    """value * 2^-k, the inverse of `_unit_scaled`'s scaling; inf where the
+    product leaves the double range."""
+    try:
+        return math.ldexp(value, -k)
+    except OverflowError:
+        return math.inf
+
+
 def segment_mean_abs(c: complex, d: complex) -> float:
     """Closed form of I(c, d) = integral_0^1 |s*c + (1-s)*d| ds.
 
@@ -140,11 +146,7 @@ def segment_mean_abs(c: complex, d: complex) -> float:
         # them can overflow or lose digits to the subnormal range. The power
         # is read off the largest part, as r1 itself may have overflowed.
         k, c, d = _unit_scaled(c, d)
-        val = segment_mean_abs(c, d)
-        try:
-            return math.ldexp(val, -k)
-        except OverflowError:  # I itself leaves the double range
-            return math.inf
+        return _scaled_back(segment_mean_abs(c, d), k)
     e = c - d
     L = abs(e)
     if L == 0.0:
@@ -174,13 +176,16 @@ def segment_mean_abs_quadrature(c: complex, d: complex, nodes: int = 64) -> floa
     the contour: the relative error is 1e-11 or better once the ratio is at
     least 0.25, but saturates near 2e-4 when it is ~1e-4, and stays below
     1e-3 at a kink (segment through the origin). A segment that avoids the
-    origin is no promise of 1e-10 relative accuracy.
+    origin is no promise of 1e-10 relative accuracy. The sum is taken at
+    unit scale (`_unit_scaled`) and scaled back, so it neither overflows nor
+    rounds on the subnormal grid where I(c, d) itself does not.
     """
     nodes = int(nodes)
     if nodes < 2:
         raise ValueError(f"segment_mean_abs_quadrature: need nodes >= 2, got {nodes}")
     s, w = gauss_legendre_01(nodes)
-    return float(np.sum(w * np.abs(s * complex(c) + (1.0 - s) * complex(d))))
+    k, c, d = _unit_scaled(complex(c), complex(d))
+    return _scaled_back(float(np.sum(w * np.abs(s * c + (1.0 - s) * d))), k)
 
 
 def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
@@ -303,17 +308,14 @@ def mu(theta: float) -> float:
 def nu(theta: float) -> float:
     """nu(theta) = 4*sin(t) - 2*(sin^2(t) + 1)*log((1+sin t)/(1-sin t)).
 
-    Defined on (0, pi) away from pi/2; nonpositive everywhere there, which
-    is what pins down the monotonicity of mu.
+    Defined on (0, pi) away from pi/2, where it tends to -inf; nonpositive
+    everywhere there, which is what pins down the monotonicity of mu. No
+    double equals pi/2, and `_log_ratio` reads the log term without
+    cancellation, so nu is finite at every double in (0, pi).
     """
     if not (math.isfinite(theta) and 0.0 < theta < math.pi):
         raise ValueError(f"nu: theta must lie in (0, pi), got {theta!r}")
     s = math.sin(theta)
-    if 1.0 - s < NU_SIN_TOL:
-        raise ValueError(
-            f"nu: log term singular at theta = pi/2 (1 - sin(theta) = {1.0 - s:.3e}); "
-            "evaluate one-sided"
-        )
     c = math.cos(theta)
     return 4.0 * s - 2.0 * (s * s + 1.0) * _log_ratio(s, c)
 
@@ -321,9 +323,9 @@ def nu(theta: float) -> float:
 def mu_derivative(theta: float) -> float:
     """d(mu)/d(theta) = cos(t)/(8*sin^2(t)) * nu(t) on (0, pi).
 
-    Nonpositive on (0, pi/2], nonnegative on [pi/2, pi). Returns the limit 0
-    inside a 5e-8 window of pi/2, where the factors form an unresolvable
-    0*inf in double precision.
+    Nonpositive on (0, pi/2], nonnegative on [pi/2, pi). Near pi/2 the
+    factors form 0*inf, which tends to 0; both are finite at every double,
+    so their product is the value there too.
     """
     if not math.isfinite(theta):
         raise ValueError(f"mu_derivative: theta must be finite, got {theta!r}")
@@ -332,8 +334,6 @@ def mu_derivative(theta: float) -> float:
             f"mu_derivative: theta must stay in (0, pi) at least {MU_DERIV_EDGE_TOL} "
             f"away from the endpoints, got {theta!r}"
         )
-    if abs(theta - _HALF_PI) < MU_DERIV_HALF_PI_TOL:
-        return 0.0
     s = math.sin(theta)
     return math.cos(theta) / (8.0 * s * s) * nu(theta)
 

@@ -64,6 +64,12 @@ def test_segment_with_a_modulus_beyond_the_double_range(capsys):
     code, out, _ = run(capsys, "segment", "--c", "1.5e308,1.5e308", "--d", "0,0", "--json")
     assert code == 0
     assert json.loads(out)["closed"] == pytest.approx(1.5e308 / math.sqrt(2.0), rel=1e-15)
+    # the quadrature sums at unit scale, so it stays finite there too
+    code, out, _ = run(capsys, "segment", "--c", "1.5e308,1.5e308", "--d", "0,0",
+                       "--quadrature", "8")
+    assert code == 0
+    assert out.splitlines() == ["closed = 1.0606601717798212e+308",
+                                "quadrature[8] = 1.0606601717798214e+308"]
     # where I itself leaves the double range, the closed form is inf
     code, out, _ = run(capsys, "segment", "--c", "1.5e308,1.5e308", "--d", "1.5e308,1.5e308")
     assert code == 0

@@ -241,9 +241,26 @@ def test_geometric_mean_quadratic_form_bound():
         assert lhs <= rhs + 1e-10 * rhs
 
 
+def test_geometric_mean_is_homogeneous_across_the_double_range():
+    # the positive-definiteness floor is relative, with no absolute part, so
+    # scaling both operands by 2^k scales the mean and refuses nothing
+    rng = np.random.default_rng(25)
+    A = np.diag([1.0, 1e-6])
+    B = random_psd(rng, 2) + 0.1 * np.eye(2)
+    G = geometric_mean(A, B, 0.5)
+    for k in range(-1020, 501):
+        Gk = geometric_mean(math.ldexp(1.0, k) * A, math.ldexp(1.0, k) * B, 0.5)
+        # scaled back exactly, as the norm of a tiny Gk would underflow
+        assert np.linalg.norm(Gk * math.ldexp(1.0, -k) - G) <= 1e-12 * np.linalg.norm(G), k
+
+
 def test_geometric_mean_rejects_non_pd():
     with pytest.raises(ValueError, match="positive definite"):
         geometric_mean(np.diag([1.0, 0.0]), np.eye(2), 0.5)
+    with pytest.raises(ValueError, match="second operand"):
+        geometric_mean(np.eye(2), np.zeros((2, 2)), 0.5)
+    with pytest.raises(ValueError, match="geometric_mean: matrix is not Hermitian"):
+        geometric_mean(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]]), 0.5)
     with pytest.raises(ValueError):
         geometric_mean(np.eye(2), np.eye(3), 0.5)
     with pytest.raises(ValueError):
@@ -495,6 +512,22 @@ def test_radius_rejects_non_finite_matrix():
         numerical_radius(np.array([[np.nan, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="non-finite"):
         numerical_radius(np.array([[1.0, np.inf], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrices_rejected_everywhere(bad):
+    # rejected on input, naming the function: the LAPACK drivers would raise
+    # LinAlgError, or return a matrix of NaN, instead
+    M = np.eye(2, dtype=complex)
+    M[0, 1] = M[1, 0] = bad
+    for op in (spectral_norm, polar, svd, hermitian_eig, numerical_radius, is_unitary):
+        with pytest.raises(ValueError, match=f"{op.__name__}: matrix has non-finite"):
+            op(M)
+    with pytest.raises(ValueError, match="frac_power: matrix has non-finite"):
+        frac_power(M, 0.5)
+    for args in ((M, np.eye(2)), (np.eye(2), M)):
+        with pytest.raises(ValueError, match="geometric_mean: matrix has non-finite"):
+            geometric_mean(*args, 0.5)
 
 
 def test_empty_matrices_rejected_everywhere():

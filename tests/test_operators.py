@@ -247,6 +247,31 @@ def test_reverse_cs_validates_input():
         check_reverse_cs([1.0, 0.0], [1.0, 0.0], 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_input_rejected_naming_the_check(bad):
+    # rejected on input: a NaN vector gave reverse CS a NaN worst slack, and a
+    # NaN matrix made the SVD-based checks raise LinAlgError
+    A, x = np.eye(2), np.array([1.0, 0.0])
+    A_bad, x_bad = np.array([[1.0, bad], [0.0, 1.0]]), np.array([bad, 1.0])
+    calls = {
+        "check_reverse_cs": [lambda: check_reverse_cs(x_bad, x, 0.5),
+                             lambda: check_reverse_cs(x, x_bad, 0.5)],
+        "check_mixed_schwarz": [lambda: check_mixed_schwarz(A_bad, x, x, 0.5),
+                                lambda: check_mixed_schwarz(A, x_bad, x, 0.5),
+                                lambda: check_mixed_schwarz(A, x, x_bad, 0.5)],
+        "check_radius_chain": [lambda: check_radius_chain(A_bad, 0.5, x),
+                               lambda: check_radius_chain(A, 0.5, x_bad)],
+        "check_geomean_lower": [lambda: check_geomean_lower(A_bad, 0.5, x),
+                                lambda: check_geomean_lower(A, 0.5, x_bad)],
+        "kittaneh_bound": [lambda: kittaneh_bound(A_bad)],
+        "angle_profile": [lambda: angle_profile(A_bad, 0.5, 10, seed=1)],
+    }
+    for who, thunks in calls.items():
+        for call in thunks:
+            with pytest.raises(ValueError, match=f"{who}: (matrix|vector) has non-finite"):
+                call()
+
+
 # --- check_geomean_lower --------------------------------------------------------
 
 
@@ -284,6 +309,51 @@ def test_geomean_lower_sweep_invertible():
 def test_geomean_lower_rejects_singular():
     with pytest.raises(ValueError, match="positive definite"):
         check_geomean_lower(NILPOTENT, 0.5, [1.0, 0.0])
+
+
+def _haar_unitary(rng, n):
+    Q, R = np.linalg.qr(random_complex(rng, n))
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def _geomean_first_term_mpmath(A, v, x):
+    """40-digit cos(theta_x) <(|A|^2v # |A*|^2(1-v)) x, x> from the textbook
+    definitions: every power through an eigendecomposition of A*A or AA*, the
+    mean as P^(1/2) (P^(-1/2) Q P^(-1/2))^(1/2) P^(1/2), and
+    U* = |A| A^(-1)."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def power(H, p):
+        E, V = mpmath.eigh(H)
+        return V * mpmath.diag([e**p for e in E]) * V.transpose_conj()
+
+    with mpmath.workdps(40):
+        Am = mpmath.matrix(A.tolist())
+        xm = mpmath.matrix(x.tolist())
+        AsA, AAs = Am.transpose_conj() * Am, Am * Am.transpose_conj()
+        P, Q = power(AsA, v), power(AAs, 1 - mpmath.mpf(v))
+        root, inv_root = power(P, 0.5), power(P, -0.5)
+        G = root * power(inv_root * Q * inv_root, 0.5) * root
+        form = (xm.transpose_conj() * G * xm)[0].real
+        a1 = power(AsA, mpmath.mpf(v) / 2) * xm
+        a2 = power(AsA, 0.5) * mpmath.inverse(Am) * power(AAs, (1 - mpmath.mpf(v)) / 2) * xm
+        cos = abs((a2.transpose_conj() * a1)[0]) / (mpmath.norm(a1) * mpmath.norm(a2))
+        return cos * form
+
+
+def test_geomean_first_term_matches_mpmath_on_ill_conditioned_matrices():
+    # sigma_min/sigma_max from 1e-1 to 1e-4: forming |A|^2v and |A*|^2(1-v)
+    # and solving their eigenproblems again squared the conditioning (4.5e-8)
+    rng = np.random.default_rng(17)
+    v_grid = SweepConfig().v_grid
+    for i in range(42):
+        n = 2 + i % 3
+        sigma = np.geomspace(1.0, 10.0 ** rng.uniform(-4.0, -1.0), n)
+        A = _haar_unitary(rng, n) @ np.diag(sigma) @ _haar_unitary(rng, n).conj().T
+        v, x = v_grid[i % len(v_grid)], unit_vector(rng, n)
+        got = values(check_geomean_lower(A, v, x))[0]
+        ref = _geomean_first_term_mpmath(A, v, x)
+        assert abs(got - ref) <= 1e-11 * abs(ref), (n, v, sigma)
 
 
 # --- angle_profile ---------------------------------------------------------------

@@ -25,6 +25,9 @@ MU_0_3 = 0.9703607996894412205258408
 NU_1 = -5.011814239599940633715144
 MU_PRIME_0_8 = -0.43938881067388565983786
 MU_PRIME_2_0 = 0.4715448229833965349288586
+# nu and mu' at the double nearest pi/2, where both are finite
+NU_HALF_PI = -300.2000269906309444934594
+MU_PRIME_HALF_PI = -2.297743763487657605904262e-15
 SEG_3_4__1_M2 = 2.688107285858487865772186
 SEG_2_1__M1_3 = 2.282218335961027686141377
 GAMMA_03_PI3 = 0.3471270883830366148332807
@@ -223,6 +226,15 @@ def test_quadrature_agreement_tight_for_separated_segments():
         approx = segment_mean_abs_quadrature(c, d, 64)
         assert abs(closed - approx) <= 1e-11 * closed
     assert checked > 1000
+
+
+def test_quadrature_is_homogeneous_across_the_double_range():
+    # summed at unit scale, so neither overflow nor the subnormal grid shows
+    c, d = 3 + 4j, 1 - 2j
+    ref = segment_mean_abs_quadrature(c, d, 16)
+    for k in range(-1072, 1022):
+        scaled = segment_mean_abs_quadrature(math.ldexp(1.0, k) * c, math.ldexp(1.0, k) * d, 16)
+        assert scaled == math.ldexp(ref, k)
 
 
 def test_quadrature_validates_node_count():
@@ -460,13 +472,14 @@ def test_nu_nonpositive():
 
 
 def test_nu_rejects_out_of_domain():
-    for theta in (0.0, math.pi, -0.5, 4.0, math.pi / 2.0):
+    for theta in (0.0, math.pi, -0.5, 4.0):
         with pytest.raises(ValueError):
             nu(theta)
+    assert nu(math.pi / 2.0) == pytest.approx(NU_HALF_PI, rel=1e-14)
 
 
 def test_mu_derivative_frozen_and_signs():
-    assert mu_derivative(math.pi / 2.0) == 0.0
+    assert mu_derivative(math.pi / 2.0) == pytest.approx(MU_PRIME_HALF_PI, rel=1e-14)
     assert mu_derivative(0.8) == pytest.approx(MU_PRIME_0_8, rel=1e-13)
     assert mu_derivative(2.0) == pytest.approx(MU_PRIME_2_0, rel=1e-13)
     assert mu_derivative(math.pi / 4.0) < 0.0
@@ -484,6 +497,21 @@ def test_mu_derivative_matches_finite_differences():
         analytic = mu_derivative(theta)
         fd = (mu(theta + h) - mu(theta - h)) / (2.0 * h)
         assert abs(analytic - fd) <= 1e-6 * abs(analytic)
+
+
+def test_nu_and_mu_derivative_match_mpmath_near_half_pi():
+    # the log term of both is singular at pi/2, and mu' is a 0*inf product
+    # there; every double in the band has a finite value, checked to 1e-14
+    mpmath = pytest.importorskip("mpmath")
+    for delta in np.geomspace(1e-16, 0.1, 2000):
+        for theta in (math.pi / 2.0 - delta, math.pi / 2.0 + delta):
+            with mpmath.workdps(80):  # 1 - sin(theta) keeps 45 digits at delta = 1e-16
+                t = mpmath.mpf(theta)
+                s = mpmath.sin(t)
+                ref_nu = 4 * s - 2 * (s * s + 1) * mpmath.log((1 + s) / (1 - s))
+                ref_prime = mpmath.cos(t) / (8 * s * s) * ref_nu
+            assert abs(nu(theta) - ref_nu) <= 1e-14 * abs(ref_nu)
+            assert abs(mu_derivative(theta) - ref_prime) <= 1e-14 * abs(ref_prime)
 
 
 def test_mu_derivative_rejects_near_endpoints():
