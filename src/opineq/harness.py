@@ -5,7 +5,11 @@ every scalar and operator check, and aggregates the outcomes into a
 serializable summary. Each scalar check draws from one generator, and its
 trial k reads that generator's counter block k, so the scalar trials come in
 block draws and any trial replays after `bit_generator.advance(k)`. Each
-operator trial has its own generator. The operator trials of one dimension
+chunk of scalar trials runs through its check's numpy kernel in `scalars`
+(the one its public function runs, or follows step for step) and enters
+its `CheckStats` at once by `add_verdicts`; the mu, gamma and mu' grid
+checks evaluate each grid as one array. Each operator trial has its own
+generator. The operator trials of one dimension
 run in blocks of stacked arrays: one stacked SVD gives every trial's polar
 frame, and each check's stacked kernel (in `operators` and `linalg`, the same
 one its public function runs) serves the whole block; the reports are then
@@ -16,6 +20,7 @@ summary field is the wall time.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import json
 import math
@@ -164,19 +169,30 @@ def gen_instance(rng: np.random.Generator, kind: str, dim: int, scale: float = 1
 # slack-histogram buckets in report order: sign, then decades 1e-18 .. 1e+03
 _BUCKETS = ("negative", "zero") + tuple(f"1e{e:+03d}" for e in range(-18, 4))
 
+# lower edges of the decades 1e-17 .. 1e+03, the doubles nearest the powers of
+# ten; a positive slack below 1e-17 counts in 1e-18, one above 1e+03 in 1e+03
+_DECADE_EDGES = tuple(float(f"1e{e}") for e in range(-17, 4))
+
 
 def _slack_bucket(s: float) -> int:
-    """Index in _BUCKETS of slack s's decade bucket: tightness at a glance."""
+    """Index in _BUCKETS of slack s's bucket: tightness at a glance."""
     if s < 0.0:
         return 0
     if s == 0.0:
         return 1
-    return 2 + min(21, max(0, math.floor(math.log10(s)) + 18))
+    return 2 + bisect.bisect_right(_DECADE_EDGES, s)
+
+
+def _slack_buckets(s: np.ndarray) -> np.ndarray:
+    """`_slack_bucket` of each slack: the same comparisons with the same edges."""
+    decade = 2 + np.searchsorted(_DECADE_EDGES, s, side="right")
+    return np.where(s < 0.0, 0, np.where(s == 0.0, 1, decade))
 
 
 @dataclass(slots=True)
 class CheckStats:
-    """Outcomes of one check, accumulated one attempt at a time by `add`."""
+    """Outcomes of one check, accumulated by `add` one attempt at a time or
+    by `add_verdicts` a block at a time; both build the same statistics."""
 
     name: str
     n_pass: int = 0
@@ -205,6 +221,21 @@ class CheckStats:
             self.worst_digest = digest
         self._counts[_slack_bucket(s)] += 1
 
+    def add_verdicts(self, holds: np.ndarray, slacks: np.ndarray, digest) -> None:
+        """Record a block of verdicts in attempt order: holds[i] and
+        slacks[i] are attempt i's verdict and worst slack, and digest(i) its
+        digest, built only for the block's first worst slack."""
+        passed = int(np.count_nonzero(holds))
+        self.n_pass += passed
+        self.n_fail += holds.size - passed
+        i = int(np.argmin(slacks))
+        s = float(slacks[i])
+        if self.worst_slack is None or s < self.worst_slack:
+            self.worst_slack = s
+            self.worst_digest = digest(i)
+        counts = np.bincount(_slack_buckets(slacks), minlength=len(_BUCKETS)).tolist()
+        self._counts = [a + b for a, b in zip(self._counts, counts)]
+
     @property
     def slack_histogram(self) -> tuple:
         """((bucket label, count), ...) in decade order, empty buckets left out."""
@@ -217,7 +248,8 @@ class CheckStats:
 def _run_scalar_trials(cfg: SweepConfig) -> tuple:
     """The three scalar checks, each on its own generator trial_rng(seed, 1, 0, j),
     j = 1, 2, 3. Trial k reads counter block k (four doubles): a disk pair for the
-    triangle checks, x = -0.9999 + 1.9998*u0 for the log bound."""
+    triangle checks, x = -0.9999 + 1.9998*u0 for the log bound. Each chunk of
+    trials runs through the checks' kernels at once."""
     tol = cfg.tolerances["scalar_chain"]
     scale = cfg.scalar_scale
     t_grid = cfg.t_grid
@@ -227,15 +259,19 @@ def _run_scalar_trials(cfg: SweepConfig) -> tuple:
     for start in range(0, cfg.trials, _SCALAR_CHUNK):
         n = min(_SCALAR_CHUNK, cfg.trials - start)
         tri_u, rev_u, log_u = (rng.random((n, 4)) for rng in rngs)
-        tri_pairs = _disk_pairs(tri_u, scale).tolist()
-        rev_pairs = _disk_pairs(rev_u, scale).tolist()
-        xs = (-0.9999 + 1.9998 * log_u[:, 0]).tolist()
-        for k, (c, d), (c2, d2), x in zip(range(start, start + n), tri_pairs, rev_pairs, xs):
-            digest = f"seed={cfg.seed};trial={k}"
-            tri.add(digest, scalars.check_triangle_refinement(c, d, tol=tol))
-            t = t_grid[k % len(t_grid)]
-            rev.add(f"{digest};t={t:g}", scalars.check_reverse_triangle(c2, d2, t, tol=tol))
-            log.add(f"{digest};x={x!r}", scalars.check_log_bound(x))
+        ts = np.take(t_grid, np.arange(start, start + n), mode="wrap")
+        xs = -0.9999 + 1.9998 * log_u[:, 0]
+
+        def digest(i, start=start):
+            return f"seed={cfg.seed};trial={start + i}"
+
+        _, holds, slacks = scalars._triangle_chains(*_disk_pairs(tri_u, scale).T, tol)
+        tri.add_verdicts(holds, slacks, digest)
+        _, holds, slacks = scalars._reverse_triangle_chains(
+            *_disk_pairs(rev_u, scale).T, ts, tol)
+        rev.add_verdicts(holds, slacks, lambda i: f"{digest(i)};t={ts[i]:g}")
+        _, holds, slacks = scalars._log_bound_chains(xs)
+        log.add_verdicts(holds, slacks, lambda i: f"{digest(i)};x={float(xs[i])!r}")
     return tri, rev, log
 
 
@@ -247,13 +283,14 @@ def _grid_stats(name: str, points: int, worst: float) -> CheckStats:
 
 
 def _run_grid_checks(cfg: SweepConfig) -> tuple:
+    """The mu, gamma and mu' property checks, each on its whole grid at once."""
     mono_tol = cfg.tolerances["grid_monotonicity"]
     deriv_tol = cfg.tolerances["derivative_rel"]
 
     # mu: range, monotone down then up, split at pi/2
     n = 10_000
     thetas = np.arange(1, n + 1) * (math.pi / (n + 1))
-    vals = np.array([scalars.mu(t) for t in thetas])
+    vals = scalars.mu(thetas)
     margins = [float(vals.min()) - 0.5, 1.0 - float(vals.max())]
     diffs = np.diff(vals)
     # the pair straddling pi/2 belongs to neither monotone interval
@@ -266,22 +303,21 @@ def _run_grid_checks(cfg: SweepConfig) -> tuple:
     mu_stats = _grid_stats("mu_grid_properties", n, min(margins))
 
     # gamma: range is enforced by construction; check symmetry, monotonicity,
-    # and the pinned endpoint values across the t grid
+    # and the pinned endpoint values, one row of the grid per t
     n = 2_000
     thetas = np.linspace(0.0, math.pi, n + 1)
-    margins = []
+    ts = np.array(cfg.t_grid)[:, None]
+    vals = scalars.gamma(ts, thetas)
+    mirror = scalars.gamma(1.0 - ts, thetas)
+    diffs = np.diff(vals, axis=1)
     left = thetas[1:] <= math.pi / 2.0
     right = thetas[:-1] >= math.pi / 2.0
-    for t in cfg.t_grid:
-        vals = np.array([scalars.gamma(t, th) for th in thetas])
-        mirror = np.array([scalars.gamma(1.0 - t, th) for th in thetas])
-        # rounding of 1-t is amplified by the 1/(2*r_t) factor
-        margins.append(1e-14 - float(np.max(np.abs(vals - mirror))))
-        diffs = np.diff(vals)
-        margins.append(mono_tol - float(diffs[left].max()))
-        margins.append(mono_tol + float(diffs[right].min()))
-        margins.append(1e-15 - float(abs(vals[0] - 1.0)))
-        margins.append(1e-15 - float(abs(vals[-1] - 1.0)))
+    margins = [
+        1e-14 - float(np.max(np.abs(vals - mirror))),
+        mono_tol - float(diffs[:, left].max()),
+        mono_tol + float(diffs[:, right].min()),
+        1e-15 - float(np.max(np.abs(vals[:, [0, -1]] - 1.0))),
+    ]
     gamma_stats = _grid_stats("gamma_grid_properties", n, min(margins))
 
     # mu': closed form vs central finite differences, and nu <= 0
@@ -290,13 +326,10 @@ def _run_grid_checks(cfg: SweepConfig) -> tuple:
         np.linspace(0.01, math.pi / 2.0 - 0.01, 1_000),
         np.linspace(math.pi / 2.0 + 0.01, math.pi - 0.01, 1_000),
     ])
-    worst = math.inf
-    for th in grid:
-        an = scalars.mu_derivative(float(th))
-        fd = (scalars.mu(float(th) + h) - scalars.mu(float(th) - h)) / (2.0 * h)
-        rel = abs(an - fd) / max(abs(an), 1e-300)
-        worst = min(worst, deriv_tol - rel)
-        worst = min(worst, -scalars.nu(float(th)) + 1e-15)
+    an = scalars._mu_derivatives(grid)
+    fd = (scalars.mu(grid + h) - scalars.mu(grid - h)) / (2.0 * h)
+    rel = np.abs(an - fd) / np.maximum(np.abs(an), 1e-300)
+    worst = min(deriv_tol - float(rel.max()), 1e-15 - float(scalars._nus(grid).max()))
     return mu_stats, gamma_stats, _grid_stats("mu_derivative_consistency", grid.size, worst)
 
 

@@ -21,6 +21,9 @@ of every check lives in one kernel that broadcasts over leading axes: the
 harness runs it on blocks of trials, each public check on its one validated
 input, and both give the same bits. theta_x has one formula, the cos(theta)
 of `_aux_terms`' auxiliary vectors; the checks and `angle_profile` share it.
+The mixed Schwarz and geometric-mean chains are homogeneous of degree 1 in
+A, so their public checks judge an A with ||A|| outside [2^-256, 2^256] at a
+power-of-two unit scale, where no power of sigma leaves the double range.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .linalg import (
     _spectral_norms,
     _vdots,
 )
-from .scalars import ChainReport, _chain, gamma, mu
+from .scalars import ChainReport, _chain, _scaled_back, gamma, mu
 
 __all__ = [
     "AngleProfile",
@@ -76,6 +79,11 @@ GEOMEAN_EQUALITY_TOL = 1e-10
 # auxiliary vectors shorter than this times sigma_max^p (their largest
 # possible norm) leave theta undefined; such trials are reported, not failed
 _AUX_DEGENERATE_TOL = 1e-12
+
+# ||A|| outside this range takes the chains through A to a power-of-two unit
+# scale: beyond it the squares in `_norms` and the spectra sigma^2v can leave
+# the double range
+_UNIT_SCALE_RANGE = (2.0**-256, 2.0**256)
 
 _MASK64 = (1 << 64) - 1
 _PROFILE_STREAM = 0x70726F66  # fixed second key word for angle_profile draws
@@ -256,6 +264,30 @@ def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol) -> ChainRep
     return replace(report, terms=terms)
 
 
+def _unit_scaled_frame(A):
+    """(k, A*2^k, its polar frame): k = 0 where ||A|| lies in
+    `_UNIT_SCALE_RANGE`, else k puts A's largest real or imaginary part in
+    [1/2, 1) (exact, unless parts fall below the double range). The mixed
+    Schwarz and geometric-mean chains are homogeneous of degree 1 in A, so
+    they are judged at that scale and read back by `_scaled_report`."""
+    frame = _polar_frames(A)
+    top = frame.sigma[0]
+    if top == 0.0 or _UNIT_SCALE_RANGE[0] <= top <= _UNIT_SCALE_RANGE[1]:
+        return 0, A, frame
+    k = -math.frexp(float(np.max(np.abs(np.stack([A.real, A.imag])))))[1]
+    A = np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
+    return k, A, _polar_frames(A)
+
+
+def _scaled_report(report: ChainReport, k: int) -> ChainReport:
+    """A report judged at A*2^k read back at A's scale: its terms and worst
+    slack times 2^-k, inf where they leave the double range."""
+    if not k:
+        return report
+    terms = tuple((name, _scaled_back(value, k)) for name, value in report.terms)
+    return replace(report, terms=terms, worst_slack=_scaled_back(report.worst_slack, k))
+
+
 # --- public checks -----------------------------------------------------------
 
 
@@ -267,7 +299,8 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
     theta = angle(|A|^v x, |A|^(1-v) U* y). The last link is the unrefined
     bound. A link fails below -tol*||A|| ||x|| ||y||: `tol` is relative to
     the chain's scale, which bounds the rounding of every term.
-    Degenerate auxiliary vectors give an angle-undefined report.
+    Degenerate auxiliary vectors give an angle-undefined report. An A with
+    ||A|| outside [2^-256, 2^256] is judged at a power-of-two unit scale.
     """
     A = _as_square(A, "check_mixed_schwarz")
     xv = _as_vector(x, "check_mixed_schwarz")
@@ -277,8 +310,9 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
     ny = float(_norms(yv))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("check_mixed_schwarz: x and y must be nonzero")
-    terms = map(float, _schwarz_terms(A, _polar_frames(A), v, xv, yv))
-    return _mixed_schwarz_report(*terms, v, nx, ny, tol)
+    k, A, frame = _unit_scaled_frame(A)
+    terms = map(float, _schwarz_terms(A, frame, v, xv, yv))
+    return _scaled_report(_mixed_schwarz_report(*terms, v, nx, ny, tol), k)
 
 
 def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
@@ -330,11 +364,13 @@ def check_geomean_lower(
     sqrt(<Ax,x><Bx,x>); the last is an exact equality by the definition of
     theta_x and is verified two-sided within equality_tol*||A||. The first
     link fails below -tol*||A||: both tolerances are relative to that scale.
+    An A with ||A|| outside [2^-256, 2^256] is judged at a power-of-two unit
+    scale.
     """
     A = _as_square(A, "check_geomean_lower")
     xv = _require_unit(_as_vector(x, "check_geomean_lower"), "check_geomean_lower")
     v = _validate_v(v, "check_geomean_lower")
-    frame = _polar_frames(A)
+    k, A, frame = _unit_scaled_frame(A)
     form, lam_p, lam_q = _geomean_forms(frame, v, xv)
     try:
         _require_pd(lam_p, "first operand")
@@ -345,7 +381,7 @@ def check_geomean_lower(
             f"(invertible A): {err}"
         ) from err
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
-    return _geomean_report(float(form), *terms, v, tol, equality_tol)
+    return _scaled_report(_geomean_report(float(form), *terms, v, tol, equality_tol), k)
 
 
 def kittaneh_bound(A, v: float = 0.5) -> float:

@@ -269,6 +269,28 @@ def test_operator_blocks_report_what_the_public_checks_report():
     assert got == expected
 
 
+def test_scalar_blocks_report_what_the_public_checks_report():
+    # the scalar kernels against the public checks, one trial at a time
+    cfg = SweepConfig(seed=11, trials=2500)
+    tol = cfg.tolerances["scalar_chain"]
+    tri, rev, log = (CheckStats(name) for name in
+                     ("triangle_refinement", "reverse_triangle", "log_bound"))
+    rngs = [trial_rng(cfg.seed, 1, 0, j) for j in (1, 2, 3)]
+    for k in range(cfg.trials):
+        digest = f"seed={cfg.seed};trial={k}"
+        c, d = gen_instance(rngs[0], "scalar-pair", 0, cfg.scalar_scale)
+        tri.add(digest, scalars.check_triangle_refinement(c, d, tol))
+        c, d = gen_instance(rngs[1], "scalar-pair", 0, cfg.scalar_scale)
+        t = cfg.t_grid[k % len(cfg.t_grid)]
+        rev.add(f"{digest};t={t:g}", scalars.check_reverse_triangle(c, d, t, tol))
+        x = -0.9999 + 1.9998 * float(rngs[2].random(4)[0])  # trial k reads counter block k
+        log.add(f"{digest};x={x!r}", scalars.check_log_bound(x))
+    expected = summary_to_dict(SuiteSummary(cfg, (tri, rev, log), 0.0), include_wall=False)
+    got = summary_to_dict(SuiteSummary(cfg, harness._run_scalar_trials(cfg), 0.0),
+                          include_wall=False)
+    assert got == expected
+
+
 def test_operator_trials_run_in_bounded_memory():
     harness._run_operator_trials(SweepConfig(operator_trials=5))  # first-call allocations
     tracemalloc.start()
@@ -302,6 +324,43 @@ def test_check_stats_add_counts_buckets_and_keeps_first_worst():
     assert [list(b) for b in stats.slack_histogram] == expected
     summary = SuiteSummary(config=SweepConfig(**SMALL), checks=(stats,), wall_ms=0.0)
     assert summary_to_dict(summary)["checks"][0]["slack_histogram"] == expected
+
+
+def _slack_probes():
+    """Slacks at and next to every decade edge, signed zeros, negatives,
+    subnormals, and a tie for the worst slack."""
+    edges = [float(f"1e{e}") for e in range(-18, 4)]
+    probes = edges + [float(np.nextafter(x, 0.0)) for x in edges] + [
+        float(np.nextafter(x, np.inf)) for x in edges]
+    probes += [0.0, -0.0, 5e-324, 2.5e-310, -5e-324, -1e-20, -3.0, 5e4, -3.0, 7e-19]
+    return probes
+
+
+@pytest.mark.parametrize("block", [1, 5, 1000])
+def test_add_verdicts_builds_what_add_builds(block):
+    slacks = _slack_probes()
+    holds = [i % 3 != 0 for i in range(len(slacks))]
+    one_by_one, blocked = CheckStats("probe"), CheckStats("probe")
+    for i, (h, s) in enumerate(zip(holds, slacks)):
+        one_by_one.add(f"attempt {i}", ChainReport((), h, s))
+    for start in range(0, len(slacks), block):
+        blocked.add_verdicts(np.array(holds[start:start + block]),
+                             np.array(slacks[start:start + block]),
+                             lambda i, start=start: f"attempt {start + i}")
+    assert blocked == one_by_one
+    assert blocked.slack_histogram == one_by_one.slack_histogram
+    # the first of the two -3.0 slacks is the worst
+    assert (blocked.worst_slack, blocked.worst_digest) == (-3.0, f"attempt {slacks.index(-3.0)}")
+
+
+def test_decade_buckets_read_the_doubles_nearest_the_powers_of_ten():
+    stats = CheckStats("probe")
+    for e in (-18, -5, 3):
+        edge = float(f"1e{e}")
+        stats.add("", ChainReport((), True, edge))
+        stats.add("", ChainReport((), True, float(np.nextafter(edge, 0.0))))
+    assert [list(b) for b in stats.slack_histogram] == [
+        ["1e-18", 2], ["1e-06", 1], ["1e-05", 1], ["1e+02", 1], ["1e+03", 1]]
 
 
 # --- reports -------------------------------------------------------------------

@@ -198,6 +198,32 @@ def test_chain_verdicts_do_not_depend_on_the_scale_of_A(monkeypatch):
     assert verdicts() == {(False, False)}
 
 
+def test_chains_through_A_are_judged_at_a_unit_scale():
+    # |A|^v x and the spectra sigma^2v leave the double range beyond ||A|| ~ 1e154:
+    # mixed Schwarz passed on terms (1e200, inf, inf), and the geometric-mean
+    # check refused an invertible A; at 1e-200 the angle was undefined
+    e1 = np.array([1.0, 0.0])
+    for scale in (1e200, 1e-200):
+        A = scale * np.diag([1.0, 0.5])
+        for rep in (check_mixed_schwarz(A, e1, e1, 1.0), check_geomean_lower(A, 1.0, e1)):
+            assert rep.outcome == "pass", rep
+            assert all(value == pytest.approx(scale, rel=1e-14) for _, value in rep.terms), rep
+    # the reports of A*2^+-700 are those of A, read back exactly: A's largest
+    # part already lies in [1/2, 1)
+    rng = np.random.default_rng(17)
+    G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    A = G / (2.0 ** math.ceil(math.log2(np.abs(np.stack([G.real, G.imag])).max() * 1.0001)))
+    x = gen_instance(rng, "unit-vector", 4)
+    y = gen_instance(rng, "unit-vector", 4)
+    for k in (700, -700):
+        Ak = np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
+        for check in (lambda M: check_mixed_schwarz(M, x, y, 0.3),
+                      lambda M: check_geomean_lower(M, 0.3, x)):
+            rep, rep_k = check(A), check(Ak)
+            assert rep_k.terms == tuple((n, math.ldexp(v, k)) for n, v in rep.terms)
+            assert (rep_k.holds, rep_k.worst_slack) == (rep.holds, math.ldexp(rep.worst_slack, k))
+
+
 def test_chains_hold_with_x_near_the_smallest_singular_direction():
     # the terms round at about eps*||A||, far above the auxiliary norms'
     # product n1*n2 when x lies in the small singular directions of A

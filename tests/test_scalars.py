@@ -182,6 +182,45 @@ def test_segment_matches_mpmath_in_adversarial_regimes():
         assert abs(segment_mean_abs(c, d) - ref) <= 1e-14 * ref, (c, d, ref)
 
 
+def test_segment_kernels_give_the_one_pair_routes_bits():
+    # 6,000 adversarial pairs as one array, against the public functions
+    rng = np.random.default_rng(20261019)
+    pairs = _adversarial_segments(rng, 750)
+    c = np.array([p[0] for p in pairs])
+    d = np.array([p[1] for p in pairs])
+    means = scalars._segment_means(c.real, c.imag, d.real, d.imag)
+    assert means.tolist() == [segment_mean_abs(*p) for p in pairs]
+    terms, holds, worst = scalars._triangle_chains(c, d, scalars.SCALAR_REL_TOL)
+    for i, p in enumerate(pairs):
+        rep = check_triangle_refinement(*p)
+        assert rep.terms == tuple(zip(("lhs", "mid", "rhs"), (float(t[i]) for t in terms)))
+        assert (rep.holds, rep.worst_slack) == (bool(holds[i]), float(worst[i]))
+
+
+def test_triangle_chain_has_no_link_below_its_tolerance_under_search():
+    # a fixed-seed Nelder-Mead search for the smallest relative slack over
+    # d = c + e*10^s, short segments included
+    optimize = pytest.importorskip("scipy.optimize")
+    tol = scalars.SCALAR_REL_TOL
+
+    def relative_slack(p):
+        c = complex(p[0], p[1])
+        d = c + complex(p[2], p[3]) * 10.0 ** min(0.0, max(-16.0, p[4]))
+        rep = check_triangle_refinement(c, d, tol)
+        rhs = rep.terms[2][1]
+        return rep.worst_slack / rhs if rhs else 0.0
+
+    rng = np.random.default_rng(41)
+    found = []
+    for _ in range(12):
+        start = np.concatenate([rng.uniform(-10.0, 10.0, 4), rng.uniform(-16.0, 0.0, 1)])
+        result = optimize.minimize(relative_slack, start, method="Nelder-Mead",
+                                   options={"maxfev": 1500, "xatol": 1e-14, "fatol": 1e-18})
+        found.append(result.fun)
+    assert min(found) >= -tol
+    assert min(found) <= 1e-12  # the search reaches the chain's tight cases
+
+
 def test_segment_bounds_sweep():
     rng = np.random.default_rng(7)
     cs, ds = random_disk_pairs(rng, 10_000)
@@ -385,9 +424,9 @@ def test_triangle_chains_hold_on_subnormal_ends(c, d):
 def test_log_bound_fails_a_wrong_term_near_zero(monkeypatch):
     # at x = 1e-6 the margin is 8x^3/3 = 2.7e-18, against terms of 2e-6
     assert check_log_bound(1e-6).holds and check_log_bound(-1e-6).holds
-    wrong = types.SimpleNamespace(**vars(math))
-    wrong.log1p = lambda v: math.log1p(v) * (1.0 - 1e-7)
-    monkeypatch.setattr(scalars, "math", wrong)
+    wrong = types.SimpleNamespace(**vars(np))
+    wrong.log1p = lambda v: np.log1p(v) * (1.0 - 1e-7)
+    monkeypatch.setattr(scalars, "np", wrong)
     assert not check_log_bound(1e-6).holds
     assert not check_log_bound(-1e-6).holds
 
@@ -450,6 +489,51 @@ def test_mu_matches_quadrature_at_pi_4():
 def test_mu_rejects_nonfinite(theta):
     with pytest.raises(ValueError):
         mu(theta)
+
+
+def _mu_gamma_strategies():
+    st = pytest.importorskip("hypothesis.strategies")
+    near = st.floats(1e-12, 1e-2)
+    thetas = st.one_of(
+        st.floats(0.0, math.pi, exclude_min=True, exclude_max=True),
+        near,
+        near.map(lambda e: math.pi / 2.0 - e),
+        near.map(lambda e: math.pi / 2.0 + e),
+        near.map(lambda e: math.pi - e),
+    )
+    return thetas, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+def test_mu_and_gamma_match_mpmath_on_both_routes():
+    # the float (math) route and the array (numpy) route, each within 1e-14
+    # relative of a high-precision value, and of each other
+    hypothesis = pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    thetas, ts = _mu_gamma_strategies()
+
+    def close(value, ref):
+        return abs(value - ref) <= 1e-14 * abs(ref)
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(theta=thetas, t=ts)
+    def check(theta, t):
+        # 1,600 bits hold 1 - 2t and the cancellation in gamma's definition
+        # for every double t in (0, 1)
+        with mpmath.workprec(1600):
+            th, tt = mpmath.mpf(theta), mpmath.mpf(t)
+            s, c = mpmath.sin(th), mpmath.cos(th)
+            ref_mu = (2 + c * c / s * mpmath.log((1 + s) / (1 - s))) / 4
+            root = mpmath.sqrt(c * c + (2 * tt - 1) ** 2 * s * s)
+            ref_gamma = 1 - (1 - root) / (2 * min(tt, 1 - tt))
+        ref_mu, ref_gamma = float(ref_mu), float(ref_gamma)
+        values = (mu(theta), float(mu(np.array([theta]))[0]))
+        assert all(close(v, ref_mu) for v in values), (theta, values, ref_mu)
+        assert close(values[1], values[0])
+        values = (gamma(t, theta), float(gamma(np.array([t]), np.array([theta]))[0]))
+        assert all(close(v, ref_gamma) for v in values), (t, theta, values, ref_gamma)
+        assert close(values[1], values[0])
+
+    check()
 
 
 # --- nu and mu' --------------------------------------------------------------
