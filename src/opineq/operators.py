@@ -23,7 +23,9 @@ input, and both give the same bits. theta_x has one formula, the cos(theta)
 of `_aux_terms`' auxiliary vectors; the checks and `angle_profile` share it.
 The mixed Schwarz and geometric-mean chains are homogeneous of degree 1 in
 A, so their public checks judge an A with ||A|| outside [2^-256, 2^256] at a
-power-of-two unit scale, where no power of sigma leaves the double range.
+power-of-two unit scale, where no power of sigma leaves the double range;
+the mixed Schwarz and reverse Cauchy-Schwarz chains are homogeneous of
+degree 1 in x and in y too, and judge their vectors the same way.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ from .linalg import (
     _spectral_norms,
     _vdots,
 )
-from .scalars import ChainReport, _chain, _scaled_back, gamma, mu
+from .scalars import ChainReport, _chain, _scaled_report, gamma, mu
 
 __all__ = [
     "AngleProfile",
@@ -80,9 +82,9 @@ GEOMEAN_EQUALITY_TOL = 1e-10
 # possible norm) leave theta undefined; such trials are reported, not failed
 _AUX_DEGENERATE_TOL = 1e-12
 
-# ||A|| outside this range takes the chains through A to a power-of-two unit
-# scale: beyond it the squares in `_norms` and the spectra sigma^2v can leave
-# the double range
+# a norm of A, x or y outside this range takes the chains through it to a
+# power-of-two unit scale: beyond it the squares in `_norms`, the products of
+# norms and the spectra sigma^2v can leave the double range
 _UNIT_SCALE_RANGE = (2.0**-256, 2.0**256)
 
 _MASK64 = (1 << 64) - 1
@@ -264,28 +266,32 @@ def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol) -> ChainRep
     return replace(report, terms=terms)
 
 
+def _unit_scaled_array(M, norm: float):
+    """(k, M*2^k): k = 0 where the norm of M lies in `_UNIT_SCALE_RANGE`, else
+    k puts M's largest real or imaginary part in [1/2, 1) (exact, unless parts
+    fall below the double range). The chains are homogeneous of degree 1 in
+    each of A, x and y, so they are judged at that scale and read back by
+    `scalars._scaled_report`."""
+    if _UNIT_SCALE_RANGE[0] <= norm <= _UNIT_SCALE_RANGE[1]:
+        return 0, M
+    k = -math.frexp(float(np.max(np.abs(np.stack([M.real, M.imag])))))[1]  # 0 for M = 0
+    return k, np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
+
+
 def _unit_scaled_frame(A):
-    """(k, A*2^k, its polar frame): k = 0 where ||A|| lies in
-    `_UNIT_SCALE_RANGE`, else k puts A's largest real or imaginary part in
-    [1/2, 1) (exact, unless parts fall below the double range). The mixed
-    Schwarz and geometric-mean chains are homogeneous of degree 1 in A, so
-    they are judged at that scale and read back by `_scaled_report`."""
+    """(k, A*2^k, its polar frame), k from `_unit_scaled_array` at ||A||."""
     frame = _polar_frames(A)
-    top = frame.sigma[0]
-    if top == 0.0 or _UNIT_SCALE_RANGE[0] <= top <= _UNIT_SCALE_RANGE[1]:
-        return 0, A, frame
-    k = -math.frexp(float(np.max(np.abs(np.stack([A.real, A.imag])))))[1]
-    A = np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
-    return k, A, _polar_frames(A)
+    k, A = _unit_scaled_array(A, frame.sigma[0])
+    return k, A, _polar_frames(A) if k else frame
 
 
-def _scaled_report(report: ChainReport, k: int) -> ChainReport:
-    """A report judged at A*2^k read back at A's scale: its terms and worst
-    slack times 2^-k, inf where they leave the double range."""
-    if not k:
-        return report
-    terms = tuple((name, _scaled_back(value, k)) for name, value in report.terms)
-    return replace(report, terms=terms, worst_slack=_scaled_back(report.worst_slack, k))
+def _unit_scaled_vector(x):
+    """(k, x*2^k, its norm), k from `_unit_scaled_array` at ||x||; the norm is
+    0 only for x = 0."""
+    with np.errstate(over="ignore"):  # an inf norm is one to rescale
+        norm = float(_norms(x))
+    k, x = _unit_scaled_array(x, norm)
+    return k, x, float(_norms(x)) if k else norm
 
 
 # --- public checks -----------------------------------------------------------
@@ -299,20 +305,19 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
     theta = angle(|A|^v x, |A|^(1-v) U* y). The last link is the unrefined
     bound. A link fails below -tol*||A|| ||x|| ||y||: `tol` is relative to
     the chain's scale, which bounds the rounding of every term.
-    Degenerate auxiliary vectors give an angle-undefined report. An A with
-    ||A|| outside [2^-256, 2^256] is judged at a power-of-two unit scale.
+    Degenerate auxiliary vectors give an angle-undefined report. Each of A,
+    x and y whose norm lies outside [2^-256, 2^256] is judged at a
+    power-of-two unit scale.
     """
     A = _as_square(A, "check_mixed_schwarz")
-    xv = _as_vector(x, "check_mixed_schwarz")
-    yv = _as_vector(y, "check_mixed_schwarz")
+    kx, xv, nx = _unit_scaled_vector(_as_vector(x, "check_mixed_schwarz"))
+    ky, yv, ny = _unit_scaled_vector(_as_vector(y, "check_mixed_schwarz"))
     v = _validate_v(v, "check_mixed_schwarz")
-    nx = float(_norms(xv))
-    ny = float(_norms(yv))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("check_mixed_schwarz: x and y must be nonzero")
     k, A, frame = _unit_scaled_frame(A)
     terms = map(float, _schwarz_terms(A, frame, v, xv, yv))
-    return _scaled_report(_mixed_schwarz_report(*terms, v, nx, ny, tol), k)
+    return _scaled_report(_mixed_schwarz_report(*terms, v, nx, ny, tol), k + kx + ky)
 
 
 def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
@@ -341,17 +346,21 @@ def check_reverse_cs(
     gamma_(1/2)(theta) ||x|| ||y|| recovers |<x,y>| exactly (within
     equality_tol * ||x|| ||y||) by the definition of the angle. A link fails
     below -tol * ||x|| ||y||: both tolerances are relative to that scale.
+    Each of x and y whose norm lies outside [2^-256, 2^256] is judged at a
+    power-of-two unit scale.
     """
     xv = _as_vector(x, "check_reverse_cs")
     yv = _as_vector(y, "check_reverse_cs")
     if xv.shape != yv.shape:
         raise ValueError(f"check_reverse_cs: shape mismatch {xv.shape} vs {yv.shape}")
+    kx, xv, _ = _unit_scaled_vector(xv)
+    ky, yv, _ = _unit_scaled_vector(yv)
     nx, ny, inner = map(float, _reverse_cs_terms(xv, yv))
     if nx == 0.0 or ny == 0.0:
         raise ValueError("check_reverse_cs: x and y must be nonzero")
     if not (np.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_cs: t must lie strictly in (0, 1), got {t!r}")
-    return _reverse_cs_report(nx, ny, inner, t, tol, equality_tol)
+    return _scaled_report(_reverse_cs_report(nx, ny, inner, t, tol, equality_tol), kx + ky)
 
 
 def check_geomean_lower(

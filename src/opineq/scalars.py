@@ -11,14 +11,15 @@ by gamma_t(theta) in [0, 1]. This module evaluates all of these in closed
 form, provides an independent Gauss-Legendre route for I(c, d), and packages
 the scalar and operator inequality chains alike as `ChainReport`s.
 
-Each formula is one numpy kernel over whole arrays. The harness runs the
-kernels on blocks of trials, and most public functions run them on a stack
-of one, so both give the same bits. A stack of one costs 20-200 us in numpy
-calls, so four functions keep a one-input route beside their kernel:
-`segment_mean_abs` and `check_triangle_refinement` follow their kernels step
-for step with the same elementary operations (the same bits, which the tests
-check), and `mu` and `gamma` take a `math` route for a float, which the
-operator checks pass once per trial, and their kernel for an ndarray.
+Each quantity has one expression, with no branch window and no difference
+that cancels, in one numpy kernel over whole arrays. The harness runs the
+kernels on blocks of trials, and most public functions on a stack of one,
+so both give the same bits. A stack of one costs 20-200 us in numpy calls,
+so four functions keep a one-input route beside their kernel:
+`segment_mean_abs` (for ends whose parts lie in [1e-140, 1e140]; all other
+ends go to the kernel) and `check_triangle_refinement` follow their kernels
+step for step (the same bits, which the tests check), and `mu` and `gamma`
+take a `math` route for a float, which the operator checks pass per trial.
 """
 
 from __future__ import annotations
@@ -52,14 +53,9 @@ SCALAR_REL_TOL = 1e-12
 # default slack tolerance of the log bound, relative to |log((1+x)/(1-x))|
 _LOG_BOUND_REL_TOL = 1e-14
 
-# half-width (radians) of the windows around 0, pi/2, pi (mod pi) where mu
-# returns its limit value instead of evaluating the 0*inf closed form
-MU_BRANCH_TOL = 1e-8
-
-# mu_derivative rejects arguments this close to 0 or pi
-MU_DERIV_EDGE_TOL = 1e-8
-
-_HALF_PI = 0.5 * math.pi
+# 16k/(4k^2 - 1), k = 14, ..., 1: nu/sin^2 = -sin * sum_k of these times
+# sin^(2k-2), highest power first; below sin = 1/4, 14 terms reach 1e-17
+_NU_SERIES = tuple(16.0 * k / (4.0 * k * k - 1.0) for k in range(14, 0, -1))
 
 
 @dataclass(frozen=True)
@@ -138,6 +134,15 @@ def _scaled_back(value: float, k: int) -> float:
         return math.inf
 
 
+def _scaled_report(report: ChainReport, k: int) -> ChainReport:
+    """A homogeneous chain judged at its inputs times 2^k, read back: its
+    terms and worst slack times 2^-k, inf where they leave the double range."""
+    if not k:
+        return report
+    terms = tuple((name, _scaled_back(value, k)) for name, value in report.terms)
+    return replace(report, terms=terms, worst_slack=_scaled_back(report.worst_slack, k))
+
+
 def _unit_parts(parts, rescale):
     """(k, parts * 2^k): k puts the largest of the four part arrays
     (c.real, c.imag, d.real, d.imag) in [1/2, 1) on the rows of `rescale`,
@@ -161,14 +166,14 @@ def _segment_means(cr, ci, dr, di):
     that `segment_mean_abs` documents."""
     # rows off a branch compute values that np.where discards
     with np.errstate(all="ignore"):
-        finite = np.isfinite(cr) & np.isfinite(ci) & np.isfinite(dr) & np.isfinite(di)
-        r1 = np.maximum(np.hypot(cr, ci), np.hypot(dr, di))
+        big = functools.reduce(np.maximum, map(np.abs, (cr, ci, dr, di)))  # nan if a part is
+        finite = np.isfinite(big)
         # h*h and u0*(u1 + u0) below are second order in the inputs, and L/h,
         # L/den reach r1/h; rescale by a power of two (exact) so that none of
-        # them can overflow or lose digits to the subnormal range. The power
-        # is read off the largest part, as r1 itself may have overflowed.
+        # them can overflow or lose digits to the subnormal range. The test
+        # reads the largest part, not r1, which may itself overflow.
         k, (cr, ci, dr, di) = _unit_parts(
-            (cr, ci, dr, di), finite & ((r1 > 1e140) | ((r1 > 0.0) & (r1 < 1e-140))))
+            (cr, ci, dr, di), finite & ((big > 1e140) | ((big > 0.0) & (big < 1e-140))))
         r0, r1 = np.hypot(dr, di), np.hypot(cr, ci)
         # d is the end nearer the origin (I(c, d) = I(d, c))
         swap = r0 > r1
@@ -212,27 +217,19 @@ def segment_mean_abs(c: complex, d: complex) -> float:
     as h^2/(2*den) * asinh(z)/z, which stays below h where h^2/(2L) need not.
     At h = 0 the last term vanishes and the first two give the collinear cases.
 
-    This is the one-pair route of the kernel `_segment_means`, step for step
-    and with its asinh (np.arcsinh), so that both give the same bits; the
-    kernel on a stack of one costs about 100 us in numpy calls.
+    Finite ends whose largest real or imaginary part lies in [1e-140, 1e140]
+    take a one-pair route, step for step the kernel `_segment_means` with its
+    asinh (np.arcsinh), so that both give the same bits; all others (zero,
+    non-finite, rescaled) go to the kernel, 100 us on a stack of one.
     """
     c = complex(c)
     d = complex(d)
-    try:
-        r0, r1 = abs(d), abs(c)
-    except OverflowError:  # finite parts, but a modulus beyond the double range
-        r0, r1 = math.hypot(d.real, d.imag), math.hypot(c.real, c.imag)
+    if not (cmath.isfinite(c) and cmath.isfinite(d)
+            and 1e-140 <= max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)) <= 1e140):
+        return float(_segment_means(*_stack_of_one(c.real, c.imag, d.real, d.imag))[0])
+    r0, r1 = abs(d), abs(c)
     if r0 > r1:
         c, d, r0, r1 = d, c, r1, r0
-    if not (cmath.isfinite(c) and cmath.isfinite(d)):
-        return (r0 + r1) / 2.0  # inf/nan propagate like the endpoints
-    if r1 > 1e140 or 0.0 < r1 < 1e-140:
-        # h*h and u0*(u1 + u0) below are second order in the inputs, and L/h,
-        # L/den reach r1/h; rescale by a power of two (exact) so that none of
-        # them can overflow or lose digits to the subnormal range. The power
-        # is read off the largest part, as r1 itself may have overflowed.
-        k, c, d = _unit_scaled(c, d)
-        return _scaled_back(segment_mean_abs(c, d), k)
     e = c - d
     L = abs(e)
     if L == 0.0:
@@ -336,17 +333,6 @@ def _log_bound_chains(x, tol: float = _LOG_BOUND_REL_TOL):
     return (terms, *_chains(terms, tol, np.abs(log_ratio)))
 
 
-def _at_unit_scale(check, c: complex, d: complex, *args) -> ChainReport:
-    """check(c, d, *args) judged where the largest part of c, d lies in
-    [1/2, 1), its terms and worst slack scaled back: exact, as the triangle
-    chains are homogeneous. Below 1e-140 the terms would round on the
-    subnormal grid, where a relative allowance falls below one ulp."""
-    k, c, d = _unit_scaled(c, d)
-    report = check(c, d, *args)
-    terms = tuple((name, math.ldexp(value, -k)) for name, value in report.terms)
-    return replace(report, terms=terms, worst_slack=math.ldexp(report.worst_slack, -k))
-
-
 def check_triangle_refinement(c: complex, d: complex, tol: float = SCALAR_REL_TOL) -> ChainReport:
     """Check |c+d|/2 <= I(c, d) <= (|c|+|d|)/2: terms lhs, mid, rhs. A link
     fails below -tol*(|c|+|d|)/2: `tol` is relative to the chain's scale.
@@ -358,7 +344,10 @@ def check_triangle_refinement(c: complex, d: complex, tol: float = SCALAR_REL_TO
     abs_c = abs(c)
     abs_d = abs(d)
     if 0.0 < abs_c + abs_d < 1e-140:
-        return _at_unit_scale(check_triangle_refinement, c, d, tol)
+        # terms on the subnormal grid round beyond a relative allowance; the
+        # chain is homogeneous, so judge it at unit scale and read it back
+        k, c, d = _unit_scaled(c, d)
+        return _scaled_report(check_triangle_refinement(c, d, tol), k)
     # halve before adding, so that finite inputs near the double range stay finite
     lhs = abs(c / 2.0 + d / 2.0)
     mid = segment_mean_abs(c, d)
@@ -409,20 +398,17 @@ def _reduce_mod_pis(theta):
 
 
 def _log_ratio(s: float, c: float) -> float:
-    """log((1+s)/(1-s)) for s = sin(theta), c = cos(theta), 0 < s < 1.
-
-    Uses 1 - s = c^2/(1+s) for s near 1, where the direct difference loses
-    all significant digits.
-    """
-    if s < 0.9:
-        return math.log1p(s) - math.log1p(-s)
-    return 2.0 * math.log((1.0 + s) / abs(c))
+    """log((1+s)/(1-s)) = 2*log((1+s)/|c|) for s = sin(theta) in [0, 1),
+    c = cos(theta), read as 2*log1p(s*(1 + s/(1+|c|))/|c|) by
+    1 - |c| = s^2/(1+|c|): a sum of positive terms, which cancels nowhere."""
+    a = abs(c)
+    return 2.0 * math.log1p(s * (1.0 + s / (1.0 + a)) / a)
 
 
 def _log_ratios(s, c):
     """`_log_ratio` per element."""
-    with np.errstate(divide="ignore"):  # log1p(-1) on rows of the other branch
-        return np.where(s < 0.9, np.log1p(s) - np.log1p(-s), 2.0 * np.log((1.0 + s) / np.abs(c)))
+    a = np.abs(c)
+    return 2.0 * np.log1p(s * (1.0 + s / (1.0 + a)) / a)
 
 
 def _finite_array(value, who: str, name: str) -> np.ndarray:
@@ -438,45 +424,54 @@ def _mus(theta) -> np.ndarray:
     th = _reduce_mod_pis(_finite_array(theta, "mu", "theta"))
     s = np.sin(th)
     c = np.cos(th)
-    with np.errstate(all="ignore"):  # rows of the windows below
-        val = 0.25 * (2.0 + (c * c / s) * _log_ratios(s, c))
-    val = np.where(np.abs(th - _HALF_PI) < MU_BRANCH_TOL, 0.5, val)
-    return np.where((th < MU_BRANCH_TOL) | (math.pi - th < MU_BRANCH_TOL), 1.0, val)
+    with np.errstate(invalid="ignore"):  # 0/0 on the rows of s == 0
+        val = 0.25 * (2.0 + c * c * (_log_ratios(s, c) / s))
+    return np.where(s == 0.0, 1.0, val)
 
 
 def mu(theta):
     """Refinement factor mu(theta) = (2 + cos(t)*cot(t)*log((1+sin t)/(1-sin t)))/4.
 
     Equals I(e^{i*theta}, e^{-i*theta}); pi-periodic, decreasing on
-    [0, pi/2], increasing on [pi/2, pi], with range [1/2, 1]. Returns the
-    limit values exactly at the removable singularities: 1 at theta = 0
-    (mod pi) and 1/2 at theta = pi/2 (mod pi). An ndarray theta gives the
-    array of values, by the numpy route of the same formula.
+    [0, pi/2], increasing on [pi/2, pi], with range [1/2, 1]. Read as
+    (2 + cos^2(t) * (log ratio)/sin(t))/4, finite at every double, with
+    mu(0) = mu(pi) = 1 (the limit, where sin is 0) and mu(pi/2) = 1/2. An
+    ndarray theta gives the array of values, by the numpy route.
     """
     if isinstance(theta, np.ndarray):
         return _mus(theta)
     if not math.isfinite(theta):
         raise ValueError(f"mu: theta must be finite, got {theta!r}")
     th = _reduce_mod_pi(theta)
-    if th < MU_BRANCH_TOL or math.pi - th < MU_BRANCH_TOL:
-        return 1.0
-    if abs(th - _HALF_PI) < MU_BRANCH_TOL:
-        return 0.5
     s = math.sin(th)
+    if s == 0.0:
+        return 1.0
     c = math.cos(th)
-    return 0.25 * (2.0 + (c * c / s) * _log_ratio(s, c))
+    return 0.25 * (2.0 + c * c * (_log_ratio(s, c) / s))
+
+
+def _nus_over_sin2(theta):
+    """(sin(theta), nu(theta)/sin^2(theta)) per element of the array theta
+    in (0, pi). Below sin = 1/4 the series -16 * sum_k k*sin^(2k-1)/(4k^2-1),
+    whose terms share one sign (so nu <= 0 under rounding too); above it the
+    closed form, where 4*sin and the log term differ by over 7%."""
+    s = np.sin(theta)
+    ss = s * s
+    series = -s * np.polyval(_NU_SERIES, ss)  # Horner
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows of the series
+        closed = (4.0 * s - 2.0 * (ss + 1.0) * _log_ratios(s, np.cos(theta))) / ss
+    return s, np.where(s < 0.25, series, closed)
 
 
 def _nus(theta) -> np.ndarray:
     """`nu` of each element of the array theta, all in (0, pi)."""
-    s = np.sin(theta)
-    return 4.0 * s - 2.0 * (s * s + 1.0) * _log_ratios(s, np.cos(theta))
+    s, q = _nus_over_sin2(theta)
+    return s * (s * q)
 
 
 def _mu_derivatives(theta) -> np.ndarray:
     """`mu_derivative` of each element of the array theta, all in (0, pi)."""
-    s = np.sin(theta)
-    return np.cos(theta) / (8.0 * s * s) * _nus(theta)
+    return np.cos(theta) / 8.0 * _nus_over_sin2(theta)[1]
 
 
 def nu(theta: float) -> float:
@@ -484,8 +479,8 @@ def nu(theta: float) -> float:
 
     Defined on (0, pi) away from pi/2, where it tends to -inf; nonpositive
     everywhere there, which is what pins down the monotonicity of mu. No
-    double equals pi/2, and `_log_ratios` reads the log term without
-    cancellation, so nu is finite at every double in (0, pi).
+    double equals pi/2, and `_nus_over_sin2` reads it without cancellation,
+    so nu is finite and nonpositive at every double in (0, pi).
     """
     if not (math.isfinite(theta) and 0.0 < theta < math.pi):
         raise ValueError(f"nu: theta must lie in (0, pi), got {theta!r}")
@@ -495,17 +490,12 @@ def nu(theta: float) -> float:
 def mu_derivative(theta: float) -> float:
     """d(mu)/d(theta) = cos(t)/(8*sin^2(t)) * nu(t) on (0, pi).
 
-    Nonpositive on (0, pi/2], nonnegative on [pi/2, pi). Near pi/2 the
-    factors form 0*inf, which tends to 0; both are finite at every double,
-    so their product is the value there too.
+    Nonpositive on (0, pi/2], nonnegative on [pi/2, pi). Read as
+    cos(t)/8 * (nu/sin^2)(t), which is finite at every double in (0, pi):
+    it tends to 0 at both ends and, as 0*inf, at pi/2.
     """
-    if not math.isfinite(theta):
-        raise ValueError(f"mu_derivative: theta must be finite, got {theta!r}")
-    if not (MU_DERIV_EDGE_TOL < theta < math.pi - MU_DERIV_EDGE_TOL):
-        raise ValueError(
-            f"mu_derivative: theta must stay in (0, pi) at least {MU_DERIV_EDGE_TOL} "
-            f"away from the endpoints, got {theta!r}"
-        )
+    if not (math.isfinite(theta) and 0.0 < theta < math.pi):
+        raise ValueError(f"mu_derivative: theta must lie in (0, pi), got {theta!r}")
     return float(_mu_derivatives(*_stack_of_one(theta))[0])
 
 

@@ -220,6 +220,13 @@ def test_readme_usage_lines_parse():
             pytest.fail(f"README usage line does not parse ({exc.code}): {line}")
 
 
+def test_readme_library_example_runs():
+    # README's Python block runs as written, its asserts included
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library example", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+
+
 def test_public_names_are_pinned():
     # a name joins or leaves the package's surface only on purpose
     assert sorted(opineq.__all__) == [

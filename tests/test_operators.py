@@ -18,7 +18,7 @@ from opineq.operators import (
     check_reverse_cs,
     kittaneh_bound,
 )
-from opineq.scalars import mu
+from opineq.scalars import gamma, mu
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -220,6 +220,39 @@ def test_chains_through_A_are_judged_at_a_unit_scale():
         for check in (lambda M: check_mixed_schwarz(M, x, y, 0.3),
                       lambda M: check_geomean_lower(M, 0.3, x)):
             rep, rep_k = check(A), check(Ak)
+            assert rep_k.terms == tuple((n, math.ldexp(v, k)) for n, v in rep.terms)
+            assert (rep_k.holds, rep_k.worst_slack) == (rep.holds, math.ldexp(rep.worst_slack, k))
+
+
+def test_chains_through_x_and_y_are_judged_at_a_unit_scale(monkeypatch):
+    # a vector longer than ~1.3e154 had norm inf: reverse Cauchy-Schwarz
+    # passed vacuously on terms (0, inf, 1e200) with worst slack -inf, and
+    # mixed Schwarz reported the angle undefined
+    e1 = np.array([1.0, 0.0])
+    reports = (check_reverse_cs([1e200, 0.0], e1, 0.3),
+               check_mixed_schwarz(np.diag([1.0, 0.5]), [1e200, 0.0], e1, 0.5))
+    for rep in reports:
+        assert rep.outcome == "pass", rep
+        assert rep.terms[-1][1] == pytest.approx(1e200, rel=1e-14), rep
+        assert math.isfinite(rep.worst_slack), rep
+    # judged, not waved through: a factor 1% off fails at that length
+    monkeypatch.setattr(operators, "gamma", lambda t, theta: 1.01 * gamma(t, theta))
+    monkeypatch.setattr(operators, "mu", lambda theta: 0.99 * mu(theta))
+    assert not check_reverse_cs([1e200, 0.0], e1, 0.3).holds
+    assert not check_mixed_schwarz(np.diag([1.0, 0.5]), [1e200, 0.0], e1, 0.5).holds
+    monkeypatch.undo()
+    # the reports of x*2^+-700 are those of x, read back exactly: the largest
+    # part of x already lies in [1/2, 1)
+    rng = np.random.default_rng(23)
+    A = random_complex(rng, 3)
+    x = unit_vector(rng, 3)
+    x = x / 2.0 ** math.ceil(math.log2(np.abs(np.stack([x.real, x.imag])).max() * 1.0001))
+    y = unit_vector(rng, 3)
+    for k in (700, -700):
+        xk = np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+        for check in (lambda u: check_reverse_cs(u, y, 0.3),
+                      lambda u: check_mixed_schwarz(A, u, y, 0.3)):
+            rep, rep_k = check(x), check(xk)
             assert rep_k.terms == tuple((n, math.ldexp(v, k)) for n, v in rep.terms)
             assert (rep_k.holds, rep_k.worst_slack) == (rep.holds, math.ldexp(rep.worst_slack, k))
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 
 import numpy as np
@@ -438,8 +439,9 @@ def test_mu_branch_values():
     assert mu(0.0) == 1.0
     assert mu(math.pi) == 1.0
     assert mu(math.pi / 2.0) == 0.5
-    assert mu(1e-9) == 1.0  # inside the limit window
-    assert mu(math.pi / 2.0 + 3e-9) == 0.5
+    assert mu(1e-9) == 1.0  # 1 - 1e-18/3, rounded
+    # the correctly rounded 1,600-bit value, one ulp above 1/2
+    assert mu(math.pi / 2.0 + 3e-9) == 0.5000000000000001
 
 
 def test_mu_near_zero_limit():
@@ -543,8 +545,30 @@ def test_nu_frozen_value():
     assert nu(1.0) == pytest.approx(NU_1, rel=1e-13)
 
 
-def test_nu_vanishes_at_origin_limit():
-    assert abs(nu(1e-8)) <= 1e-7
+def test_nu_and_mu_derivative_match_mpmath_near_the_ends():
+    # nu ~ -16/3 sin^3 and mu' ~ -2/3 sin near 0 (and near pi, with mu' > 0):
+    # each within 1e-14 relative of a high-precision value wherever it is a
+    # normal double, and nu never positive, subnormal or not
+    mpmath = pytest.importorskip("mpmath")
+    normal = 0
+    # the second range keeps pi - delta off pi itself
+    for delta in np.concatenate([np.geomspace(1e-300, 0.5, 120), np.geomspace(1e-15, 0.5, 40)]):
+        for theta in (float(delta), math.pi - float(delta)):
+            if not 0.0 < theta < math.pi:
+                continue  # pi - delta rounds to pi
+            # 1,600 bits, plus 3*log2(1/sin): nu ~ sin^3 lies that far below 1 + sin
+            with mpmath.workprec(1600 + 3 * max(0, -math.frexp(math.sin(theta))[1])):
+                t = mpmath.mpf(theta)
+                s = mpmath.sin(t)
+                ref_nu = 4 * s - 2 * (s * s + 1) * mpmath.log((1 + s) / (1 - s))
+                ref_prime = mpmath.cos(t) / (8 * s * s) * ref_nu
+            value = nu(theta)
+            assert value <= 0.0, theta
+            for value, ref in ((value, ref_nu), (mu_derivative(theta), ref_prime)):
+                if abs(value) >= sys.float_info.min:
+                    normal += 1
+                    assert abs(value - ref) <= 1e-14 * abs(ref), (theta, value, ref)
+    assert normal >= 300
 
 
 def test_nu_nonpositive():
@@ -599,9 +623,12 @@ def test_nu_and_mu_derivative_match_mpmath_near_half_pi():
 
 
 def test_mu_derivative_rejects_near_endpoints():
-    for theta in (0.0, 1e-10, math.pi, math.pi - 1e-10, -1.0):
+    for theta in (0.0, math.pi, -1.0):
         with pytest.raises(ValueError):
             mu_derivative(theta)
+    # every double inside (0, pi) is valid, however near an end
+    assert mu_derivative(1e-10) == pytest.approx(-2.0 / 3.0 * 1e-10, rel=1e-14)
+    assert mu_derivative(math.pi - 1e-10) > 0.0
 
 
 # --- gamma -------------------------------------------------------------------
