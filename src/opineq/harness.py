@@ -8,14 +8,16 @@ block draws and any trial replays after `bit_generator.advance(k)`. Each
 chunk of scalar trials runs through its check's numpy kernel in `scalars`
 (the one its public function runs, or follows step for step) and enters
 its `CheckStats` at once by `add_verdicts`; the mu, gamma and mu' grid
-checks evaluate each grid as one array. Each operator trial has its own
-generator. The operator trials of one dimension
-run in blocks of stacked arrays: one stacked SVD gives every trial's polar
-frame, and each check's stacked kernel (in `operators` and `linalg`, the same
-one its public function runs) serves the whole block; the reports are then
-built trial by trial. A fixed seed reproduces the exact same trial stream
-regardless of how trials would be scheduled or blocked; the only volatile
-summary field is the wall time.
+checks evaluate each grid as one array. The operator trials of one
+dimension draw from one generator too: trial k reads a fixed run of its
+counter blocks (`_operator_draws`), so a block of trials is one draw, one
+Box-Muller transform and one stacked transform per matrix kind, and any
+trial replays alone. The operator trials run in blocks of stacked arrays:
+one stacked SVD gives every trial's polar frame, and each check's stacked
+kernel (in `operators` and `linalg`, the same one its public function runs)
+serves the whole block; the reports are then built trial by trial. A fixed
+seed reproduces the exact same trial stream regardless of how trials would
+be scheduled or blocked; the only volatile summary field is the wall time.
 """
 
 from __future__ import annotations
@@ -31,12 +33,12 @@ import numpy as np
 
 from . import operators, scalars
 from .linalg import (
+    _ct,
     _norms,
     _numerical_radii,
     _pd_refused,
     _polar_frames,
     numerical_radius,  # noqa: F401 -- no call here; the benchmark's tracer test reads it
-    polar,
 )
 from .operators import GEOMEAN_EQUALITY_TOL, OPERATOR_SLACK_TOL, REVERSE_CS_EQUALITY_TOL
 from .scalars import SCALAR_REL_TOL, ChainReport
@@ -60,8 +62,9 @@ MATRIX_KINDS = ("ginibre", "hermitian", "psd", "unitary", "nilpotent-like")
 # restricted to these
 INVERTIBLE_KINDS = ("ginibre", "hermitian", "psd", "unitary")
 
-# stream tags so every (check family, dim, trial) triple has its own key; the
-# scalar stream puts its check index 1, 2, 3 in the dim slot
+# stream tags: each sweep generator is trial_rng(seed, stream, 0, slot), with
+# the scalar check's index 1, 2, 3 or the operator dimension in the dim slot,
+# and its trials read it by counter blocks
 _SCALAR_STREAM = 1
 _OPERATOR_STREAM = 2
 
@@ -119,7 +122,8 @@ class SuiteSummary:
 
 
 def trial_rng(seed: int, stream: int, trial: int, dim: int = 0) -> np.random.Generator:
-    """Independent per-trial generator keyed by (seed, stream, dim, trial)."""
+    """Independent generator keyed by (seed, stream, dim, trial). The sweep
+    reads each of its streams as counter blocks of one such generator."""
     word = ((stream & 0xFF) << 56) | ((dim & 0xFF) << 48) | (trial & 0xFFFFFFFFFFFF)
     return operators._philox(seed, word)
 
@@ -130,6 +134,21 @@ def _disk_pairs(u: np.ndarray, scale: float) -> np.ndarray:
     radii = scale * np.sqrt(u[..., :2])
     phases = 2.0 * np.pi * u[..., 2:4]
     return radii * np.exp(1j * phases)
+
+
+def _ensemble(kind: str, G: np.ndarray) -> np.ndarray:
+    """Each Ginibre draw of the stack G (m, n, n) made into the matrix kind
+    `kind`, as `gen_instance` documents. Stacked @ and SVD give each matrix
+    the bits of its 2-D call, so a stack of one is `gen_instance`'s draw."""
+    if kind == "ginibre":
+        return G
+    if kind == "hermitian":
+        return (G + _ct(G)) / 2.0
+    if kind == "psd":
+        return _ct(G) @ G
+    if kind == "unitary":
+        return _polar_frames(G).unitary
+    return np.triu(G, 1)  # nilpotent-like
 
 
 def gen_instance(rng: np.random.Generator, kind: str, dim: int, scale: float = 10.0):
@@ -152,15 +171,7 @@ def gen_instance(rng: np.random.Generator, kind: str, dim: int, scale: float = 1
         return rng.normal(size=dim) + 1j * rng.normal(size=dim)
     if kind in MATRIX_KINDS:
         G = (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))) / np.sqrt(2.0)
-        if kind == "ginibre":
-            return G
-        if kind == "hermitian":
-            return (G + G.conj().T) / 2.0
-        if kind == "psd":
-            return G.conj().T @ G
-        if kind == "unitary":
-            return polar(G).unitary
-        return np.triu(G, 1)  # nilpotent-like
+        return _ensemble(kind, G[None])[0]
     raise ValueError(f"gen_instance: unknown kind {kind!r}")
 
 
@@ -341,15 +352,49 @@ def _rows(columns) -> list:
     return list(zip(*(column.tolist() for column in columns)))
 
 
+def _operator_draws(seed: int, dim: int, start: int, kinds) -> tuple:
+    """Operator trials start, start + 1, ... of dimension dim, one per entry
+    of `kinds` (each trial's matrix kind): the stacks (A, x, y, xv, yv).
+
+    Trial k reads m = ceil((dim^2 + 4*dim)/2) counter blocks (four doubles
+    each: two per Box-Muller pair, for the 2*dim^2 normals of A's Ginibre
+    draw and the 8*dim of its four vectors) of the one generator
+    trial_rng(seed, 2, 0, dim), from block k*m on, so a trial draws
+    the same bits in any block and replays alone. Box-Muller turns uniform
+    pairs (a_i, b_i) into the normals sqrt(-2 log(1 - a_i)) (cos, sin)(2 pi b_i):
+    the cosines, then the sines, give the real and imaginary parts of a
+    Ginibre draw G (made into A by its kind), then of x, y (normalised), xv
+    and yv in turn. Every kind's trials share one stacked transform, so the
+    unitary trials take one stacked SVD.
+    """
+    count, sq = len(kinds), dim * dim
+    half = sq + 4 * dim  # Box-Muller pairs per trial
+    m = -(-half // 2)
+    rng = trial_rng(seed, _OPERATOR_STREAM, 0, dim)
+    rng.bit_generator.advance(start * m)
+    u = rng.random((count, 4 * m))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :half]))
+    angle = 2.0 * np.pi * u[:, half:2 * half]
+    re, im = radius * np.cos(angle), radius * np.sin(angle)
+    G = (re[:, :sq] + 1j * im[:, :sq]).reshape(count, dim, dim) / np.sqrt(2.0)
+    A = np.empty_like(G)
+    kinds = np.array(kinds)
+    for kind in dict.fromkeys(kinds.tolist()):
+        rows = kinds == kind
+        A[rows] = _ensemble(kind, G[rows])
+    vectors = (re[:, sq:] + 1j * im[:, sq:]).reshape(count, 4, dim)
+    X, Y, XV, YV = np.ascontiguousarray(vectors.swapaxes(0, 1))
+    return A, X / _norms(X)[:, None], Y / _norms(Y)[:, None], XV, YV
+
+
 def _run_operator_trials(cfg: SweepConfig) -> tuple:
     """The operator checks, dimension by dimension, in blocks of stacked trials.
 
-    Trial k of dimension n draws A and its four vectors from its own
-    generator trial_rng(seed, 2, k, n). A block shares one stacked SVD (the
-    polar frames of every A, whose top singular values are the norms ||A||)
-    and one call of each check's stacked kernel;
-    each trial's reports are then built from its own values, so the block
-    size changes no value.
+    Each block draws its trials at once by `_operator_draws`, shares one
+    stacked SVD (the polar frames of every A, whose top singular values are
+    the norms ||A||) and one call of each check's stacked kernel; each
+    trial's reports are then built from its own values, so the block size
+    changes no value.
     """
     tol_op = cfg.tolerances["operator_chain"]
     tol_rad = cfg.tolerances["radius"]
@@ -365,12 +410,7 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
             kinds = [cfg.ensembles[k % len(cfg.ensembles)] for k in ks]
             vs = [cfg.v_grid[k % len(cfg.v_grid)] for k in ks]
             ts = [cfg.t_grid[k % len(cfg.t_grid)] for k in ks]
-            draws = []
-            for k, kind in zip(ks, kinds):
-                rng = trial_rng(cfg.seed, _OPERATOR_STREAM, k, dim)
-                draws.append([gen_instance(rng, kind, dim)] + [gen_instance(rng, vk, dim) for vk in (
-                    "unit-vector", "unit-vector", "vector", "vector")])
-            A, X, Y, XV, YV = (np.stack(column) for column in zip(*draws))
+            A, X, Y, XV, YV = _operator_draws(cfg.seed, dim, start, kinds)
             v = np.array(vs)
             frame = _polar_frames(A)
             mixed_rows = _rows(operators._schwarz_terms(A, frame, v, X, Y))

@@ -242,10 +242,8 @@ def test_operator_blocks_report_what_the_public_checks_report():
         for k in range(cfg.operator_trials):
             kind, v, t = (grid[k % len(grid)] for grid in (cfg.ensembles, cfg.v_grid, cfg.t_grid))
             digest = f"seed={cfg.seed};dim={dim};trial={k};kind={kind};v={v:g};t={t:g}"
-            rng = trial_rng(cfg.seed, 2, k, dim)
-            A = gen_instance(rng, kind, dim)
-            x, y, xv, yv = (gen_instance(rng, vk, dim)
-                            for vk in ("unit-vector", "unit-vector", "vector", "vector"))
+            # trial k alone, from its own counter blocks
+            A, x, y, xv, yv = (a[0] for a in harness._operator_draws(cfg.seed, dim, k, [kind]))
             op_tol = tol["operator_chain"]
             stats["mixed_schwarz"].add(digest, operators.check_mixed_schwarz(A, x, y, v, op_tol))
             stats["radius_chain"].add(digest, operators.check_radius_chain(A, v, x, op_tol))
@@ -267,6 +265,52 @@ def test_operator_blocks_report_what_the_public_checks_report():
     expected = summary_to_dict(SuiteSummary(cfg, tuple(stats.values()), 0.0), include_wall=False)
     got = summary_to_dict(run_suite(cfg, suite="operator"), include_wall=False)
     assert got == expected
+
+
+def test_operator_digest_replays_from_its_counter_block():
+    # 60 trials per dimension cross one boundary of the default block
+    cfg = SweepConfig(operator_trials=60)
+    by_name = {c.name: c for c in run_suite(cfg, suite="operator").checks}
+    for name in ("radius_chain", "mixed_schwarz"):
+        stats = by_name[name]
+        fields = dict(item.split("=") for item in stats.worst_digest.split(";"))
+        dim, k, v = int(fields["dim"]), int(fields["trial"]), float(fields["v"])
+        A, x, y, _, _ = (a[0] for a in harness._operator_draws(cfg.seed, dim, k, [fields["kind"]]))
+        if name == "radius_chain":
+            rep = operators.check_radius_chain(A, v, x)
+        else:
+            rep = operators.check_mixed_schwarz(A, x, y, v)
+        assert rep.worst_slack == stats.worst_slack, name
+
+
+def test_operator_phase_draws_each_block_at_once(monkeypatch):
+    # one generator per (dim, block), no per-trial instance draw, and one
+    # stacked SVD per block for the unitary ensemble instead of one per trial
+    cfg = SweepConfig()
+    calls = {"svd": 0, "gen_instance": 0, "trial_rng": {}}
+    svd_, trial_rng_, gen_instance_ = np.linalg.svd, harness.trial_rng, harness.gen_instance
+
+    def counting_svd(*args, **kwargs):
+        calls["svd"] += 1
+        return svd_(*args, **kwargs)
+
+    def counting_trial_rng(seed, stream, trial, dim=0):
+        calls["trial_rng"][dim] = calls["trial_rng"].get(dim, 0) + 1
+        return trial_rng_(seed, stream, trial, dim)
+
+    def counting_gen_instance(*args, **kwargs):
+        calls["gen_instance"] += 1
+        return gen_instance_(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(harness, "trial_rng", counting_trial_rng)
+    monkeypatch.setattr(harness, "gen_instance", counting_gen_instance)
+    harness._run_operator_trials(cfg)
+    blocks = -(-cfg.operator_trials // harness._OPERATOR_BLOCK)
+    assert calls["gen_instance"] == 0
+    assert set(calls["trial_rng"]) == set(cfg.dims)
+    assert max(calls["trial_rng"].values()) <= blocks, calls["trial_rng"]
+    assert calls["svd"] <= 100, calls["svd"]
 
 
 def test_scalar_blocks_report_what_the_public_checks_report():
