@@ -123,9 +123,12 @@ class SuiteSummary:
 
 def trial_rng(seed: int, stream: int, trial: int, dim: int = 0) -> np.random.Generator:
     """Independent generator keyed by (seed, stream, dim, trial). The sweep
-    reads each of its streams as counter blocks of one such generator."""
-    word = ((stream & 0xFF) << 56) | ((dim & 0xFF) << 48) | (trial & 0xFFFFFFFFFFFF)
-    return operators._philox(seed, word)
+    reads each of its streams as counter blocks of one such generator. Each
+    field must fit its bits of the key word (stream, dim 8; trial 48)."""
+    for name, value, bits in (("stream", stream, 8), ("dim", dim, 8), ("trial", trial, 48)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"trial_rng: {name} must lie in [0, 2^{bits}), got {value!r}")
+    return operators._philox(seed, (stream << 56) | (dim << 48) | trial)
 
 
 def _disk_pairs(u: np.ndarray, scale: float) -> np.ndarray:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .scalars import _scaled_back, _unit_scaled
+
 __all__ = [
     "EigSystem",
     "PolarFrame",
@@ -328,9 +330,15 @@ def numerical_radius(A) -> float:
     is at most 1e-10 or its f gains no more than rounding, and candidates
     that land within 1e-10 of each other merge. The result is the largest f
     evaluated: an attained value, so a lower estimate of w(A).
+
+    w(A) has degree 1 in A. An A whose largest real or imaginary part lies
+    outside [2^-256, 2^256], where |q_k* K x|^2 can leave the double range and
+    stop Newton early, is taken to unit scale (`scalars._unit_scaled`) and its
+    radius read back.
     """
     A = _as_square(A, "numerical_radius")
-    return float(_numerical_radii(A[None])[0])
+    k, (A,) = _unit_scaled((A,), max(np.abs(A.real).max(), np.abs(A.imag).max()))
+    return _scaled_back(float(_numerical_radii(A[None])[0]), k)
 
 
 def _numerical_radii(A: np.ndarray) -> np.ndarray:
@@ -338,7 +346,9 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
 
     Every matrix keeps its own best value, its own stop rule and its own
     candidate merge; only the eigen-solver calls are shared. So each value
-    is bit-identical to `numerical_radius` of that matrix alone.
+    is bit-identical to `numerical_radius` of that matrix alone where its
+    largest part lies in [2^-256, 2^256]; the sweep draws none beyond, so
+    this harness path takes no unit scale of its own.
     """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)

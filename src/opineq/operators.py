@@ -22,10 +22,11 @@ harness runs it on blocks of trials, each public check on its one validated
 input, and both give the same bits. theta_x has one formula, the cos(theta)
 of `_aux_terms`' auxiliary vectors; the checks and `angle_profile` share it.
 The mixed Schwarz and geometric-mean chains are homogeneous of degree 1 in
-A, so their public checks judge an A with ||A|| outside [2^-256, 2^256] at a
-power-of-two unit scale, where no power of sigma leaves the double range;
-the mixed Schwarz and reverse Cauchy-Schwarz chains are homogeneous of
-degree 1 in x and in y too, and judge their vectors the same way.
+A, so their public checks judge an A with ||A|| outside [2^-256, 2^256] at
+the unit scale of `scalars._unit_scaled`, where no power of sigma leaves the
+double range; the mixed Schwarz and reverse Cauchy-Schwarz chains are
+homogeneous of degree 1 in x and in y too, and judge their vectors the same
+way, and `angle_profile` takes its frame at A's unit scale.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .linalg import (
     _spectral_norms,
     _vdots,
 )
-from .scalars import ChainReport, _chain, _scaled_report, gamma, mu
+from .scalars import ChainReport, _chain, _scaled_report, _unit_scaled, gamma, mu
 
 __all__ = [
     "AngleProfile",
@@ -81,11 +82,6 @@ GEOMEAN_EQUALITY_TOL = 1e-10
 # auxiliary vectors shorter than this times sigma_max^p (their largest
 # possible norm) leave theta undefined; such trials are reported, not failed
 _AUX_DEGENERATE_TOL = 1e-12
-
-# a norm of A, x or y outside this range takes the chains through it to a
-# power-of-two unit scale: beyond it the squares in `_norms`, the products of
-# norms and the spectra sigma^2v can leave the double range
-_UNIT_SCALE_RANGE = (2.0**-256, 2.0**256)
 
 _MASK64 = (1 << 64) - 1
 _PROFILE_STREAM = 0x70726F66  # fixed second key word for angle_profile draws
@@ -266,31 +262,20 @@ def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol) -> ChainRep
     return replace(report, terms=terms)
 
 
-def _unit_scaled_array(M, norm: float):
-    """(k, M*2^k): k = 0 where the norm of M lies in `_UNIT_SCALE_RANGE`, else
-    k puts M's largest real or imaginary part in [1/2, 1) (exact, unless parts
-    fall below the double range). The chains are homogeneous of degree 1 in
-    each of A, x and y, so they are judged at that scale and read back by
-    `scalars._scaled_report`."""
-    if _UNIT_SCALE_RANGE[0] <= norm <= _UNIT_SCALE_RANGE[1]:
-        return 0, M
-    k = -math.frexp(float(np.max(np.abs(np.stack([M.real, M.imag])))))[1]  # 0 for M = 0
-    return k, np.ldexp(M.real, k) + 1j * np.ldexp(M.imag, k)
-
-
 def _unit_scaled_frame(A):
-    """(k, A*2^k, its polar frame), k from `_unit_scaled_array` at ||A||."""
+    """(k, A*2^k, its polar frame), k from `scalars._unit_scaled` at ||A||;
+    a chain through A, of degree 1 in it, is read back by `_scaled_report`."""
     frame = _polar_frames(A)
-    k, A = _unit_scaled_array(A, frame.sigma[0])
+    k, (A,) = _unit_scaled((A,), frame.sigma[0])
     return k, A, _polar_frames(A) if k else frame
 
 
 def _unit_scaled_vector(x):
-    """(k, x*2^k, its norm), k from `_unit_scaled_array` at ||x||; the norm is
-    0 only for x = 0."""
+    """(k, x*2^k, its norm), k from `scalars._unit_scaled` at ||x||; the norm
+    is 0 only for x = 0."""
     with np.errstate(over="ignore"):  # an inf norm is one to rescale
         norm = float(_norms(x))
-    k, x = _unit_scaled_array(x, norm)
+    k, (x,) = _unit_scaled((x,), norm)
     return k, x, float(_norms(x)) if k else norm
 
 
@@ -428,8 +413,9 @@ def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
     norms = np.linalg.norm(Z, axis=1)
     norms[norms == 0.0] = 1.0
     X = Z / norms[:, None]
-    # the chain checks' theta_x, each sample's cos(theta) as `_cos_theta` takes it
-    n1, n2, inner, top = _aux_terms(_polar_frames(A), v, X, X)
+    # the chain checks' theta_x, each sample's cos(theta) as `_cos_theta` takes it,
+    # from A at its unit scale: theta_x is the same at every scale of A
+    n1, n2, inner, top = _aux_terms(_unit_scaled_frame(A)[2], v, X, X)
     defined = (n1 > _aux_tol(top, v)) & (n2 > _aux_tol(top, 1.0 - v))
     skipped = int(samples - defined.sum())
     if not defined.any():

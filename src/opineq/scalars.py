@@ -16,10 +16,15 @@ that cancels, in one numpy kernel over whole arrays. The harness runs the
 kernels on blocks of trials, and most public functions on a stack of one,
 so both give the same bits. A stack of one costs 20-200 us in numpy calls,
 so four functions keep a one-input route beside their kernel:
-`segment_mean_abs` (for ends whose parts lie in [1e-140, 1e140]; all other
-ends go to the kernel) and `check_triangle_refinement` follow their kernels
-step for step (the same bits, which the tests check), and `mu` and `gamma`
-take a `math` route for a float, which the operator checks pass per trial.
+`segment_mean_abs` (for ends of size in [2^-256, 2^256]; all others go to
+the kernel) and `check_triangle_refinement` follow their kernels step for
+step (the same bits, which the tests check), and `mu` and `gamma` take a
+`math` route for a float, which the operator checks pass per trial.
+
+Every chain is homogeneous, so one rule serves the scalar kernels, the
+operator chains and `numerical_radius`: `_unit_scaled` takes an input whose
+size lies outside `_UNIT_RANGE` = [2^-256, 2^256] to unit scale by an exact
+power of two, and `_scaled_report` reads a chain's terms back.
 """
 
 from __future__ import annotations
@@ -56,6 +61,11 @@ _LOG_BOUND_REL_TOL = 1e-14
 # 16k/(4k^2 - 1), k = 14, ..., 1: nu/sin^2 = -sin * sum_k of these times
 # sin^(2k-2), highest power first; below sin = 1/4, 14 terms reach 1e-17
 _NU_SERIES = tuple(16.0 * k / (4.0 * k * k - 1.0) for k in range(14, 0, -1))
+
+# sizes at which a homogeneous input is taken as it is: beyond them the squares,
+# products and powers of sigma that the kernels, the operator chains and
+# `numerical_radius` form can overflow or round on the subnormal grid
+_UNIT_RANGE = (2.0**-256, 2.0**256)
 
 
 @dataclass(frozen=True)
@@ -104,11 +114,12 @@ def _chain(terms, tol: float, scale: float, equality_gaps=()) -> ChainReport:
     return ChainReport(terms, holds, worst)
 
 
-def _chains(terms, tol: float, scale):
-    """(holds, worst_slack) of each row of the chains `terms`, one array per
-    link in chain order, judged as `_chain` judges one chain."""
+def _chains(terms, tol: float, scale, k=0):
+    """(terms, holds, worst_slack) of each row of the chains `terms`, one
+    array per link in chain order, judged as `_chain` judges one chain, and
+    terms and slack read back from the `_unit_scaled` scale 2^k."""
     worst = functools.reduce(np.minimum, (b - a for a, b in zip(terms, terms[1:])))
-    return worst >= -tol * scale, worst
+    return tuple(np.ldexp(t, -k) for t in terms), worst >= -tol * scale, np.ldexp(worst, -k)
 
 
 def _report(names, terms, holds, worst) -> ChainReport:
@@ -117,12 +128,25 @@ def _report(names, terms, holds, worst) -> ChainReport:
     return ChainReport(tuple(zip(names, values)), bool(holds[0]), float(worst[0]))
 
 
-def _unit_scaled(c: complex, d: complex) -> tuple[int, complex, complex]:
-    """(k, c*2^k, d*2^k), k putting the largest real or imaginary part of c, d
-    in [1/2, 1). The products are exact unless they leave the double range."""
-    k = -math.frexp(max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))[1]
-    return (k, complex(math.ldexp(c.real, k), math.ldexp(c.imag, k)),
-            complex(math.ldexp(d.real, k), math.ldexp(d.imag, k)))
+def _unit_scaled(parts, scale):
+    """(k, [p * 2^k for p in parts]) for the numbers or arrays `parts` of one
+    homogeneous input, given a size of it that the caller holds: a float, or
+    an ndarray of one per row. k = 0 where `scale` lies in `_UNIT_RANGE` and
+    for zero or non-finite parts; elsewhere k puts the largest real or
+    imaginary part in [1/2, 1), exactly unless parts fall below the double
+    range. `_scaled_back` and `_scaled_report` read the results back."""
+    lo, hi = _UNIT_RANGE
+    rows = isinstance(scale, np.ndarray)
+    out = (scale < lo) | (scale > hi)  # False at nan, whose k is 0 anyway
+    if not (out.any() if rows else out):  # a float in range: no numpy call
+        return 0, parts
+    reals = (q for p in parts for q in ((p.real, p.imag) if np.iscomplexobj(p) else (p,)))
+    big = functools.reduce(np.maximum, (np.abs(q) if rows else np.max(np.abs(q)) for q in reals))
+    k = np.where(out, -np.frexp(big)[1], 0) if rows else -math.frexp(big)[1]  # 0 at 0, inf, nan
+    if not np.any(k):
+        return 0, parts
+    return k, [np.ldexp(p.real, k) + 1j * np.ldexp(p.imag, k) if np.iscomplexobj(p)
+               else np.ldexp(p, k) for p in parts]
 
 
 def _scaled_back(value: float, k: int) -> float:
@@ -143,19 +167,6 @@ def _scaled_report(report: ChainReport, k: int) -> ChainReport:
     return replace(report, terms=terms, worst_slack=_scaled_back(report.worst_slack, k))
 
 
-def _unit_parts(parts, rescale):
-    """(k, parts * 2^k): k puts the largest of the four part arrays
-    (c.real, c.imag, d.real, d.imag) in [1/2, 1) on the rows of `rescale`,
-    and is 0 elsewhere (0 and the parts themselves when no row is). The
-    products are exact unless they leave the double range; `_unit_scaled`
-    row by row."""
-    if not rescale.any():
-        return 0, parts
-    big = functools.reduce(np.maximum, map(np.abs, parts))
-    k = np.where(rescale, -np.frexp(big)[1], 0)
-    return k, [np.ldexp(p, k) for p in parts]
-
-
 def _stack_of_one(*values) -> list:
     """Each value as a one-element float array, for a kernel."""
     return [np.array([v], dtype=float) for v in values]
@@ -170,10 +181,9 @@ def _segment_means(cr, ci, dr, di):
         finite = np.isfinite(big)
         # h*h and u0*(u1 + u0) below are second order in the inputs, and L/h,
         # L/den reach r1/h; rescale by a power of two (exact) so that none of
-        # them can overflow or lose digits to the subnormal range. The test
+        # them can overflow or lose digits to the subnormal range. The rule
         # reads the largest part, not r1, which may itself overflow.
-        k, (cr, ci, dr, di) = _unit_parts(
-            (cr, ci, dr, di), finite & ((big > 1e140) | ((big > 0.0) & (big < 1e-140))))
+        k, (cr, ci, dr, di) = _unit_scaled((cr, ci, dr, di), big)
         r0, r1 = np.hypot(dr, di), np.hypot(cr, ci)
         # d is the end nearer the origin (I(c, d) = I(d, c))
         swap = r0 > r1
@@ -217,15 +227,14 @@ def segment_mean_abs(c: complex, d: complex) -> float:
     as h^2/(2*den) * asinh(z)/z, which stays below h where h^2/(2L) need not.
     At h = 0 the last term vanishes and the first two give the collinear cases.
 
-    Finite ends whose largest real or imaginary part lies in [1e-140, 1e140]
-    take a one-pair route, step for step the kernel `_segment_means` with its
-    asinh (np.arcsinh), so that both give the same bits; all others (zero,
-    non-finite, rescaled) go to the kernel, 100 us on a stack of one.
+    Ends whose largest real or imaginary part lies in [2^-256, 2^256] take a
+    one-pair route, step for step the kernel `_segment_means` with its asinh
+    (np.arcsinh), so that both give the same bits; all others (zero,
+    non-finite, at unit scale) go to the kernel, 100 us on a stack of one.
     """
-    c = complex(c)
-    d = complex(d)
-    if not (cmath.isfinite(c) and cmath.isfinite(d)
-            and 1e-140 <= max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)) <= 1e140):
+    c, d = complex(c), complex(d)
+    if not (cmath.isfinite(c) and cmath.isfinite(d) and _UNIT_RANGE[0]
+            <= max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)) <= _UNIT_RANGE[1]):
         return float(_segment_means(*_stack_of_one(c.real, c.imag, d.real, d.imag))[0])
     r0, r1 = abs(d), abs(c)
     if r0 > r1:
@@ -259,22 +268,23 @@ def segment_mean_abs_quadrature(c: complex, d: complex, nodes: int = 64) -> floa
     the contour: the relative error is 1e-11 or better once the ratio is at
     least 0.25, but saturates near 2e-4 when it is ~1e-4, and stays below
     1e-3 at a kink (segment through the origin). A segment that avoids the
-    origin is no promise of 1e-10 relative accuracy. The sum is taken at
-    unit scale (`_unit_scaled`) and scaled back, so it neither overflows nor
-    rounds on the subnormal grid where I(c, d) itself does not.
+    origin is no promise of 1e-10 relative accuracy. Ends whose largest part
+    lies outside `_UNIT_RANGE` are summed at unit scale (`_unit_scaled`) and
+    scaled back, so the sum neither overflows nor rounds on the subnormal
+    grid where I(c, d) itself does not.
     """
     nodes = int(nodes)
     if nodes < 2:
         raise ValueError(f"segment_mean_abs_quadrature: need nodes >= 2, got {nodes}")
     s, w = gauss_legendre_01(nodes)
-    k, c, d = _unit_scaled(complex(c), complex(d))
+    c, d = complex(c), complex(d)
+    k, (c, d) = _unit_scaled((c, d), max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))
     return _scaled_back(float(np.sum(w * np.abs(s * c + (1.0 - s) * d))), k)
 
 
 def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
     """c and d as complex numbers, each finite with a modulus that is too."""
-    c = complex(c)
-    d = complex(d)
+    c, d = complex(c), complex(d)
     # abs() raises OverflowError where the modulus leaves the double range
     if not (cmath.isfinite(c) and cmath.isfinite(d)
             and math.isfinite(math.hypot(c.real, c.imag))
@@ -286,15 +296,11 @@ def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
 
 
 def _triangle_parts(c, d):
-    """(k, parts, |c|, |d|) of the complex arrays c, d for the triangle
-    chains: where 0 < |c| + |d| < 1e-140 the parts are scaled by 2^k into
-    the unit range, as the terms would round on the subnormal grid, where a
-    relative allowance falls below one ulp. The chains are homogeneous, so
-    each is judged at that scale and its terms and slack read back."""
+    """(k, parts, |c|, |d|) of the complex arrays c, d, the parts at the
+    `_unit_scaled` scale of the largest: the triangle chains are homogeneous,
+    and on the subnormal grid one ulp exceeds a relative allowance."""
     parts = c.real, c.imag, d.real, d.imag
-    with np.errstate(over="ignore"):  # an inf sum is no tiny one
-        total = np.hypot(parts[0], parts[1]) + np.hypot(parts[2], parts[3])
-    k, parts = _unit_parts(parts, (total > 0.0) & (total < 1e-140))
+    k, parts = _unit_scaled(parts, functools.reduce(np.maximum, map(np.abs, parts)))
     return k, parts, np.hypot(parts[0], parts[1]), np.hypot(parts[2], parts[3])
 
 
@@ -306,8 +312,7 @@ def _triangle_chains(c, d, tol: float):
     lhs = np.hypot(cr / 2.0 + dr / 2.0, ci / 2.0 + di / 2.0)
     mid = _segment_means(cr, ci, dr, di)
     rhs = abs_c / 2.0 + abs_d / 2.0
-    holds, worst = _chains((lhs, mid, rhs), tol, rhs)
-    return tuple(np.ldexp(term, -k) for term in (lhs, mid, rhs)), holds, np.ldexp(worst, -k)
+    return _chains((lhs, mid, rhs), tol, rhs, k)
 
 
 def _reverse_triangle_chains(c, d, t, tol: float):
@@ -319,8 +324,7 @@ def _reverse_triangle_chains(c, d, t, tol: float):
     mixed = np.hypot((1.0 - t) * cr + t * dr, (1.0 - t) * ci + t * di)
     lhs = mean_abs - ((1.0 - t) * abs_c + t * abs_d - mixed) / (2.0 * r_t)
     mid = np.hypot(cr / 2.0 + dr / 2.0, ci / 2.0 + di / 2.0)
-    holds, worst = _chains((lhs, mid, mean_abs), tol, mean_abs)
-    return tuple(np.ldexp(term, -k) for term in (lhs, mid, mean_abs)), holds, np.ldexp(worst, -k)
+    return _chains((lhs, mid, mean_abs), tol, mean_abs, k)
 
 
 def _log_bound_chains(x, tol: float = _LOG_BOUND_REL_TOL):
@@ -330,7 +334,7 @@ def _log_bound_chains(x, tol: float = _LOG_BOUND_REL_TOL):
     log_ratio = np.log1p(x) - np.log1p(-x)
     up = x >= 0.0
     terms = np.where(up, bound, log_ratio), np.where(up, log_ratio, bound)
-    return (terms, *_chains(terms, tol, np.abs(log_ratio)))
+    return _chains(terms, tol, np.abs(log_ratio))
 
 
 def check_triangle_refinement(c: complex, d: complex, tol: float = SCALAR_REL_TOL) -> ChainReport:
@@ -341,17 +345,13 @@ def check_triangle_refinement(c: complex, d: complex, tol: float = SCALAR_REL_TO
     that both give the same bits; the kernel on a stack of one costs about
     200 us in numpy calls."""
     c, d = _finite_pair(c, d, "check_triangle_refinement")
-    abs_c = abs(c)
-    abs_d = abs(d)
-    if 0.0 < abs_c + abs_d < 1e-140:
-        # terms on the subnormal grid round beyond a relative allowance; the
-        # chain is homogeneous, so judge it at unit scale and read it back
-        k, c, d = _unit_scaled(c, d)
+    k, (c, d) = _unit_scaled((c, d), max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))
+    if k:  # the chain is homogeneous: judge it at unit scale and read it back
         return _scaled_report(check_triangle_refinement(c, d, tol), k)
     # halve before adding, so that finite inputs near the double range stay finite
     lhs = abs(c / 2.0 + d / 2.0)
     mid = segment_mean_abs(c, d)
-    rhs = abs_c / 2.0 + abs_d / 2.0
+    rhs = abs(c) / 2.0 + abs(d) / 2.0
     return _chain((("lhs", lhs), ("mid", mid), ("rhs", rhs)), tol, rhs)
 
 

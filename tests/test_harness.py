@@ -69,6 +69,18 @@ def test_gen_instance_deterministic():
     assert not np.array_equal(a, c)
 
 
+def test_trial_rng_rejects_keys_beyond_their_fields():
+    # each of these aliased another key: (1, 2, 0, 256) drew as (1, 2, 0, 0),
+    # stream 258 as stream 2, trial 2^48 as trial 0 and trial -1 as 2^48 - 1
+    for args, field in (((1, 2, 0, 256), "dim"), ((1, 258, 0, 0), "stream"),
+                        ((1, 2, 2**48, 0), "trial"), ((1, 2, -1, 0), "trial"),
+                        ((1, -1, 0, 0), "stream"), ((1, 2, 0, -1), "dim")):
+        with pytest.raises(ValueError, match=f"trial_rng: {field} must lie in"):
+            trial_rng(*args)
+    # the last key of every field is still taken
+    assert trial_rng(1, 255, 2**48 - 1, 255).random() != trial_rng(1, 255, 2**48 - 2, 255).random()
+
+
 def test_gen_instance_kinds():
     rng = trial_rng(1, 2, 3)
     H = gen_instance(rng, "hermitian", 4)

@@ -439,6 +439,23 @@ def test_radius_near_the_double_range_stays_finite():
     assert w == pytest.approx((1.0 + math.sqrt(2.0)) / 2.0 * 1e308, rel=1e-14)
 
 
+def _ldexp(A, k):
+    """A * 2^k, part by part."""
+    return np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
+
+
+def test_radius_is_read_back_from_a_unit_scale():
+    # w(A) has degree 1: beyond |k| ~ 300, |q_k* K x|^2 in the Newton curvature
+    # left the double range, and w(2^k A) came out short by up to 1.8e-6 relative
+    for n in (2, 3, 4, 5, 8):
+        for j, kind in enumerate(MATRIX_KINDS):
+            A = gen_instance(trial_rng(47, 0, j, n), kind, n)
+            A = _ldexp(A, -math.frexp(np.abs(np.stack([A.real, A.imag])).max())[1])
+            w = numerical_radius(A)
+            for k in (700, -700, 1000, -1000):
+                assert numerical_radius(_ldexp(A, k)) == math.ldexp(w, k), (n, kind, k)
+
+
 def test_radius_matches_dense_reference_on_the_ensembles():
     rng = np.random.default_rng(38)
     for n in range(1, 17):

@@ -208,14 +208,14 @@ def test_chains_through_A_are_judged_at_a_unit_scale():
         for rep in (check_mixed_schwarz(A, e1, e1, 1.0), check_geomean_lower(A, 1.0, e1)):
             assert rep.outcome == "pass", rep
             assert all(value == pytest.approx(scale, rel=1e-14) for _, value in rep.terms), rep
-    # the reports of A*2^+-700 are those of A, read back exactly: A's largest
-    # part already lies in [1/2, 1)
+    # the reports of A*2^k, |k| = 300 to 1000, are those of A, read back
+    # exactly: A's largest part already lies in [1/2, 1)
     rng = np.random.default_rng(17)
     G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     A = G / (2.0 ** math.ceil(math.log2(np.abs(np.stack([G.real, G.imag])).max() * 1.0001)))
     x = gen_instance(rng, "unit-vector", 4)
     y = gen_instance(rng, "unit-vector", 4)
-    for k in (700, -700):
+    for k in (300, -300, 700, -700, 1000, -1000):
         Ak = np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
         for check in (lambda M: check_mixed_schwarz(M, x, y, 0.3),
                       lambda M: check_geomean_lower(M, 0.3, x)):
@@ -241,14 +241,14 @@ def test_chains_through_x_and_y_are_judged_at_a_unit_scale(monkeypatch):
     assert not check_reverse_cs([1e200, 0.0], e1, 0.3).holds
     assert not check_mixed_schwarz(np.diag([1.0, 0.5]), [1e200, 0.0], e1, 0.5).holds
     monkeypatch.undo()
-    # the reports of x*2^+-700 are those of x, read back exactly: the largest
-    # part of x already lies in [1/2, 1)
+    # the reports of x*2^k, |k| = 300 to 1000, are those of x, read back
+    # exactly: the largest part of x already lies in [1/2, 1)
     rng = np.random.default_rng(23)
     A = random_complex(rng, 3)
     x = unit_vector(rng, 3)
     x = x / 2.0 ** math.ceil(math.log2(np.abs(np.stack([x.real, x.imag])).max() * 1.0001))
     y = unit_vector(rng, 3)
-    for k in (700, -700):
+    for k in (300, -300, 700, -700, 1000, -1000):
         xk = np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
         for check in (lambda u: check_reverse_cs(u, y, 0.3),
                       lambda u: check_mixed_schwarz(A, u, y, 0.3)):
@@ -437,6 +437,19 @@ def test_profile_deterministic():
     assert p1 == p2
     p3 = angle_profile(A, 0.25, 400, seed=78)
     assert p1 != p3
+
+
+def test_profile_is_the_same_at_every_scale_of_A():
+    # theta_x does not change under A -> 2^k A, yet at 1e-200 every sampled
+    # angle read as undefined for v = 0 or 1, and at 1e200 an overflow leaked
+    G = random_complex(np.random.default_rng(15), 3)
+    k0 = -math.frexp(np.abs(np.stack([G.real, G.imag])).max())[1]
+    A = np.ldexp(G.real, k0) + 1j * np.ldexp(G.imag, k0)  # largest part in [1/2, 1)
+    for v in (0.0, 1.0):
+        profile = angle_profile(A, v, 200, seed=9)
+        for k in (700, -700):
+            Ak = np.ldexp(A.real, k) + 1j * np.ldexp(A.imag, k)
+            assert angle_profile(Ak, v, 200, seed=9) == profile, (v, k)
 
 
 def test_profile_nilpotent_half_weight_collapses_to_zero():

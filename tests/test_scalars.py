@@ -170,6 +170,8 @@ def test_segment_matches_mpmath_in_adversarial_regimes():
         (1e-310 + 0j, 1e-310j),
         # h^2/(2L) beyond the double range: short segments perpendicular to the radius
         (1e140 + 1e-30j, 1e140 + 0j),
+        # largest part in (2^256, 1e140]: a one-pair route once, now at unit scale
+        (1e100 + 1e-100j, 1e100 + 0j),
         (8 + 1e-310j, 8 + 0j),
         (1e100 + 1e-250j, 1e100 + 0j),
         (1e200 + 1e-120j, 1e200 + 0j),
@@ -269,12 +271,22 @@ def test_quadrature_agreement_tight_for_separated_segments():
 
 
 def test_quadrature_is_homogeneous_across_the_double_range():
-    # summed at unit scale, so neither overflow nor the subnormal grid shows
+    # summed at unit scale, so neither overflow nor the subnormal grid shows;
+    # the closed form and both triangle chains take the same unit scale, so
+    # each reads back exactly, on the huge side (2^256 and up) as on the tiny
     c, d = 3 + 4j, 1 - 2j
     ref = segment_mean_abs_quadrature(c, d, 16)
+    mean = segment_mean_abs(c, d)
+    chains = {check_triangle_refinement: (), check_reverse_triangle: (0.3,)}
+    reports = {check: check(c, d, *args) for check, args in chains.items()}
     for k in range(-1072, 1022):
-        scaled = segment_mean_abs_quadrature(math.ldexp(1.0, k) * c, math.ldexp(1.0, k) * d, 16)
-        assert scaled == math.ldexp(ref, k)
+        ck, dk = math.ldexp(1.0, k) * c, math.ldexp(1.0, k) * d
+        assert segment_mean_abs_quadrature(ck, dk, 16) == math.ldexp(ref, k)
+        assert segment_mean_abs(ck, dk) == math.ldexp(mean, k)
+        for check, args in chains.items():
+            rep, rep_k = reports[check], check(ck, dk, *args)
+            assert rep_k.terms == tuple((n, math.ldexp(v, k)) for n, v in rep.terms), (check, k)
+            assert (rep_k.holds, rep_k.worst_slack) == (rep.holds, math.ldexp(rep.worst_slack, k))
 
 
 def test_quadrature_validates_node_count():
