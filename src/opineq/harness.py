@@ -15,17 +15,19 @@ Box-Muller transform and one stacked transform per matrix kind, and any
 trial replays alone. The operator trials run in blocks of stacked arrays:
 one stacked SVD gives every trial's polar frame, and each check's stacked
 kernel (in `operators` and `linalg`, the same one its public function runs)
-serves the whole block; the reports are then built trial by trial. A fixed
-seed reproduces the exact same trial stream regardless of how trials would
-be scheduled or blocked; the only volatile summary field is the wall time.
+serves the whole block; the reports are then built trial by trial and enter
+their `CheckStats` a block at a time, and the radius sandwich is judged as
+arrays: every verdict enters by `add_verdicts`. A fixed seed reproduces the
+exact same trial stream regardless of how trials would be scheduled or
+blocked; the only volatile summary field is the wall time.
 """
 
 from __future__ import annotations
 
-import bisect
 import csv
 import json
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -36,7 +38,6 @@ from .linalg import (
     _ct,
     _norms,
     _numerical_radii,
-    _pd_refused,
     _polar_frames,
     numerical_radius,  # noqa: F401 -- no call here; the benchmark's tracer test reads it
 )
@@ -124,7 +125,9 @@ class SuiteSummary:
 def trial_rng(seed: int, stream: int, trial: int, dim: int = 0) -> np.random.Generator:
     """Independent generator keyed by (seed, stream, dim, trial). The sweep
     reads each of its streams as counter blocks of one such generator. Each
-    field must fit its bits of the key word (stream, dim 8; trial 48)."""
+    field is an integer (a float raises TypeError: truncating it would alias
+    another key) and must fit its bits of the key word (stream, dim 8; trial 48)."""
+    stream, dim, trial = map(operator.index, (stream, dim, trial))
     for name, value, bits in (("stream", stream, 8), ("dim", dim, 8), ("trial", trial, 48)):
         if not 0 <= value < 1 << bits:
             raise ValueError(f"trial_rng: {name} must lie in [0, 2^{bits}), got {value!r}")
@@ -183,30 +186,22 @@ def gen_instance(rng: np.random.Generator, kind: str, dim: int, scale: float = 1
 # slack-histogram buckets in report order: sign, then decades 1e-18 .. 1e+03
 _BUCKETS = ("negative", "zero") + tuple(f"1e{e:+03d}" for e in range(-18, 4))
 
-# lower edges of the decades 1e-17 .. 1e+03, the doubles nearest the powers of
-# ten; a positive slack below 1e-17 counts in 1e-18, one above 1e+03 in 1e+03
-_DECADE_EDGES = tuple(float(f"1e{e}") for e in range(-17, 4))
-
-
-def _slack_bucket(s: float) -> int:
-    """Index in _BUCKETS of slack s's bucket: tightness at a glance."""
-    if s < 0.0:
-        return 0
-    if s == 0.0:
-        return 1
-    return 2 + bisect.bisect_right(_DECADE_EDGES, s)
+# lower edge of each bucket after "negative": zero (-0.0 included), the least
+# positive double, then the decades 1e-17 .. 1e+03 at the doubles nearest the
+# powers of ten; a positive slack below 1e-17 counts in 1e-18, one above
+# 1e+03 in 1e+03
+_BUCKET_EDGES = np.array([0.0, math.ulp(0.0)] + [float(f"1e{e}") for e in range(-17, 4)])
 
 
 def _slack_buckets(s: np.ndarray) -> np.ndarray:
-    """`_slack_bucket` of each slack: the same comparisons with the same edges."""
-    decade = 2 + np.searchsorted(_DECADE_EDGES, s, side="right")
-    return np.where(s < 0.0, 0, np.where(s == 0.0, 1, decade))
+    """Index in _BUCKETS of each slack's bucket: tightness at a glance."""
+    return np.searchsorted(_BUCKET_EDGES, s, side="right")
 
 
 @dataclass(slots=True)
 class CheckStats:
-    """Outcomes of one check, accumulated by `add` one attempt at a time or
-    by `add_verdicts` a block at a time; both build the same statistics."""
+    """Outcomes of one check. Every verdict enters by `add_verdicts`, a block of
+    arrays at a time; `add_reports` (a block of reports) and `add` call it."""
 
     name: str
     n_pass: int = 0
@@ -219,26 +214,26 @@ class CheckStats:
 
     def add(self, digest: str, report: ChainReport | None) -> None:
         """Record one attempt; None records a skipped one."""
-        if report is None:
-            self.n_skipped += 1
-            return
-        if report.angle_undefined:
-            self.n_undefined += 1
-            return
-        if report.holds:
-            self.n_pass += 1
-        else:
-            self.n_fail += 1
-        s = report.worst_slack
-        if self.worst_slack is None or s < self.worst_slack:
-            self.worst_slack = s
-            self.worst_digest = digest
-        self._counts[_slack_bucket(s)] += 1
+        self.add_reports([report], lambda i: digest)
+
+    def add_reports(self, reports: list, digest) -> None:
+        """Record a block of attempts in order: None counts as skipped and an
+        angle-undefined report as undefined; the verdicts of the rest enter
+        `add_verdicts`, with digest(i) the digest of attempt i of the block."""
+        judged = [i for i, r in enumerate(reports) if r is not None and not r.angle_undefined]
+        skipped = sum(r is None for r in reports)
+        self.n_skipped += skipped
+        self.n_undefined += len(reports) - skipped - len(judged)
+        self.add_verdicts(np.array([reports[i].holds for i in judged]),
+                          np.array([reports[i].worst_slack for i in judged]),
+                          lambda j: digest(judged[j]))
 
     def add_verdicts(self, holds: np.ndarray, slacks: np.ndarray, digest) -> None:
         """Record a block of verdicts in attempt order: holds[i] and
         slacks[i] are attempt i's verdict and worst slack, and digest(i) its
         digest, built only for the block's first worst slack."""
+        if not slacks.size:
+            return
         passed = int(np.count_nonzero(holds))
         self.n_pass += passed
         self.n_fail += holds.size - passed
@@ -396,8 +391,9 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
     Each block draws its trials at once by `_operator_draws`, shares one
     stacked SVD (the polar frames of every A, whose top singular values are
     the norms ||A||) and one call of each check's stacked kernel; each
-    trial's reports are then built from its own values, so the block size
-    changes no value.
+    trial's reports are then built from its own values and recorded a block
+    at a time, and the radius sandwich ||A||/2 <= w(A) <= kittaneh <= ||A||
+    is judged as arrays, so the block size changes no value.
     """
     tol_op = cfg.tolerances["operator_chain"]
     tol_rad = cfg.tolerances["radius"]
@@ -421,28 +417,29 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
             bounds = operators._kittaneh_bounds(frame, v).tolist()
             reverse_rows = _rows(operators._reverse_cs_terms(XV, YV))
             nx, ny = _norms(X).tolist(), _norms(Y).tolist()
-            geo_forms, lam_p, lam_q = operators._geomean_forms(frame, v, X)
-            geo_forms = geo_forms.tolist()
-            refused = (_pd_refused(lam_p) | _pd_refused(lam_q)).tolist()
-            sandwich_rows = _rows((_numerical_radii(A), frame.sigma[:, 0],
-                                   operators._kittaneh_bounds(frame, 0.5)))
+            geo_forms, refused = (a.tolist() for a in operators._geomean_forms(frame, v, X))
+            nrm = frame.sigma[:, 0]
 
-            for i, (k, kind, v_k, t) in enumerate(zip(ks, kinds, vs, ts)):
-                digest = f"seed={cfg.seed};dim={dim};trial={k};kind={kind};v={v_k:g};t={t:g}"
-                mixed.add(digest, operators._mixed_schwarz_report(
-                    *mixed_rows[i], v_k, nx[i], ny[i], tol_op))
-                chain.add(digest, operators._radius_chain_report(
-                    *unit_rows[i], bounds[i], v_k, tol_op))
-                rev.add(digest, operators._reverse_cs_report(*reverse_rows[i], t, tol_op, eq_tol))
-                rep = None  # skipped unless A is invertible enough
-                if kind in INVERTIBLE_KINDS and not refused[i]:
-                    rep = operators._geomean_report(
-                        geo_forms[i], *unit_rows[i], v_k, tol_op, geo_tol)
-                geo.add(digest, rep)
-                w, nrm, kb = sandwich_rows[i]
-                terms = (("half_norm", nrm / 2.0), ("radius", w),
-                         ("kittaneh", kb), ("norm", nrm))
-                sandwich.add(digest, scalars._chain(terms, tol_rad, nrm))
+            def digest(i):
+                return (f"seed={cfg.seed};dim={dim};trial={ks[i]};kind={kinds[i]};"
+                        f"v={vs[i]:g};t={ts[i]:g}")
+
+            trials = range(len(ks))
+            mixed.add_reports([operators._mixed_schwarz_report(
+                *mixed_rows[i], vs[i], nx[i], ny[i], tol_op) for i in trials], digest)
+            chain.add_reports([operators._radius_chain_report(
+                *unit_rows[i], bounds[i], vs[i], tol_op) for i in trials], digest)
+            rev.add_reports([operators._reverse_cs_report(
+                *reverse_rows[i], ts[i], tol_op, eq_tol) for i in trials], digest)
+            # skipped unless A is invertible enough
+            geo.add_reports([operators._geomean_report(
+                geo_forms[i], *unit_rows[i], vs[i], tol_op, geo_tol)
+                if kinds[i] in INVERTIBLE_KINDS and not refused[i] else None
+                for i in trials], digest)
+            _, holds, slacks = scalars._chains(
+                (nrm / 2.0, _numerical_radii(A), operators._kittaneh_bounds(frame, 0.5), nrm),
+                tol_rad, nrm)
+            sandwich.add_verdicts(holds, slacks, digest)
     return stats
 
 

@@ -233,8 +233,7 @@ def frac_power(P, p: float) -> np.ndarray:
     if not (np.isfinite(p) and p >= 0.0):
         raise ValueError(f"frac_power: exponent must be >= 0, got {p!r}")
     lam, Q = np.linalg.eigh(_hermitian_part(_require_hermitian(A, 1e-8, "frac_power")))
-    scale = max(abs(float(lam[0])), abs(float(lam[-1])))
-    clamp = PD_FLOOR_REL * scale
+    clamp = float(_pd_floor(lam))
     if lam[0] < -clamp:
         raise ValueError(
             f"frac_power: matrix is not positive semidefinite "

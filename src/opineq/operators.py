@@ -32,6 +32,7 @@ way, and `angle_profile` takes its frame at A's unit scale.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +50,6 @@ from .linalg import (
     _pd_refused,
     _polar_frames,
     _powers,
-    _require_pd,
     _spectral_norms,
     _vdots,
 )
@@ -89,8 +89,8 @@ _PROFILE_BINS = 36  # equal-width histogram bins over [0, pi/2]
 
 
 def _philox(seed: int, word: int) -> np.random.Generator:
-    """Counter-based generator keyed by the two 64-bit words (seed, word)."""
-    key = np.array([seed & _MASK64, word & _MASK64], dtype=np.uint64)
+    """Counter-based generator keyed by the two 64-bit integer words (seed, word)."""
+    key = np.array([operator.index(w) & _MASK64 for w in (seed, word)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -167,27 +167,28 @@ def _kittaneh_bounds(frame: PolarFrame, v) -> np.ndarray:
 
 
 def _geomean_forms(frame: PolarFrame, v, x):
-    """(<G x, x>, spectrum of |A|^2v, spectrum of |A*|^2(1-v)) per trial,
-    G = |A|^2v # |A*|^2(1-v), read off the frame without forming G.
+    """(<G x, x>, refused) per trial, G = |A|^2v # |A*|^2(1-v), read off the
+    frame without forming G; `refused` is the chain's one refusal rule.
 
-    The spectra are sigma^2v and sigma^2(1-v), ascending. With
-    P = |A|^2v = V sigma^2v V*, Q = |A*|^2(1-v) = W sigma^2(1-v) W* and
-    B = sigma^-v (V* W) sigma^(1-v), P^(-1/2) Q P^(-1/2) = V (B B*) V*, so
-    <G x, x> = a* (B B*)^(1/2) a with a = sigma^v V* x, which is
-    sum_k s_k |(R* a)_k|^2 for the SVD B = R diag(s) T*. The form is
-    meaningless where either spectrum is refused by `linalg._pd_refused`
-    (A not invertible enough); there sigma = 1 stands in, so it stays finite.
+    A trial is refused (A not invertible enough) where `linalg._pd_refused`
+    refuses the spectrum sigma^2v of |A|^2v or sigma^2(1-v) of |A*|^2(1-v),
+    both ascending; its form is meaningless, and sigma = 1 stands in so
+    that it stays finite. With P = |A|^2v = V sigma^2v V*,
+    Q = |A*|^2(1-v) = W sigma^2(1-v) W* and B = sigma^-v (V* W) sigma^(1-v),
+    P^(-1/2) Q P^(-1/2) = V (B B*) V*, so <G x, x> = a* (B B*)^(1/2) a with
+    a = sigma^v V* x, which is sum_k s_k |(R* a)_k|^2 for the SVD
+    B = R diag(s) T*.
     """
     lam_p = _powers(frame.sigma, 2.0 * v)[..., ::-1]
     lam_q = _powers(frame.sigma, 2.0 * (1.0 - v))[..., ::-1]
-    bad = _pd_refused(lam_p) | _pd_refused(lam_q)
-    sigma = np.where(bad[..., None], 1.0, frame.sigma)
+    refused = _pd_refused(lam_p) | _pd_refused(lam_q)
+    sigma = np.where(refused[..., None], 1.0, frame.sigma)
     a = _powers(sigma, v) * _matvecs(_ct(frame.V), x)
     B = (_powers(sigma, -v)[..., :, None] * (_ct(frame.V) @ frame.W)
          * _powers(sigma, 1.0 - v)[..., None, :])
     R, s, _ = np.linalg.svd(B)
     c = _matvecs(_ct(R), a)
-    return np.vecdot(s, c.real * c.real + c.imag * c.imag), lam_p, lam_q
+    return np.vecdot(s, c.real * c.real + c.imag * c.imag), refused
 
 
 def _reverse_cs_terms(x, y):
@@ -365,15 +366,10 @@ def check_geomean_lower(
     xv = _require_unit(_as_vector(x, "check_geomean_lower"), "check_geomean_lower")
     v = _validate_v(v, "check_geomean_lower")
     k, A, frame = _unit_scaled_frame(A)
-    form, lam_p, lam_q = _geomean_forms(frame, v, xv)
-    try:
-        _require_pd(lam_p, "first operand")
-        _require_pd(lam_q, "second operand")
-    except ValueError as err:
-        raise ValueError(
-            "check_geomean_lower: needs |A|^2v and |A*|^2(1-v) positive definite "
-            f"(invertible A): {err}"
-        ) from err
+    form, refused = _geomean_forms(frame, v, xv)
+    if refused:
+        raise ValueError("check_geomean_lower: |A|^2v or |A*|^2(1-v) is not positive definite "
+                         f"enough for the geometric mean at v = {v} (A not invertible enough)")
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
     return _scaled_report(_geomean_report(float(form), *terms, v, tol, equality_tol), k)
 

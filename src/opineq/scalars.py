@@ -279,7 +279,9 @@ def segment_mean_abs_quadrature(c: complex, d: complex, nodes: int = 64) -> floa
     s, w = gauss_legendre_01(nodes)
     c, d = complex(c), complex(d)
     k, (c, d) = _unit_scaled((c, d), max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))
-    return _scaled_back(float(np.sum(w * np.abs(s * c + (1.0 - s) * d))), k)
+    # (s + 0j)*c meets 0*inf at an infinite part of c; the modulus is inf all the same
+    with np.errstate(invalid="ignore"):
+        return _scaled_back(float(np.sum(w * np.abs(s * c + (1.0 - s) * d))), k)
 
 
 def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:

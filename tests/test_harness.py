@@ -79,6 +79,13 @@ def test_trial_rng_rejects_keys_beyond_their_fields():
             trial_rng(*args)
     # the last key of every field is still taken
     assert trial_rng(1, 255, 2**48 - 1, 255).random() != trial_rng(1, 255, 2**48 - 2, 255).random()
+    # numpy integers are the same keys as Python ints
+    for args in ((1, 2, np.int64(5), 3), (np.int64(1), 2, 0, 4), (np.uint64(2**63), np.int8(3), 7)):
+        assert trial_rng(*args).random(3).tolist() == trial_rng(*map(int, args)).random(3).tolist()
+    # a float is no key, not even an integral one: truncating 2.5 would alias trial 2
+    for args in ((1, 2, 2.5, 0), (1, 2, 2.0, 0), (1, 2.0, 0, 0), (1, 2, 0, 3.0), (1.0, 2, 0, 0)):
+        with pytest.raises(TypeError):
+            trial_rng(*args)
 
 
 def test_gen_instance_kinds():
@@ -371,6 +378,14 @@ def test_check_stats_add_counts_buckets_and_keeps_first_worst():
                           ("zero", 0.0), ("tiny", 5e-19)]:
         stats.add(digest, ChainReport((("t", 1.0),), True, slack))
     stats.add("tied-worst", ChainReport((("t", 1.0),), False, -1e-20))
+    # the same attempts as one block
+    digests = ["skipped", "undefined", "big", "mid", "first-worst", "zero", "tiny", "tied-worst"]
+    reports = [None, ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True)] + [
+        ChainReport((("t", 1.0),), True, slack) for slack in (5e4, 3e-7, -1e-20, 0.0, 5e-19)] + [
+        ChainReport((("t", 1.0),), False, -1e-20)]
+    block = CheckStats("probe")
+    block.add_reports(reports, digests.__getitem__)
+    assert block == stats
 
     assert (stats.n_pass, stats.n_fail, stats.n_undefined, stats.n_skipped) == (5, 1, 1, 1)
     assert stats.worst_slack == -1e-20
@@ -392,21 +407,37 @@ def _slack_probes():
     return probes
 
 
-@pytest.mark.parametrize("block", [1, 5, 1000])
-def test_add_verdicts_builds_what_add_builds(block):
+@pytest.mark.parametrize("block, path", [
+    pytest.param(block, path, id=str(block) if path == "verdicts" else f"{path}-{block}")
+    for path in ("verdicts", "reports") for block in (1, 5, 1000)])
+def test_add_verdicts_builds_what_add_builds(block, path):
     slacks = _slack_probes()
     holds = [i % 3 != 0 for i in range(len(slacks))]
+    reports = [ChainReport((), h, s) for h, s in zip(holds, slacks)]
+    if path == "reports":
+        # skipped and angle-undefined attempts interleaved with the verdicts
+        undefined = ChainReport((), True, -5.0, angle_undefined=True)
+        for i in range(len(reports), 0, -4):
+            reports[i:i] = [None] if i % 8 else [undefined]
     one_by_one, blocked = CheckStats("probe"), CheckStats("probe")
-    for i, (h, s) in enumerate(zip(holds, slacks)):
-        one_by_one.add(f"attempt {i}", ChainReport((), h, s))
-    for start in range(0, len(slacks), block):
-        blocked.add_verdicts(np.array(holds[start:start + block]),
-                             np.array(slacks[start:start + block]),
-                             lambda i, start=start: f"attempt {start + i}")
+    for i, report in enumerate(reports):
+        one_by_one.add(f"attempt {i}", report)
+    for start in range(0, len(reports), block):
+        if path == "verdicts":
+            blocked.add_verdicts(np.array(holds[start:start + block]),
+                                 np.array(slacks[start:start + block]),
+                                 lambda i, start=start: f"attempt {start + i}")
+        else:
+            blocked.add_reports(reports[start:start + block],
+                                lambda i, start=start: f"attempt {start + i}")
     assert blocked == one_by_one
     assert blocked.slack_histogram == one_by_one.slack_histogram
+    assert one_by_one.n_pass + one_by_one.n_fail == len(slacks)
+    if path == "reports":
+        assert one_by_one.n_skipped > 0 and one_by_one.n_undefined > 0
     # the first of the two -3.0 slacks is the worst
-    assert (blocked.worst_slack, blocked.worst_digest) == (-3.0, f"attempt {slacks.index(-3.0)}")
+    worst = next(i for i, r in enumerate(reports) if r is not None and r.worst_slack == -3.0)
+    assert (blocked.worst_slack, blocked.worst_digest) == (-3.0, f"attempt {worst}")
 
 
 def test_decade_buckets_read_the_doubles_nearest_the_powers_of_ten():

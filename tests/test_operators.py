@@ -366,7 +366,7 @@ def test_geomean_lower_sweep_invertible():
 
 
 def test_geomean_lower_rejects_singular():
-    with pytest.raises(ValueError, match="positive definite"):
+    with pytest.raises(ValueError, match="check_geomean_lower: .*positive definite"):
         check_geomean_lower(NILPOTENT, 0.5, [1.0, 0.0])
 
 

@@ -104,6 +104,8 @@ def test_segment_extreme_magnitudes():
     assert math.isnan(segment_mean_abs(big, math.nan))
     assert math.isnan(segment_mean_abs(math.nan, big))
     assert segment_mean_abs(big, complex(math.inf, 0.0)) == math.inf
+    # and the quadrature, where the nodes meet an infinite part as 0*inf
+    assert segment_mean_abs_quadrature(complex(math.inf, 1.0), 0.0, 8) == math.inf
 
 
 def _segment_mean_abs_mpmath(c, d):
