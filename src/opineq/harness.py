@@ -284,11 +284,21 @@ def _run_scalar_trials(cfg: SweepConfig) -> tuple:
     return tri, rev, log
 
 
-def _grid_stats(name: str, points: int, worst: float) -> CheckStats:
+def _grid_stats(name: str, margins) -> CheckStats:
     """A grid property check's one attempt: it passes when its worst margin is >= 0."""
     stats = CheckStats(name)
-    stats.add("grid", ChainReport((("grid_points", float(points)),), worst >= 0.0, worst))
+    worst = min(margins)
+    stats.add_verdicts(np.array([worst >= 0.0]), np.array([worst]), lambda i: "grid")
     return stats
+
+
+def _monotone_margins(thetas, vals, tol: float) -> list:
+    """Margins of each row of vals over the grid thetas being non-increasing
+    on [0, pi/2] and non-decreasing on [pi/2, pi]; the pair straddling pi/2
+    belongs to neither monotone interval."""
+    diffs = np.diff(vals, axis=-1)
+    return [tol - float(diffs[..., thetas[1:] <= math.pi / 2.0].max()),
+            tol + float(diffs[..., thetas[:-1] >= math.pi / 2.0].min())]
 
 
 def _run_grid_checks(cfg: SweepConfig) -> tuple:
@@ -300,16 +310,9 @@ def _run_grid_checks(cfg: SweepConfig) -> tuple:
     n = 10_000
     thetas = np.arange(1, n + 1) * (math.pi / (n + 1))
     vals = scalars.mu(thetas)
-    margins = [float(vals.min()) - 0.5, 1.0 - float(vals.max())]
-    diffs = np.diff(vals)
-    # the pair straddling pi/2 belongs to neither monotone interval
-    left = thetas[1:] <= math.pi / 2.0
-    right = thetas[:-1] >= math.pi / 2.0
-    if left.any():
-        margins.append(mono_tol - float(diffs[left].max()))      # non-increasing
-    if right.any():
-        margins.append(mono_tol + float(diffs[right].min()))     # non-decreasing
-    mu_stats = _grid_stats("mu_grid_properties", n, min(margins))
+    mu_stats = _grid_stats("mu_grid_properties", [
+        float(vals.min()) - 0.5, 1.0 - float(vals.max()),
+        *_monotone_margins(thetas, vals, mono_tol)])
 
     # gamma: range is enforced by construction; check symmetry, monotonicity,
     # and the pinned endpoint values, one row of the grid per t
@@ -318,16 +321,11 @@ def _run_grid_checks(cfg: SweepConfig) -> tuple:
     ts = np.array(cfg.t_grid)[:, None]
     vals = scalars.gamma(ts, thetas)
     mirror = scalars.gamma(1.0 - ts, thetas)
-    diffs = np.diff(vals, axis=1)
-    left = thetas[1:] <= math.pi / 2.0
-    right = thetas[:-1] >= math.pi / 2.0
-    margins = [
+    gamma_stats = _grid_stats("gamma_grid_properties", [
         1e-14 - float(np.max(np.abs(vals - mirror))),
-        mono_tol - float(diffs[:, left].max()),
-        mono_tol + float(diffs[:, right].min()),
+        *_monotone_margins(thetas, vals, mono_tol),
         1e-15 - float(np.max(np.abs(vals[:, [0, -1]] - 1.0))),
-    ]
-    gamma_stats = _grid_stats("gamma_grid_properties", n, min(margins))
+    ])
 
     # mu': closed form vs central finite differences, and nu <= 0
     h = 1e-6
@@ -338,8 +336,8 @@ def _run_grid_checks(cfg: SweepConfig) -> tuple:
     an = scalars._mu_derivatives(grid)
     fd = (scalars.mu(grid + h) - scalars.mu(grid - h)) / (2.0 * h)
     rel = np.abs(an - fd) / np.maximum(np.abs(an), 1e-300)
-    worst = min(deriv_tol - float(rel.max()), 1e-15 - float(scalars._nus(grid).max()))
-    return mu_stats, gamma_stats, _grid_stats("mu_derivative_consistency", grid.size, worst)
+    margins = deriv_tol - float(rel.max()), 1e-15 - float(scalars._nus(grid).max())
+    return mu_stats, gamma_stats, _grid_stats("mu_derivative_consistency", margins)
 
 
 # --- operator checks ---------------------------------------------------------

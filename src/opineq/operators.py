@@ -313,14 +313,17 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
     mu(theta_x)/2*||S||] with q1 = <|A|^2v x,x>, q2 = <|A*|^2(1-v) x,x> and
     S = |A|^2v + |A*|^2(1-v). The middle step is the arithmetic-geometric
     mean inequality; x must be a unit vector. A link fails below
-    -tol*||A||: `tol` is relative to the chain's scale.
+    -tol*||A||: `tol` is relative to the chain's scale. Raises ValueError,
+    as `kittaneh_bound` does, where |A|^2v or |A*|^2(1-v) leaves the double
+    range.
     """
     A = _as_square(A, "check_radius_chain")
     xv = _require_unit(_as_vector(x, "check_radius_chain"), "check_radius_chain")
     v = _validate_v(v, "check_radius_chain")
     frame = _polar_frames(A)
+    bound = float(_kittaneh_bounds(frame, v))  # its range check before the norms overflow
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
-    return _radius_chain_report(*terms, float(_kittaneh_bounds(frame, v)), v, tol)
+    return _radius_chain_report(*terms, bound, v, tol)
 
 
 def check_reverse_cs(
@@ -381,7 +384,8 @@ def kittaneh_bound(A, v: float = 0.5) -> float:
     Math. 158, 2003); the weighted form is El-Haddad and Kittaneh's
     (Studia Math. 182, 2007). The paper's refinement mu(theta_x) applies
     per unit vector x, as checked by `check_radius_chain`, not to this
-    global bound.
+    global bound. Raises ValueError where |A|^2v or |A*|^2(1-v) leaves the
+    double range.
     """
     v = _validate_v(v, "kittaneh_bound")
     A = _as_square(A, "kittaneh_bound")

@@ -17,9 +17,11 @@ kernels on blocks of trials, and most public functions on a stack of one,
 so both give the same bits. A stack of one costs 20-200 us in numpy calls,
 so four functions keep a one-input route beside their kernel:
 `segment_mean_abs` (for ends of size in [2^-256, 2^256]; all others go to
-the kernel) and `check_triangle_refinement` follow their kernels step for
-step (the same bits, which the tests check), and `mu` and `gamma` take a
-`math` route for a float, which the operator checks pass per trial.
+the kernel) and `check_triangle_refinement` give their kernels' bits (which
+the tests check), and `mu` and `gamma` take a float, which the operator
+checks pass per trial. A route keeps its own guards, but no formula: the
+reduction mod pi, the log ratio, mu, gamma and the segment's line are each
+one expression, evaluated by `math` on a float and by numpy on an array.
 
 Every chain is homogeneous, so one rule serves the scalar kernels, the
 operator chains and `numerical_radius`: `_unit_scaled` takes an input whose
@@ -172,6 +174,17 @@ def _stack_of_one(*values) -> list:
     return [np.array([v], dtype=float) for v in values]
 
 
+def _segment_line(er, ei, dr, di, L, r0, r1):
+    """(u0, u1, h, mean) of `segment_mean_abs` for the parts of e = c - d and
+    d, floats or arrays, with L = |e| and r0 = |d| <= r1 = |c|: the ends' places
+    along the line, its distance from the origin, and the first two terms."""
+    nr, ni = er / L, ei / L  # unit direction: u0 and h are first order in the inputs
+    u0 = dr * nr + di * ni
+    u1 = u0 + L  # not a second product: u1 - u0 must be L on short segments too
+    mean = r1 / 2.0 + u0 * (u1 + u0) / (2.0 * (r1 + r0))
+    return u0, u1, abs(nr * di - ni * dr), mean
+
+
 def _segment_means(cr, ci, dr, di):
     """I(c, d) of each row of the part arrays of c and d, by the closed form
     that `segment_mean_abs` documents."""
@@ -191,11 +204,7 @@ def _segment_means(cr, ci, dr, di):
             (cr, dr), (ci, di), (dr, cr), (di, ci), (r0, r1), (r1, r0)))
         er, ei = cr - dr, ci - di
         L = np.hypot(er, ei)
-        nr, ni = er / L, ei / L  # unit direction: u0 and h are first order in the inputs
-        u0 = dr * nr + di * ni
-        u1 = u0 + L  # not a second product: u1 - u0 must be L on short segments too
-        h = np.abs(nr * di - ni * dr)
-        mean = r1 / 2.0 + u0 * (u1 + u0) / (2.0 * (r1 + r0))
+        u0, u1, h, mean = _segment_line(er, ei, dr, di, L, r0, r1)
         hh = h * h
         den = r0 + u0 * (L / (r0 + r1))
         z = L / den
@@ -228,7 +237,8 @@ def segment_mean_abs(c: complex, d: complex) -> float:
     At h = 0 the last term vanishes and the first two give the collinear cases.
 
     Ends whose largest real or imaginary part lies in [2^-256, 2^256] take a
-    one-pair route, step for step the kernel `_segment_means` with its asinh
+    one-pair route, which shares `_segment_line` with the kernel
+    `_segment_means` and follows it step for step with its asinh
     (np.arcsinh), so that both give the same bits; all others (zero,
     non-finite, at unit scale) go to the kernel, 100 us on a stack of one.
     """
@@ -243,11 +253,7 @@ def segment_mean_abs(c: complex, d: complex) -> float:
     L = abs(e)
     if L == 0.0:
         return r1
-    n = e / L  # unit direction, so that u0 and h are first order in the inputs
-    u0 = (d.conjugate() * n).real
-    u1 = u0 + L  # not a second product: u1 - u0 must be L on short segments too
-    h = abs((n.conjugate() * d).imag)
-    mean = r1 / 2.0 + u0 * (u1 + u0) / (2.0 * (r1 + r0))
+    u0, u1, h, mean = _segment_line(e.real, e.imag, d.real, d.imag, L, r0, r1)
     hh = h * h
     if hh == 0.0:  # collinear, or h < 1e-161: the last term is below h, 1e-20 of mean
         return mean
@@ -386,31 +392,33 @@ def check_log_bound(x: float, tol: float = _LOG_BOUND_REL_TOL) -> ChainReport:
     return _report(names, *_log_bound_chains(*_stack_of_one(x), tol))
 
 
-def _reduce_mod_pi(theta: float) -> float:
-    r = math.fmod(theta, math.pi)
-    if r < 0.0:
-        r += math.pi
-    return r
+def _sin_cos(theta, lib):
+    """(sin, cos) of theta reduced mod pi (fmod, then + pi below 0), by `lib`:
+    math for a float, numpy for an array. No branch, so one expression serves
+    both; np.remainder (theta % pi) costs twice np.fmod on the grids."""
+    r = lib.fmod(theta, math.pi)
+    th = r + math.pi * (r < 0.0)
+    return lib.sin(th), lib.cos(th)
 
 
-def _reduce_mod_pis(theta):
-    """`_reduce_mod_pi` per element."""
-    r = np.fmod(theta, math.pi)
-    return np.where(r < 0.0, r + math.pi, r)
-
-
-def _log_ratio(s: float, c: float) -> float:
+def _log_ratio(s, c, lib):
     """log((1+s)/(1-s)) = 2*log((1+s)/|c|) for s = sin(theta) in [0, 1),
     c = cos(theta), read as 2*log1p(s*(1 + s/(1+|c|))/|c|) by
     1 - |c| = s^2/(1+|c|): a sum of positive terms, which cancels nowhere."""
-    a = abs(c)
-    return 2.0 * math.log1p(s * (1.0 + s / (1.0 + a)) / a)
+    a = lib.fabs(c)
+    return 2.0 * lib.log1p(s * (1.0 + s / (1.0 + a)) / a)
 
 
-def _log_ratios(s, c):
-    """`_log_ratio` per element."""
-    a = np.abs(c)
-    return 2.0 * np.log1p(s * (1.0 + s / (1.0 + a)) / a)
+def _mu_of(s, c, lib):
+    """`mu` from s = sin(theta) != 0 and c = cos(theta)."""
+    return 0.25 * (2.0 + c * c * (_log_ratio(s, c, lib) / s))
+
+
+def _gamma_of(t, s, c, lib):
+    """`gamma` from t, s = sin(theta) and c = cos(theta), before its clip at 1."""
+    u = lib.fabs(1.0 - 2.0 * t)
+    root = lib.sqrt(c * c + u * u * s * s)
+    return c * c * (1.0 + u) / (root + u)
 
 
 def _finite_array(value, who: str, name: str) -> np.ndarray:
@@ -419,16 +427,6 @@ def _finite_array(value, who: str, name: str) -> np.ndarray:
     if not np.isfinite(value).all():
         raise ValueError(f"{who}: every {name} must be finite")
     return value
-
-
-def _mus(theta) -> np.ndarray:
-    """`mu` of each element of the array theta."""
-    th = _reduce_mod_pis(_finite_array(theta, "mu", "theta"))
-    s = np.sin(th)
-    c = np.cos(th)
-    with np.errstate(invalid="ignore"):  # 0/0 on the rows of s == 0
-        val = 0.25 * (2.0 + c * c * (_log_ratios(s, c) / s))
-    return np.where(s == 0.0, 1.0, val)
 
 
 def mu(theta):
@@ -441,15 +439,13 @@ def mu(theta):
     ndarray theta gives the array of values, by the numpy route.
     """
     if isinstance(theta, np.ndarray):
-        return _mus(theta)
+        s, c = _sin_cos(_finite_array(theta, "mu", "theta"), np)
+        with np.errstate(invalid="ignore"):  # 0/0 on the rows of s == 0
+            return np.where(s == 0.0, 1.0, _mu_of(s, c, np))
     if not math.isfinite(theta):
         raise ValueError(f"mu: theta must be finite, got {theta!r}")
-    th = _reduce_mod_pi(theta)
-    s = math.sin(th)
-    if s == 0.0:
-        return 1.0
-    c = math.cos(th)
-    return 0.25 * (2.0 + c * c * (_log_ratio(s, c) / s))
+    s, c = _sin_cos(theta, math)
+    return 1.0 if s == 0.0 else _mu_of(s, c, math)
 
 
 def _nus_over_sin2(theta):
@@ -461,7 +457,7 @@ def _nus_over_sin2(theta):
     ss = s * s
     series = -s * np.polyval(_NU_SERIES, ss)  # Horner
     with np.errstate(divide="ignore", invalid="ignore"):  # rows of the series
-        closed = (4.0 * s - 2.0 * (ss + 1.0) * _log_ratios(s, np.cos(theta))) / ss
+        closed = (4.0 * s - 2.0 * (ss + 1.0) * _log_ratio(s, np.cos(theta), np)) / ss
     return s, np.where(s < 0.25, series, closed)
 
 
@@ -501,19 +497,6 @@ def mu_derivative(theta: float) -> float:
     return float(_mu_derivatives(*_stack_of_one(theta))[0])
 
 
-def _gammas(t, theta) -> np.ndarray:
-    """`gamma` of each element of the broadcast arrays t and theta."""
-    t = _finite_array(t, "gamma", "t")
-    if not ((t > 0.0) & (t < 1.0)).all():
-        raise ValueError("gamma: every t must lie strictly in (0, 1)")
-    th = _reduce_mod_pis(_finite_array(theta, "gamma", "theta"))
-    s = np.sin(th)
-    c = np.cos(th)
-    u = np.abs(1.0 - 2.0 * t)
-    root = np.sqrt(c * c + u * u * s * s)
-    return np.minimum(1.0, c * c * (1.0 + u) / (root + u))
-
-
 def gamma(t, theta):
     """Reverse-direction factor
 
@@ -530,15 +513,14 @@ def gamma(t, theta):
     broadcast, by the numpy route of the same formula.
     """
     if isinstance(t, np.ndarray) or isinstance(theta, np.ndarray):
-        return _gammas(t, theta)
+        t = _finite_array(t, "gamma", "t")
+        if not ((t > 0.0) & (t < 1.0)).all():
+            raise ValueError("gamma: every t must lie strictly in (0, 1)")
+        s, c = _sin_cos(_finite_array(theta, "gamma", "theta"), np)
+        return np.minimum(1.0, _gamma_of(t, s, c, np))
     if not (math.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"gamma: t must lie strictly in (0, 1), got {t!r}")
     if not math.isfinite(theta):
         raise ValueError(f"gamma: theta must be finite, got {theta!r}")
-    th = _reduce_mod_pi(theta)
-    s = math.sin(th)
-    c = math.cos(th)
-    u = abs(1.0 - 2.0 * t)
-    root = math.sqrt(c * c + u * u * s * s)
     # the documented range [0, 1] also under rounding, where gamma nears 1
-    return min(1.0, c * c * (1.0 + u) / (root + u))
+    return min(1.0, _gamma_of(t, *_sin_cos(theta, math), math))

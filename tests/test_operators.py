@@ -182,6 +182,14 @@ def test_radius_chain_requires_unit_vector():
         check_radius_chain(np.eye(2), 0.5, [2.0, 0.0])
 
 
+@pytest.mark.parametrize("v", [0.0, 0.9, 1.0])
+def test_radius_chain_raises_out_of_range_before_any_overflow(v):
+    # |A|^2v or |A*|^2(1-v) leaves the double range: the documented
+    # ValueError, and no overflow warning from the norms before it
+    with pytest.raises(ValueError, match="double range"):
+        check_radius_chain(1e200 * np.diag([1.0, 0.5]), v, [1.0, 0.0])
+
+
 def test_chain_verdicts_do_not_depend_on_the_scale_of_A(monkeypatch):
     # the chains scale with A, so a defect of one part in 1e6 must fail at every
     # scale, and no absolute floor may swamp it on small A

@@ -479,6 +479,10 @@ def test_mu_pi_periodic_and_even():
     for theta in (0.3, 1.0, 2.5, 7.9):
         assert mu(theta + math.pi) == pytest.approx(mu(theta), abs=1e-14)
         assert mu(-theta) == pytest.approx(mu(theta), abs=1e-14)
+    # the array route, within 1e-14 of the float route's value
+    thetas = np.array([0.3, 1.0, 2.5, 7.9, 1e300])
+    angles = np.concatenate([thetas, -thetas, thetas + 3.0 * math.pi, thetas - 3.0 * math.pi])
+    assert mu(angles) == pytest.approx([mu(float(theta)) for theta in angles], abs=1e-14)
 
 
 def test_mu_range_and_monotonicity_grid():
@@ -684,6 +688,10 @@ def test_gamma_pi_periodic():
     for t in (0.2, 0.5, 0.8):
         for theta in (0.4, 1.1, 2.2):
             assert gamma(t, theta + math.pi) == pytest.approx(gamma(t, theta), abs=1e-14)
+        # the array route, within 1e-14 of the float route's value
+        thetas = np.array([0.4, 1.1, 2.2, 1e300])
+        angles = np.concatenate([thetas, -thetas, thetas + 3.0 * math.pi, thetas - 3.0 * math.pi])
+        assert gamma(t, angles) == pytest.approx([gamma(t, float(th)) for th in angles], abs=1e-14)
 
 
 def test_gamma_bounded_by_abs_cos():
