@@ -42,7 +42,7 @@ from .linalg import (
     numerical_radius,  # noqa: F401 -- no call here; the benchmark's tracer test reads it
 )
 from .operators import GEOMEAN_EQUALITY_TOL, OPERATOR_SLACK_TOL, REVERSE_CS_EQUALITY_TOL
-from .scalars import SCALAR_REL_TOL, ChainReport
+from .scalars import SCALAR_REL_TOL
 
 __all__ = [
     "SweepConfig",
@@ -193,15 +193,10 @@ _BUCKETS = ("negative", "zero") + tuple(f"1e{e:+03d}" for e in range(-18, 4))
 _BUCKET_EDGES = np.array([0.0, math.ulp(0.0)] + [float(f"1e{e}") for e in range(-17, 4)])
 
 
-def _slack_buckets(s: np.ndarray) -> np.ndarray:
-    """Index in _BUCKETS of each slack's bucket: tightness at a glance."""
-    return np.searchsorted(_BUCKET_EDGES, s, side="right")
-
-
 @dataclass(slots=True)
 class CheckStats:
     """Outcomes of one check. Every verdict enters by `add_verdicts`, a block of
-    arrays at a time; `add_reports` (a block of reports) and `add` call it."""
+    arrays at a time; `add_reports` (a block of reports) calls it."""
 
     name: str
     n_pass: int = 0
@@ -211,10 +206,6 @@ class CheckStats:
     worst_slack: float | None = None
     worst_digest: str | None = None
     _counts: list = field(default_factory=lambda: [0] * len(_BUCKETS), init=False, repr=False)
-
-    def add(self, digest: str, report: ChainReport | None) -> None:
-        """Record one attempt; None records a skipped one."""
-        self.add_reports([report], lambda i: digest)
 
     def add_reports(self, reports: list, digest) -> None:
         """Record a block of attempts in order: None counts as skipped and an
@@ -242,7 +233,9 @@ class CheckStats:
         if self.worst_slack is None or s < self.worst_slack:
             self.worst_slack = s
             self.worst_digest = digest(i)
-        counts = np.bincount(_slack_buckets(slacks), minlength=len(_BUCKETS)).tolist()
+        # each slack's bucket, the index in _BUCKETS: tightness at a glance
+        buckets = np.searchsorted(_BUCKET_EDGES, slacks, side="right")
+        counts = np.bincount(buckets, minlength=len(_BUCKETS)).tolist()
         self._counts = [a + b for a, b in zip(self._counts, counts)]
 
     @property

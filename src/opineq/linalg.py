@@ -73,12 +73,6 @@ def _matvecs(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (M @ x[..., :, None])[..., 0]
 
 
-def _vdots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """np.vdot(x, y) = x* y, row by row; np.vecdot runs the same BLAS dot as
-    np.vdot, so each row's value is bit-identical to it."""
-    return np.vecdot(x, y)
-
-
 def _moduli(z: np.ndarray) -> np.ndarray:
     """|z| elementwise as abs() of a numpy complex scalar computes it (hypot);
     np.abs on a complex array may take a vectorised path with other rounding."""
@@ -300,8 +294,8 @@ def spectral_norm(M) -> float:
 # after a handful.
 _NEWTON_STEPS = 40
 
-# Scan points on [0, 2*pi) of the support function, and the phi step or
-# candidate distance at or below which the Newton phase stops and merges.
+# Scan points on [0, 2*pi) of the support function, and the phi step at or
+# below which a Newton candidate stops.
 _RADIUS_GRID = 64
 _REFINE_TOL = 1e-10
 
@@ -326,9 +320,8 @@ def numerical_radius(A) -> float:
     not finite it takes the gradient step f'/|f|: the Newton step for
     f'' = -f, the most negative curvature a support function can have
     (f + f'' >= 0), hence the shortest one. A candidate stops once its step
-    is at most 1e-10 or its f gains no more than rounding, and candidates
-    that land within 1e-10 of each other merge. The result is the largest f
-    evaluated: an attained value, so a lower estimate of w(A).
+    is at most 1e-10 or its f gains no more than rounding. The result is the
+    largest f evaluated: an attained value, so a lower estimate of w(A).
 
     w(A) has degree 1 in A. An A whose largest real or imaginary part lies
     outside [2^-256, 2^256], where |q_k* K x|^2 can leave the double range and
@@ -343,11 +336,11 @@ def numerical_radius(A) -> float:
 def _numerical_radii(A: np.ndarray) -> np.ndarray:
     """`numerical_radius` of each matrix of the stack A (m, n, n).
 
-    Every matrix keeps its own best value, its own stop rule and its own
-    candidate merge; only the eigen-solver calls are shared. So each value
-    is bit-identical to `numerical_radius` of that matrix alone where its
-    largest part lies in [2^-256, 2^256]; the sweep draws none beyond, so
-    this harness path takes no unit scale of its own.
+    Every matrix keeps its own best value and its own stop rule; only the
+    eigen-solver calls are shared. So each value is bit-identical to
+    `numerical_radius` of that matrix alone where its largest part lies in
+    [2^-256, 2^256]; the sweep draws none beyond, so this harness path takes
+    no unit scale of its own.
     """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
@@ -364,9 +357,8 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
         del H  # before the next chunk's product is allocated
         tops[rows] = np.concatenate((lam[..., -1], -lam[..., 0]), axis=-1)
     best = tops.max(axis=1)
-    ring = np.concatenate((tops[:, -1:], tops, tops[:, :1]), axis=1)
-    # candidates stay grouped by owner matrix, in ascending phi within each
-    owner, cell = np.nonzero((tops >= ring[:, :-2]) & (tops >= ring[:, 2:]))
+    peak = (tops >= np.roll(tops, 1, axis=1)) & (tops >= np.roll(tops, -1, axis=1))
+    owner, cell = np.nonzero(peak)
     anchor = phi = step * cell
     f_prev = np.full(phi.shape, -np.inf)
     for _ in range(_NEWTON_STEPS):
@@ -376,10 +368,7 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
         hr, hi = (Hr, Hi) if m == 1 else (Hr[owner], Hi[owner])
         lam, Q = np.linalg.eigh(cos * hr + sin * hi)
         f, x = lam[:, -1], Q[:, :, -1:]
-        # each owner's best: max(best, its candidates' max), NaN ignored as by max()
-        first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-        top, own = np.maximum.reduceat(f, first), owner[first]
-        best[own] = np.where(top > best[own], top, best[own])
+        np.fmax.at(best, owner, f)  # each owner's best, NaN ignored as by max()
         c = (_ct(Q) @ (cos * (hi @ x) - sin * (hr @ x)))[:, :, 0]  # q_k* K x
         slope = c[:, -1].real
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -392,12 +381,7 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
                 & (np.abs(nxt - phi) > _REFINE_TOL))
         if not live.any():
             break
-        # sort by owner, then phi (stable), and merge within each owner
-        keep = np.flatnonzero(live)
-        keep = keep[np.lexsort((nxt[keep], owner[keep]))]
-        same = owner[keep][1:] == owner[keep][:-1]
-        keep = keep[np.concatenate(([True], ~same | (np.diff(nxt[keep]) > _REFINE_TOL)))]
-        phi, anchor, f_prev, owner = nxt[keep], anchor[keep], f[keep], owner[keep]
+        phi, anchor, f_prev, owner = nxt[live], anchor[live], f[live], owner[live]
     return best
 
 

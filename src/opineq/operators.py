@@ -51,7 +51,6 @@ from .linalg import (
     _polar_frames,
     _powers,
     _spectral_norms,
-    _vdots,
 )
 from .scalars import ChainReport, _chain, _scaled_report, _unit_scaled, gamma, mu
 
@@ -83,14 +82,17 @@ GEOMEAN_EQUALITY_TOL = 1e-10
 # possible norm) leave theta undefined; such trials are reported, not failed
 _AUX_DEGENERATE_TOL = 1e-12
 
-_MASK64 = (1 << 64) - 1
 _PROFILE_STREAM = 0x70726F66  # fixed second key word for angle_profile draws
 _PROFILE_BINS = 36  # equal-width histogram bins over [0, pi/2]
 
 
 def _philox(seed: int, word: int) -> np.random.Generator:
-    """Counter-based generator keyed by the two 64-bit integer words (seed, word)."""
-    key = np.array([operator.index(w) & _MASK64 for w in (seed, word)], dtype=np.uint64)
+    """Counter-based generator keyed by the two 64-bit integer words (seed, word).
+    A seed outside [0, 2^64) raises ValueError: masking it would alias another."""
+    seed = operator.index(seed)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed!r}")
+    key = np.array([seed, word], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -144,13 +146,13 @@ def _aux_terms(frame: PolarFrame, v, x, y):
     sigma = frame.sigma
     a1 = _powers(sigma, v) * _matvecs(_ct(frame.V), x)
     a2 = _powers(sigma, 1.0 - v) * _matvecs(_ct(frame.W), y)
-    return _norms(a1), _norms(a2), _moduli(_vdots(a2, a1)), sigma[..., 0]
+    return _norms(a1), _norms(a2), _moduli(np.vecdot(a2, a1)), sigma[..., 0]
 
 
 def _schwarz_terms(A, frame: PolarFrame, v, x, y):
     """(|<Ax,y>|, n1, n2, |<a1,a2>|, sigma_max) per trial: the chain checks'
     first term, then `_aux_terms`."""
-    return (_moduli(_vdots(y, _matvecs(A, x))), *_aux_terms(frame, v, x, y))
+    return (_moduli(np.vecdot(y, _matvecs(A, x))), *_aux_terms(frame, v, x, y))
 
 
 def _kittaneh_bounds(frame: PolarFrame, v) -> np.ndarray:
@@ -193,7 +195,7 @@ def _geomean_forms(frame: PolarFrame, v, x):
 
 def _reverse_cs_terms(x, y):
     """(||x||, ||y||, |<x,y>|) per trial."""
-    return _norms(x), _norms(y), _moduli(_vdots(y, x))
+    return _norms(x), _norms(y), _moduli(np.vecdot(y, x))
 
 
 def _cos_theta(n1, n2, inner, top, v, x_scale=1.0, y_scale=1.0):

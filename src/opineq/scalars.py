@@ -93,8 +93,8 @@ class ChainReport:
 
 
 def _chain(terms, tol: float, scale: float, equality_gaps=()) -> ChainReport:
-    """The report of the chain `terms`, each adjacent gap allowed down to
-    -tol*scale, with `scale` the chain's own size.
+    """The report of the chain `terms` (two or more), each adjacent gap
+    allowed down to -tol*scale, with `scale` the chain's own size.
 
     The inequalities are homogeneous, and rounding error grows with the
     operands, so every allowance is relative: no absolute floor, which would
@@ -102,13 +102,13 @@ def _chain(terms, tol: float, scale: float, equality_gaps=()) -> ChainReport:
     `equality_gaps` is an exact equality: it enters `worst_slack` as -|gap|
     and fails the chain beyond gap_tol*scale.
     """
-    worst = prev = None  # a plain loop, cheaper than min() over a comprehension
-    for _, value in terms:
-        if prev is not None and (worst is None or value - prev < worst):
+    links = iter(terms)  # a plain loop, cheaper than min() over a comprehension
+    (_, first), (_, prev) = next(links), next(links)
+    worst = prev - first  # a NaN first gap stays the worst and fails the chain
+    for _, value in links:
+        if value - prev < worst:
             worst = value - prev
         prev = value
-    if worst is None:
-        worst = 0.0
     holds = worst >= -tol * scale
     for gap, gap_tol in equality_gaps:
         worst = min(worst, -abs(gap))

@@ -287,6 +287,10 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "mu", "--theta", "nan")
     assert code == 2 and "error:" in err
 
+    # a seed beyond the 64-bit key word would alias another seed's draws
+    code, out, err = run(capsys, "check", "--seed", "-3")
+    assert code == 2 and out == "" and "seed must lie in" in err
+
 
 def test_radius_rejects_non_finite_matrix_json(capsys, tmp_path):
     # Python's json reads and writes NaN and Infinity; the matrix loader must not

@@ -77,8 +77,16 @@ def test_trial_rng_rejects_keys_beyond_their_fields():
                         ((1, -1, 0, 0), "stream"), ((1, 2, 0, -1), "dim")):
         with pytest.raises(ValueError, match=f"trial_rng: {field} must lie in"):
             trial_rng(*args)
+    # a seed beyond its 64-bit key word aliased another: seed -1 drew as
+    # 2^64 - 1 and 2^64 + 5 as 5, in trial_rng and in angle_profile
+    for seed in (-1, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="seed must lie in"):
+            trial_rng(seed, 2, 0, 0)
+        with pytest.raises(ValueError, match="seed must lie in"):
+            operators.angle_profile(np.eye(2), 0.5, 3, seed)
     # the last key of every field is still taken
     assert trial_rng(1, 255, 2**48 - 1, 255).random() != trial_rng(1, 255, 2**48 - 2, 255).random()
+    assert trial_rng(2**64 - 1, 2, 0, 0).random() != trial_rng(2**64 - 2, 2, 0, 0).random()
     # numpy integers are the same keys as Python ints
     for args in ((1, 2, np.int64(5), 3), (np.int64(1), 2, 0, 4), (np.uint64(2**63), np.int8(3), 7)):
         assert trial_rng(*args).random(3).tolist() == trial_rng(*map(int, args)).random(3).tolist()
@@ -264,23 +272,25 @@ def test_operator_blocks_report_what_the_public_checks_report():
             # trial k alone, from its own counter blocks
             A, x, y, xv, yv = (a[0] for a in harness._operator_draws(cfg.seed, dim, k, [kind]))
             op_tol = tol["operator_chain"]
-            stats["mixed_schwarz"].add(digest, operators.check_mixed_schwarz(A, x, y, v, op_tol))
-            stats["radius_chain"].add(digest, operators.check_radius_chain(A, v, x, op_tol))
-            stats["reverse_cs"].add(digest, operators.check_reverse_cs(
-                xv, yv, t, op_tol, tol["equality"]))
+            stats["mixed_schwarz"].add_reports(
+                [operators.check_mixed_schwarz(A, x, y, v, op_tol)], lambda i: digest)
+            stats["radius_chain"].add_reports(
+                [operators.check_radius_chain(A, v, x, op_tol)], lambda i: digest)
+            stats["reverse_cs"].add_reports(
+                [operators.check_reverse_cs(xv, yv, t, op_tol, tol["equality"])], lambda i: digest)
             geo = None
             if kind in harness.INVERTIBLE_KINDS:
                 try:
                     geo = operators.check_geomean_lower(A, v, x, op_tol, tol["geomean_equality"])
                 except ValueError:
                     pass
-            stats["geomean_lower"].add(digest, geo)
+            stats["geomean_lower"].add_reports([geo], lambda i: digest)
             # ||A|| is the top singular value of the polar frame's SVD
             w, nrm, kb = numerical_radius(A), svd(A)[1][0], operators.kittaneh_bound(A)
             # the chain ||A||/2 <= w(A) <= kittaneh <= ||A||, one slack per link
             slacks = (w - nrm / 2.0, kb - w, nrm - kb)
-            stats["radius_sandwich"].add(digest, ChainReport(
-                (), min(slacks) >= -tol["radius"] * nrm, min(slacks)))
+            sandwich = ChainReport((), min(slacks) >= -tol["radius"] * nrm, min(slacks))
+            stats["radius_sandwich"].add_reports([sandwich], lambda i: digest)
     expected = summary_to_dict(SuiteSummary(cfg, tuple(stats.values()), 0.0), include_wall=False)
     got = summary_to_dict(run_suite(cfg, suite="operator"), include_wall=False)
     assert got == expected
@@ -303,15 +313,22 @@ def test_operator_digest_replays_from_its_counter_block():
 
 
 def test_operator_phase_draws_each_block_at_once(monkeypatch):
-    # one generator per (dim, block), no per-trial instance draw, and one
-    # stacked SVD per block for the unitary ensemble instead of one per trial
+    # one generator per (dim, block), no per-trial instance draw, one stacked
+    # SVD per block for the unitary ensemble instead of one per trial, and a
+    # radius Newton phase whose unmerged candidates stay within its eigh budget
     cfg = SweepConfig()
-    calls = {"svd": 0, "gen_instance": 0, "trial_rng": {}}
-    svd_, trial_rng_, gen_instance_ = np.linalg.svd, harness.trial_rng, harness.gen_instance
+    calls = {"svd": 0, "eigh": 0, "eigh_matrices": 0, "gen_instance": 0, "trial_rng": {}}
+    svd_, eigh_ = np.linalg.svd, np.linalg.eigh
+    trial_rng_, gen_instance_ = harness.trial_rng, harness.gen_instance
 
     def counting_svd(*args, **kwargs):
         calls["svd"] += 1
         return svd_(*args, **kwargs)
+
+    def counting_eigh(M, *args, **kwargs):
+        calls["eigh"] += 1
+        calls["eigh_matrices"] += int(np.prod(np.shape(M)[:-2]))
+        return eigh_(M, *args, **kwargs)
 
     def counting_trial_rng(seed, stream, trial, dim=0):
         calls["trial_rng"][dim] = calls["trial_rng"].get(dim, 0) + 1
@@ -322,6 +339,7 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
         return gen_instance_(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(harness, "trial_rng", counting_trial_rng)
     monkeypatch.setattr(harness, "gen_instance", counting_gen_instance)
     harness._run_operator_trials(cfg)
@@ -330,6 +348,7 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     assert set(calls["trial_rng"]) == set(cfg.dims)
     assert max(calls["trial_rng"].values()) <= blocks, calls["trial_rng"]
     assert calls["svd"] <= 100, calls["svd"]
+    assert calls["eigh"] <= 92 and calls["eigh_matrices"] <= 8_500, calls
 
 
 def test_scalar_blocks_report_what_the_public_checks_report():
@@ -342,12 +361,13 @@ def test_scalar_blocks_report_what_the_public_checks_report():
     for k in range(cfg.trials):
         digest = f"seed={cfg.seed};trial={k}"
         c, d = gen_instance(rngs[0], "scalar-pair", 0, cfg.scalar_scale)
-        tri.add(digest, scalars.check_triangle_refinement(c, d, tol))
+        tri.add_reports([scalars.check_triangle_refinement(c, d, tol)], lambda i: digest)
         c, d = gen_instance(rngs[1], "scalar-pair", 0, cfg.scalar_scale)
         t = cfg.t_grid[k % len(cfg.t_grid)]
-        rev.add(f"{digest};t={t:g}", scalars.check_reverse_triangle(c, d, t, tol))
+        rev.add_reports([scalars.check_reverse_triangle(c, d, t, tol)],
+                        lambda i: f"{digest};t={t:g}")
         x = -0.9999 + 1.9998 * float(rngs[2].random(4)[0])  # trial k reads counter block k
-        log.add(f"{digest};x={x!r}", scalars.check_log_bound(x))
+        log.add_reports([scalars.check_log_bound(x)], lambda i: f"{digest};x={x!r}")
     expected = summary_to_dict(SuiteSummary(cfg, (tri, rev, log), 0.0), include_wall=False)
     got = summary_to_dict(SuiteSummary(cfg, harness._run_scalar_trials(cfg), 0.0),
                           include_wall=False)
@@ -371,13 +391,14 @@ def test_operator_trials_run_in_bounded_memory():
 
 def test_check_stats_add_counts_buckets_and_keeps_first_worst():
     stats = CheckStats("probe")
-    stats.add("skipped", None)
+    stats.add_reports([None], lambda i: "skipped")
     # an undefined report is counted, but its slack is no verdict's slack
-    stats.add("undefined", ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True))
+    stats.add_reports([ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True)],
+                      lambda i: "undefined")
     for digest, slack in [("big", 5e4), ("mid", 3e-7), ("first-worst", -1e-20),
                           ("zero", 0.0), ("tiny", 5e-19)]:
-        stats.add(digest, ChainReport((("t", 1.0),), True, slack))
-    stats.add("tied-worst", ChainReport((("t", 1.0),), False, -1e-20))
+        stats.add_reports([ChainReport((("t", 1.0),), True, slack)], lambda i: digest)
+    stats.add_reports([ChainReport((("t", 1.0),), False, -1e-20)], lambda i: "tied-worst")
     # the same attempts as one block
     digests = ["skipped", "undefined", "big", "mid", "first-worst", "zero", "tiny", "tied-worst"]
     reports = [None, ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True)] + [
@@ -421,7 +442,7 @@ def test_add_verdicts_builds_what_add_builds(block, path):
             reports[i:i] = [None] if i % 8 else [undefined]
     one_by_one, blocked = CheckStats("probe"), CheckStats("probe")
     for i, report in enumerate(reports):
-        one_by_one.add(f"attempt {i}", report)
+        one_by_one.add_reports([report], lambda j: f"attempt {i}")
     for start in range(0, len(reports), block):
         if path == "verdicts":
             blocked.add_verdicts(np.array(holds[start:start + block]),
@@ -444,8 +465,8 @@ def test_decade_buckets_read_the_doubles_nearest_the_powers_of_ten():
     stats = CheckStats("probe")
     for e in (-18, -5, 3):
         edge = float(f"1e{e}")
-        stats.add("", ChainReport((), True, edge))
-        stats.add("", ChainReport((), True, float(np.nextafter(edge, 0.0))))
+        stats.add_reports([ChainReport((), True, edge),
+                           ChainReport((), True, float(np.nextafter(edge, 0.0)))], lambda i: "")
     assert [list(b) for b in stats.slack_histogram] == [
         ["1e-18", 2], ["1e-06", 1], ["1e-05", 1], ["1e+02", 1], ["1e+03", 1]]
 

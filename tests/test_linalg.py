@@ -490,8 +490,8 @@ def test_radius_flat_support_function_stops_early(monkeypatch):
 
 
 def test_stacked_radius_kernel_is_bit_identical_to_numerical_radius():
-    # each matrix of a stack keeps its own best value, its own stop rule and
-    # its own candidate merge, so stacking changes no bit
+    # each matrix of a stack keeps its own best value and its own stop rule,
+    # and each candidate its own steps, so stacking changes no bit
     for n in range(1, 17):
         stack = [gen_instance(trial_rng(43, 0, k, n), kind, n) for k, kind in enumerate(MATRIX_KINDS)]
         assert _numerical_radii(np.stack(stack)).tolist() == [numerical_radius(A) for A in stack], n
