@@ -299,9 +299,28 @@ _NEWTON_STEPS = 40
 _RADIUS_GRID = 64
 _REFINE_TOL = 1e-10
 
-# Matrices per stacked scan in `_numerical_radii`: each takes `_RADIUS_GRID // 2`
-# Hermitian matrices, so this bounds the scan's memory; it changes no value.
-_RADIUS_SCAN_CHUNK = 4
+# Hermitian matrices per stacked eigvalsh of the scan in `_numerical_radii`:
+# this bounds the scan's memory; it changes no value.
+_RADIUS_SCAN_CHUNK = 128
+
+# Rounding margin of the scan's pruning, per unit of n, relative to the best
+# scan value L: eigvalsh's backward error is O(n u)||A||, with ||A|| <= 2w and
+# w <= L / cos(pi/16) (no cap of a 2 pi/16 cell exceeds its larger end more),
+# and a cap or a Newton value carries a few such errors. 2^-40 = 2^13 u leaves
+# a thousandfold over those constants. It decides which angles are solved only.
+_SCAN_ROUNDING = 2.0**-40
+
+
+def _sinusoid_caps(f0: np.ndarray, f1: np.ndarray, half: float) -> np.ndarray:
+    """Cap of a support function f on cells of half-width `half` < pi/2 with end
+    values f0, f1: the top on the cell of the sinusoid s through them. f - s is
+    a maximum of sinusoids, each <= 0 at both ends, so none is positive inside
+    (a sinusoid's positive set is an interval of length pi). An end of -inf
+    gives the other end."""
+    with np.errstate(invalid="ignore"):
+        p, q = (f0 + f1) / (2.0 * np.cos(half)), (f1 - f0) / (2.0 * np.sin(half))
+        inside = np.abs(q) < p * np.tan(half)  # the sinusoid's top lies inside
+        return np.maximum(np.maximum(f0, f1), np.where(inside, np.hypot(p, q), -np.inf))
 
 
 def numerical_radius(A) -> float:
@@ -309,9 +328,13 @@ def numerical_radius(A) -> float:
 
     w(A) is the maximum over phi of f(phi), the top eigenvalue of
     H(phi) = (e^{i*phi} A + e^{-i*phi} A*)/2: f is the support function of
-    the numerical range. One stacked eigvalsh scans f on 64 points: 32 in
-    [0, pi) and their antipodes, as f(phi + pi) = -lambda_min(H(phi)). Every
-    local maximum of the scan then takes safeguarded Newton steps on phi, all
+    the numerical range. f is scanned on a grid of 64 angles, only where its
+    maximum can lie: each eigvalsh at phi in [0, pi) gives f(phi) and, as
+    minus its smallest eigenvalue, f(phi + pi). From 16 grid angles, each
+    cell whose cap (`_sinusoid_caps`: f lies below it) reaches the best value
+    L, less a rounding margin, is bisected on the grid, twice. Every local
+    maximum of the values found (an unsolved one counts as -inf) whose two
+    cells' caps reach L then takes safeguarded Newton steps on phi, all
     candidates through one stacked eigh per step. With top eigenpair (f, x),
     the other pairs (lambda_k, q_k) and K = dH/dphi = H(phi + pi/2), the
     slope is f' = x* K x (Hellmann-Feynman) and the curvature
@@ -321,7 +344,8 @@ def numerical_radius(A) -> float:
     f'' = -f, the most negative curvature a support function can have
     (f + f'' >= 0), hence the shortest one. A candidate stops once its step
     is at most 1e-10 or its f gains no more than rounding. The result is the
-    largest f evaluated: an attained value, so a lower estimate of w(A).
+    largest f evaluated (a dropped start could only reach values below L): an
+    attained value, so a lower estimate of w(A).
 
     w(A) has degree 1 in A. An A whose largest real or imaginary part lies
     outside [2^-256, 2^256], where |q_k* K x|^2 can leave the double range and
@@ -336,36 +360,50 @@ def numerical_radius(A) -> float:
 def _numerical_radii(A: np.ndarray) -> np.ndarray:
     """`numerical_radius` of each matrix of the stack A (m, n, n).
 
-    Every matrix keeps its own best value and its own stop rule; only the
-    eigen-solver calls are shared. So each value is bit-identical to
-    `numerical_radius` of that matrix alone where its largest part lies in
-    [2^-256, 2^256]; the sweep draws none beyond, so this harness path takes
-    no unit scale of its own.
+    Every matrix keeps its own scan levels, its own best value and its own
+    stop rule; only the eigen-solver calls are shared. So each value is
+    bit-identical to `numerical_radius` of that matrix alone where its
+    largest part lies in [2^-256, 2^256]; the sweep draws none beyond, so
+    this harness path takes no unit scale of its own.
     """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
-    step = 2.0 * np.pi / _RADIUS_GRID
-    phis = step * np.arange(_RADIUS_GRID // 2)  # [0, pi); f(phi + pi) = -lambda_min
-    cos, sin = np.cos(phis)[:, None, None], np.sin(phis)[:, None, None]
-    m = A.shape[0]
-    tops = np.empty((m, _RADIUS_GRID))
-    for lo in range(0, m, _RADIUS_SCAN_CHUNK):
-        rows = slice(lo, lo + _RADIUS_SCAN_CHUNK)
-        H = cos * Hr[rows, None]
-        H += sin * Hi[rows, None]
-        lam = np.linalg.eigvalsh(H)
-        del H  # before the next chunk's product is allocated
-        tops[rows] = np.concatenate((lam[..., -1], -lam[..., 0]), axis=-1)
-    best = tops.max(axis=1)
+    m, n = A.shape[0], A.shape[-1]
+    step, half = 2.0 * np.pi / _RADIUS_GRID, _RADIUS_GRID // 2
+
+    def parts(owner):  # a lone matrix broadcasts, not copied per angle: it stays in cache
+        return (Hr, Hi) if m == 1 else (Hr[owner], Hi[owner])
+
+    tops = np.full((m, _RADIUS_GRID), -np.inf)  # -inf: not solved
+    width = _RADIUS_GRID // 16  # grid steps per cell of the first level
+    todo = np.zeros((m, half), dtype=bool)  # grid angles of [0, pi) to solve
+    todo[:, ::width] = True
+    while True:
+        owner, cell = np.nonzero(todo)
+        for lo in range(0, owner.size, _RADIUS_SCAN_CHUNK):
+            o, j = owner[lo:lo + _RADIUS_SCAN_CHUNK], cell[lo:lo + _RADIUS_SCAN_CHUNK]
+            hr, hi = parts(o)
+            H = np.cos(step * j)[:, None, None] * hr
+            H += np.sin(step * j)[:, None, None] * hi
+            lam = np.linalg.eigvalsh(H)
+            del H  # before the next chunk's product is allocated
+            tops[o, j], tops[o, j + half] = lam[:, -1], -lam[:, 0]
+        best = tops.max(axis=1)
+        floor = (1.0 - _SCAN_ROUNDING * n) * best[:, None]
+        f0 = tops[:, ::width]  # the left ends of the cells [i, i + width]
+        live = _sinusoid_caps(f0, np.roll(f0, -1, axis=1), width * step / 2.0) >= floor
+        if width == 1:
+            break
+        todo = np.zeros((m, half), dtype=bool)  # the live cells' midpoints, read mod pi
+        todo[:, width // 2::width] = live[:, :half // width] | live[:, half // width:]
+        width //= 2
     peak = (tops >= np.roll(tops, 1, axis=1)) & (tops >= np.roll(tops, -1, axis=1))
-    owner, cell = np.nonzero(peak)
+    owner, cell = np.nonzero(peak & (live | np.roll(live, 1, axis=1)))
     anchor = phi = step * cell
     f_prev = np.full(phi.shape, -np.inf)
     for _ in range(_NEWTON_STEPS):
         cos, sin = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
-        # a lone matrix broadcasts over its candidates instead of being copied
-        # per candidate, which keeps large matrices in cache
-        hr, hi = (Hr, Hi) if m == 1 else (Hr[owner], Hi[owner])
+        hr, hi = parts(owner)
         lam, Q = np.linalg.eigh(cos * hr + sin * hi)
         f, x = lam[:, -1], Q[:, :, -1:]
         np.fmax.at(best, owner, f)  # each owner's best, NaN ignored as by max()

@@ -314,11 +314,13 @@ def test_operator_digest_replays_from_its_counter_block():
 
 def test_operator_phase_draws_each_block_at_once(monkeypatch):
     # one generator per (dim, block), no per-trial instance draw, one stacked
-    # SVD per block for the unitary ensemble instead of one per trial, and a
-    # radius Newton phase whose unmerged candidates stay within its eigh budget
+    # SVD per block for the unitary ensemble instead of one per trial, a radius
+    # scan that solves only the grid angles where the maximum can lie, and a
+    # Newton phase from only the peaks that can beat the scan, within budget
     cfg = SweepConfig()
-    calls = {"svd": 0, "eigh": 0, "eigh_matrices": 0, "gen_instance": 0, "trial_rng": {}}
-    svd_, eigh_ = np.linalg.svd, np.linalg.eigh
+    calls = {"svd": 0, "eigh": 0, "eigh_matrices": 0, "eigvalsh_matrices": 0,
+             "gen_instance": 0, "trial_rng": {}}
+    svd_, eigh_, eigvalsh_ = np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh
     trial_rng_, gen_instance_ = harness.trial_rng, harness.gen_instance
 
     def counting_svd(*args, **kwargs):
@@ -330,6 +332,10 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
         calls["eigh_matrices"] += int(np.prod(np.shape(M)[:-2]))
         return eigh_(M, *args, **kwargs)
 
+    def counting_eigvalsh(M, *args, **kwargs):
+        calls["eigvalsh_matrices"] += int(np.prod(np.shape(M)[:-2]))
+        return eigvalsh_(M, *args, **kwargs)
+
     def counting_trial_rng(seed, stream, trial, dim=0):
         calls["trial_rng"][dim] = calls["trial_rng"].get(dim, 0) + 1
         return trial_rng_(seed, stream, trial, dim)
@@ -340,6 +346,7 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(harness, "trial_rng", counting_trial_rng)
     monkeypatch.setattr(harness, "gen_instance", counting_gen_instance)
     harness._run_operator_trials(cfg)
@@ -348,7 +355,9 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     assert set(calls["trial_rng"]) == set(cfg.dims)
     assert max(calls["trial_rng"].values()) <= blocks, calls["trial_rng"]
     assert calls["svd"] <= 100, calls["svd"]
-    assert calls["eigh"] <= 92 and calls["eigh_matrices"] <= 8_500, calls
+    # measured: 83 eigh calls on 7,191 matrices and 14,467 eigvalsh matrices
+    assert calls["eigh"] <= 84 and calls["eigh_matrices"] <= 7_300, calls
+    assert calls["eigvalsh_matrices"] <= 14_700, calls
 
 
 def test_scalar_blocks_report_what_the_public_checks_report():

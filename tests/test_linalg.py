@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from opineq import linalg
 from opineq.harness import MATRIX_KINDS, gen_instance, trial_rng
 from opineq.linalg import (
     _RADIUS_GRID,
+    _SCAN_ROUNDING,
+    _hermitian_part,
     _numerical_radii,
+    _sinusoid_caps,
     frac_power,
     geometric_mean,
     hermitian_eig,
@@ -416,20 +420,83 @@ def test_radius_finds_the_peak_the_scan_misses(delta):
         assert w == pytest.approx(1.0 + delta, rel=1e-14), cell
 
 
+def _half_grid(A, points=_RADIUS_GRID):
+    """H(phi) at the `points`-grid angles of [0, pi), built as the radius scan
+    builds each one."""
+    A = np.asarray(A, dtype=complex)
+    Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
+    phis = 2.0 * np.pi / points * np.arange(points // 2)
+    H = np.cos(phis)[:, None, None] * Hr
+    H += np.sin(phis)[:, None, None] * Hi
+    return H
+
+
+def _grid_tops(A, points=_RADIUS_GRID):
+    """f on the `points`-grid, from one eigvalsh per angle of [0, pi)."""
+    lam = np.linalg.eigvalsh(_half_grid(A, points))
+    return np.concatenate((lam[:, -1], -lam[:, 0]))
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 16])
-def test_radius_scan_solves_half_the_grid(monkeypatch, n):
-    # H(phi + pi) = -H(phi): the scan's one eigvalsh takes the angles of
-    # [0, pi) only and reads f on [pi, 2 pi) from their smallest eigenvalues
-    calls = []
+def test_radius_scan_solves_each_grid_angle_at_most_once(monkeypatch, n):
+    # H(phi + pi) = -H(phi): the scan solves grid angles of [0, pi) only, each
+    # built as a full half grid builds it and none twice, and only where the
+    # maximum can lie, so a Hermitian or PSD matrix (peaks at 0 and pi) leaves some out
+    solved = []
     eigvalsh = np.linalg.eigvalsh
 
-    def counting_eigvalsh(M):
-        calls.append(M.shape)
+    def recording_eigvalsh(M):
+        solved.extend(M)
         return eigvalsh(M)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    numerical_radius(random_complex(np.random.default_rng(45), n))
-    assert calls == [(1, _RADIUS_GRID // 2, n, n)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    rng = np.random.default_rng(45)
+    for kind, A in (("ginibre", random_complex(rng, n)), ("hermitian", random_hermitian(rng, n)),
+                    ("psd", random_psd(rng, n))):
+        solved.clear()
+        numerical_radius(A)
+        grid = _half_grid(A)
+        angles = [[k for k, G in enumerate(grid) if np.array_equal(H, G)] for H in solved]
+        assert all(len(k) == 1 for k in angles), (kind, angles)
+        angles = [k for k, in angles]
+        assert len(set(angles)) == len(angles) <= _RADIUS_GRID // 2, (kind, angles)
+        if kind != "ginibre":
+            assert len(angles) < _RADIUS_GRID // 2, (kind, angles)
+
+
+def _near_normal(rng, n, eps):
+    """Eigenvalue moduli 1 +- eps on random angles, and an eps/10 perturbation."""
+    U = polar(random_complex(rng, n)).unitary
+    lam = (1.0 + eps * rng.uniform(-1.0, 1.0, n)) * np.exp(2j * np.pi * rng.uniform(size=n))
+    return (U * lam) @ U.conj().T + 0.1 * eps * random_complex(rng, n)
+
+
+def test_radius_scan_pruning_is_sound_and_exact(monkeypatch):
+    # every cell's cap bounds a dense f inside it, and the pruned scan's best
+    # value is the full 64-angle scan's, bit for bit (no Newton steps taken)
+    rng = np.random.default_rng(46)
+    dense_set, exact_set = [], []
+    for n in range(1, 17):
+        exact_set += [gen_instance(rng, kind, n) for kind in MATRIX_KINDS]
+        dense_set.append(exact_set[-1 - n % len(MATRIX_KINDS)])
+    dense_set += [np.diag(np.ones(n - 1), 1).astype(complex) for n in range(2, 9)]
+    dense_set += [np.array([[0.0, 2.0 - 1.5j], [0.0, 0.0]])]
+    dense_set += [np.array([[1.0, b], [0.0, -1.0]]) + shift * np.eye(2)
+                  for b in (0.3, 1.0, 4.0, 25.0) for shift in (1e-9, -1e-9)]
+    dense_set += [_near_normal(rng, n, eps) for eps in (1e-3, 1e-6) for n in (3, 5, 8)]
+    exact_set += dense_set[16:] + [_near_normal(rng, n, eps) for eps in (1e-3, 1e-6)
+                                   for n in range(3, 17) for _ in range(2)]
+    for A in dense_set:
+        n, tops, dense = A.shape[0], _grid_tops(A), _grid_tops(A, 256 * _RADIUS_GRID)
+        margin = _SCAN_ROUNDING * n * tops.max()
+        for width in (4, 2, 1):  # cells of 2 pi/16, 2 pi/32 and 2 pi/64
+            ends = tops[::width]
+            caps = _sinusoid_caps(ends, np.roll(ends, -1), width * np.pi / _RADIUS_GRID)
+            inside = dense.reshape(_RADIUS_GRID // width, -1).max(axis=1)
+            assert (caps >= inside - margin).all(), (n, width, (inside - caps).max())
+    monkeypatch.setattr(linalg, "_NEWTON_STEPS", 0)
+    for A in exact_set:
+        assert _numerical_radii(np.asarray(A, dtype=complex)[None])[0] == _grid_tops(A).max()
 
 
 def test_radius_near_the_double_range_stays_finite():
