@@ -428,7 +428,7 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
                 if kinds[i] in INVERTIBLE_KINDS and not refused[i] else None
                 for i in trials], digest)
             _, holds, slacks = scalars._chains(
-                (nrm / 2.0, _numerical_radii(A), operators._kittaneh_bounds(frame, 0.5), nrm),
+                (nrm / 2.0, _numerical_radii(A, nrm), operators._kittaneh_bounds(frame, 0.5), nrm),
                 tol_rad, nrm)
             sandwich.add_verdicts(holds, slacks, digest)
     return stats

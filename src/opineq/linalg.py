@@ -310,6 +310,17 @@ _RADIUS_SCAN_CHUNK = 128
 # a thousandfold over those constants. It decides which angles are solved only.
 _SCAN_ROUNDING = 2.0**-40
 
+# Margin of the radius's certificate w(A) <= ||A||, per unit of n, relative
+# to ||A||: a Newton value that reaches (1 - 16 n u)||A|| (u = 2^-53) is the
+# radius, and the matrix's other Newton starts are not run. The margin must
+# exceed the rounding of both computed ends, or a normal matrix (w = ||A||)
+# could not close: the Newton value carries the four roundings per entry of
+# forming H(phi) and eigh's backward error, ||A|| the SVD's, each near
+# n u ||A|| after LAPACK's Householder reductions. 16 u per unit n leaves
+# fivefold over the three: unitary, Hermitian, PSD and diagonal matrices of
+# dims 1-48 close within 3 n u ||A|| of ||A||.
+_CERTIFICATE_ROUNDING = 2.0**-49
+
 
 def _sinusoid_caps(f0: np.ndarray, f1: np.ndarray, half: float) -> np.ndarray:
     """Cap of a support function f on cells of half-width `half` < pi/2 with end
@@ -334,18 +345,29 @@ def numerical_radius(A) -> float:
     cell whose cap (`_sinusoid_caps`: f lies below it) reaches the best value
     L, less a rounding margin, is bisected on the grid, twice. Every local
     maximum of the values found (an unsolved one counts as -inf) whose two
-    cells' caps reach L then takes safeguarded Newton steps on phi, all
-    candidates through one stacked eigh per step. With top eigenpair (f, x),
-    the other pairs (lambda_k, q_k) and K = dH/dphi = H(phi + pi/2), the
-    slope is f' = x* K x (Hellmann-Feynman) and the curvature
-    f'' = -f + 2 sum_k |q_k* K x|^2 / (f - lambda_k). A candidate never
-    leaves the two scan cells around its scan point. Where f'' >= 0 or is
-    not finite it takes the gradient step f'/|f|: the Newton step for
-    f'' = -f, the most negative curvature a support function can have
-    (f + f'' >= 0), hence the shortest one. A candidate stops once its step
-    is at most 1e-10 or its f gains no more than rounding. The result is the
-    largest f evaluated (a dropped start could only reach values below L): an
-    attained value, so a lower estimate of w(A).
+    cells' caps reach L is a Newton start: it takes safeguarded Newton steps
+    on phi, all candidates through one stacked eigh per step. With top
+    eigenpair (f, x), the other pairs (lambda_k, q_k) and
+    K = dH/dphi = H(phi + pi/2), the slope is f' = x* K x (Hellmann-Feynman)
+    and the curvature f'' = -f + 2 sum_k |q_k* K x|^2 / (f - lambda_k). A
+    candidate never leaves the two scan cells around its scan point. Where
+    f'' >= 0 or is not finite it takes the gradient step f'/|f|: the Newton
+    step for f'' = -f, the most negative curvature a support function can
+    have (f + f'' >= 0), hence the shortest one. A candidate stops once its
+    step is at most 1e-10 or its f gains no more than rounding.
+
+    The result is the largest f evaluated (a dropped start could only reach
+    values below L): an attained value, so a lower estimate of w(A). The
+    upper bound w(A) <= ||A|| closes it where that can pay. A matrix with
+    two or more Newton starts whose largest cap reaches the certificate
+    level (1 - 16 n u)||A|| (u = 2^-53; ||A|| from the SVD of `polar`,
+    computed only for such a matrix) runs Newton from its best scan point
+    first. If that value reaches the level, it is the result: w(A) lies
+    between it and ||A|| (up to their rounding), within 16 n u ||A|| of
+    both, and the other starts do not run. Otherwise the other starts whose
+    cells' caps reach the new best value run too. A normal matrix
+    (w = ||A||) closes this way; a matrix whose caps stay below the level
+    runs all its starts at once, as without the bound.
 
     w(A) has degree 1 in A. An A whose largest real or imaginary part lies
     outside [2^-256, 2^256], where |q_k* K x|^2 can leave the double range and
@@ -357,19 +379,23 @@ def numerical_radius(A) -> float:
     return _scaled_back(float(_numerical_radii(A[None])[0]), k)
 
 
-def _numerical_radii(A: np.ndarray) -> np.ndarray:
+def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
     """`numerical_radius` of each matrix of the stack A (m, n, n).
 
-    Every matrix keeps its own scan levels, its own best value and its own
-    stop rule; only the eigen-solver calls are shared. So each value is
-    bit-identical to `numerical_radius` of that matrix alone where its
-    largest part lies in [2^-256, 2^256]; the sweep draws none beyond, so
-    this harness path takes no unit scale of its own.
+    `norms` holds each ||A||, the top singular value of `_polar_frames(A)`,
+    or is None to compute it, by that SVD, only for a matrix that may close
+    its radius against it; an infinite norm never closes. Every matrix keeps
+    its own scan levels, its own best value and its own stop rule; only the
+    eigen-solver calls are shared. So each value is bit-identical to
+    `numerical_radius` of that matrix alone where its largest part lies in
+    [2^-256, 2^256]; the sweep draws none beyond, so this harness path takes
+    no unit scale of its own.
     """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
     m, n = A.shape[0], A.shape[-1]
     step, half = 2.0 * np.pi / _RADIUS_GRID, _RADIUS_GRID // 2
+    margin = 1.0 - _SCAN_ROUNDING * n
 
     def parts(owner):  # a lone matrix broadcasts, not copied per angle: it stays in cache
         return (Hr, Hi) if m == 1 else (Hr[owner], Hi[owner])
@@ -389,37 +415,57 @@ def _numerical_radii(A: np.ndarray) -> np.ndarray:
             del H  # before the next chunk's product is allocated
             tops[o, j], tops[o, j + half] = lam[:, -1], -lam[:, 0]
         best = tops.max(axis=1)
-        floor = (1.0 - _SCAN_ROUNDING * n) * best[:, None]
         f0 = tops[:, ::width]  # the left ends of the cells [i, i + width]
-        live = _sinusoid_caps(f0, np.roll(f0, -1, axis=1), width * step / 2.0) >= floor
+        caps = _sinusoid_caps(f0, np.roll(f0, -1, axis=1), width * step / 2.0)
+        live = caps >= margin * best[:, None]
         if width == 1:
             break
         todo = np.zeros((m, half), dtype=bool)  # the live cells' midpoints, read mod pi
         todo[:, width // 2::width] = live[:, :half // width] | live[:, half // width:]
         width //= 2
     peak = (tops >= np.roll(tops, 1, axis=1)) & (tops >= np.roll(tops, -1, axis=1))
-    owner, cell = np.nonzero(peak & (live | np.roll(live, 1, axis=1)))
-    anchor = phi = step * cell
-    f_prev = np.full(phi.shape, -np.inf)
-    for _ in range(_NEWTON_STEPS):
-        cos, sin = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
-        hr, hi = parts(owner)
-        lam, Q = np.linalg.eigh(cos * hr + sin * hi)
-        f, x = lam[:, -1], Q[:, :, -1:]
-        np.fmax.at(best, owner, f)  # each owner's best, NaN ignored as by max()
-        c = (_ct(Q) @ (cos * (hi @ x) - sin * (hr @ x)))[:, :, 0]  # q_k* K x
-        slope = c[:, -1].real
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            curv = 2.0 * np.sum(np.abs(c[:, :-1]) ** 2 / (f[:, None] - lam[:, :-1]), axis=1) - f
-            dphi = np.where(curv < 0.0, -slope / curv, slope / np.abs(f))
-        # A = 0 gives the step 0/0 = NaN, which fails the step test below
-        nxt = np.clip(phi + dphi, anchor - step, anchor + step)
-        # rounding: four units in the last place of the owner's best value so far
-        live = ((f - f_prev > 4.0 * np.spacing(np.abs(best[owner])))
-                & (np.abs(nxt - phi) > _REFINE_TOL))
-        if not live.any():
-            break
-        phi, anchor, f_prev, owner = nxt[live], anchor[live], f[live], owner[live]
+
+    def starts(level):  # the peaks whose two cells' caps reach each matrix's level
+        live = caps >= margin * level[:, None]
+        return peak & (live | np.roll(live, 1, axis=1))
+
+    def climb(start):  # Newton from the grid angles of `start`, raising each owner's best
+        owner, cell = np.nonzero(start)
+        anchor = phi = step * cell
+        f_prev = np.full(phi.shape, -np.inf)
+        for _ in range(_NEWTON_STEPS):
+            if not owner.size:
+                return
+            cos, sin = np.cos(phi)[:, None, None], np.sin(phi)[:, None, None]
+            hr, hi = parts(owner)
+            lam, Q = np.linalg.eigh(cos * hr + sin * hi)
+            f, x = lam[:, -1], Q[:, :, -1:]
+            np.fmax.at(best, owner, f)  # each owner's best, NaN ignored as by max()
+            c = (_ct(Q) @ (cos * (hi @ x) - sin * (hr @ x)))[:, :, 0]  # q_k* K x
+            slope = c[:, -1].real
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                curv = 2.0 * np.sum(np.abs(c[:, :-1]) ** 2 / (f[:, None] - lam[:, :-1]), axis=1) - f
+                dphi = np.where(curv < 0.0, -slope / curv, slope / np.abs(f))
+            # A = 0 gives the step 0/0 = NaN, which fails the step test below
+            nxt = np.clip(phi + dphi, anchor - step, anchor + step)
+            # rounding: four units in the last place of the owner's best value so far
+            live = ((f - f_prev > 4.0 * np.spacing(np.abs(best[owner])))
+                    & (np.abs(nxt - phi) > _REFINE_TOL))
+            phi, anchor, f_prev, owner = nxt[live], anchor[live], f[live], owner[live]
+
+    first = starts(best)
+    defer = first.sum(axis=1) >= 2
+    if defer.any():  # w <= ||A||: the best start first where the caps can reach ||A||
+        if norms is None:
+            norms = np.full(m, np.inf)
+            norms[defer] = _polar_frames(A[defer]).sigma[:, 0]
+        level = (1.0 - _CERTIFICATE_ROUNDING * n) * np.broadcast_to(norms, (m,))
+        defer &= caps.max(axis=1) >= level
+        first[defer] = False
+        first[defer, np.argmax(tops[defer], axis=1)] = True
+    climb(first)
+    if defer.any():  # the other starts of the matrices the certificate left open
+        climb(starts(best) & ~first & (defer & (best < level))[:, None])
     return best
 
 

@@ -8,10 +8,12 @@ from scipy.optimize import minimize_scalar
 from opineq import linalg
 from opineq.harness import MATRIX_KINDS, gen_instance, trial_rng
 from opineq.linalg import (
+    _CERTIFICATE_ROUNDING,
     _RADIUS_GRID,
     _SCAN_ROUNDING,
     _hermitian_part,
     _numerical_radii,
+    _polar_frames,
     _sinusoid_caps,
     frac_power,
     geometric_mean,
@@ -556,12 +558,22 @@ def test_radius_flat_support_function_stops_early(monkeypatch):
         assert len(calls) <= 4, calls
 
 
+def _harness_radii(stack):
+    """The radii as the harness computes them: ||A|| from the block's polar frames."""
+    return _numerical_radii(stack, _polar_frames(stack).sigma[:, 0]).tolist()
+
+
 def test_stacked_radius_kernel_is_bit_identical_to_numerical_radius():
     # each matrix of a stack keeps its own best value and its own stop rule,
-    # and each candidate its own steps, so stacking changes no bit
+    # and each candidate its own steps, so stacking changes no bit; nor does
+    # passing ||A|| from the stack's SVD (the harness route), since the lone
+    # radius takes it from the same SVD
     for n in range(1, 17):
-        stack = [gen_instance(trial_rng(43, 0, k, n), kind, n) for k, kind in enumerate(MATRIX_KINDS)]
-        assert _numerical_radii(np.stack(stack)).tolist() == [numerical_radius(A) for A in stack], n
+        stack = np.stack([gen_instance(trial_rng(43, 0, k, n), kind, n)
+                          for k, kind in enumerate(MATRIX_KINDS)])
+        expected = [numerical_radius(A) for A in stack]
+        assert _numerical_radii(stack).tolist() == expected, n
+        assert _harness_radii(stack) == expected, n
     # one mixed stack: two-peak ellipses, a flat nilpotent (its stop rule ends
     # the Newton phase early), and one matrix at scales far apart. A stop rule
     # shared across the stack (4 ulps of the largest value) would end the
@@ -573,7 +585,56 @@ def test_stacked_radius_kernel_is_bit_identical_to_numerical_radius():
     stack += [np.array([[0.0, 2.0 - 1.5j], [0.0, 0.0]])]
     stack += [scale * G for scale in (1e-6, 1e-3, 1e3, 1e6)]
     expected = [numerical_radius(A) for A in stack]
-    assert _numerical_radii(np.stack(stack).astype(complex)).tolist() == expected
+    stack = np.stack(stack).astype(complex)
+    assert _numerical_radii(stack).tolist() == expected
+    assert _harness_radii(stack) == expected
+
+
+def test_radius_certificate_closes_only_at_the_norm(monkeypatch):
+    # w(A) <= ||A||, with equality for every normal A. A matrix whose caps
+    # reach (1 - c n u)||A|| runs Newton from its best scan point first, and
+    # its other starts only while the bound stays open; c = 16
+    assert _CERTIFICATE_ROUNDING == 16 * 2.0**-53
+    rng = np.random.default_rng(48)
+    # (a) an infinite bound never closes, and where ||A|| cannot close the
+    # radius either, the values are bit for bit the same. Most near-normal
+    # draws defer their other starts and reopen them; at eps = 1e-9 a margin
+    # of 2^-30 n would close some on a lower peak
+    never = [gen_instance(rng, kind, n) for n in range(1, 17) for kind in ("ginibre", "nilpotent-like")]
+    never += [np.diag(np.ones(n - 1), 1) for n in range(2, 9)]
+    never += [np.array([[1.0, b], [0.0, -1.0]]) + shift * np.eye(2)
+              for b in (0.3, 1.0, 4.0, 25.0) for shift in (1e-9, -1e-9)]
+    never += [_near_normal(rng, n, eps) for eps in (1e-3, 1e-6, 1e-9)
+              for n in range(3, 17) for _ in range(2)]
+    for A in never:
+        A = np.asarray(A, dtype=complex)[None]
+        closing = _numerical_radii(A, _polar_frames(A).sigma[:, 0])
+        assert closing.tolist() == _numerical_radii(A, np.inf).tolist(), A.shape
+    # (b) a normal matrix closes: its radius lies within c n u ||A|| of
+    # ||A|| and of the value from all its starts, also read back from 2^+-700
+    for n in range(1, 49):
+        normal = [gen_instance(rng, kind, n) for kind in ("unitary", "hermitian", "psd")]
+        normal.append(np.diag(rng.normal(size=n) + 1j * rng.normal(size=n)))
+        for A in normal:
+            A = np.asarray(A, dtype=complex)
+            nrm = _polar_frames(A).sigma[0]
+            margin = _CERTIFICATE_ROUNDING * n * nrm
+            every_start = _numerical_radii(A[None], np.inf)[0]
+            for k in (0, 700, -700) if n % 8 == 1 else (0,):
+                w = math.ldexp(numerical_radius(_ldexp(A, k)), -k)
+                assert abs(w - nrm) <= margin and abs(w - every_start) <= margin, (n, k)
+    # (c) a dim-48 unitary: 63 eigh matrices from all its starts, at most 4 closed
+    U = gen_instance(trial_rng(48, 0, 0, 48), "unitary", 48)
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(M):
+        solved.append(int(np.prod(M.shape[:-2])))
+        return eigh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    numerical_radius(U)
+    assert sum(solved) <= 4, solved
 
 
 def test_absolute_value_factors_share_the_norm():
