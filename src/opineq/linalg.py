@@ -100,6 +100,13 @@ def _powers(sigma: np.ndarray, p) -> np.ndarray:
     return out
 
 
+def _rolled(x: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll(x, shift, axis=-1) as one take: on rows of 16-64 entries,
+    np.roll's argument handling costs several times the copy."""
+    n = x.shape[-1]
+    return x.take((np.arange(n) - shift) % n, axis=-1)
+
+
 def _spectral_norms(M: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix; the singular values alone, as
     np.linalg.norm(M, 2) computes them."""
@@ -312,13 +319,13 @@ _SCAN_ROUNDING = 2.0**-40
 
 # Margin of the radius's certificate w(A) <= ||A||, per unit of n, relative
 # to ||A||: a Newton value that reaches (1 - 16 n u)||A|| (u = 2^-53) is the
-# radius, and the matrix's other Newton starts are not run. The margin must
-# exceed the rounding of both computed ends, or a normal matrix (w = ||A||)
-# could not close: the Newton value carries the four roundings per entry of
-# forming H(phi) and eigh's backward error, ||A|| the SVD's, each near
-# n u ||A|| after LAPACK's Householder reductions. 16 u per unit n leaves
-# fivefold over the three: unitary, Hermitian, PSD and diagonal matrices of
-# dims 1-48 close within 3 n u ||A|| of ||A||.
+# radius, and the matrix's other scan levels and Newton starts are not run.
+# The margin must exceed the rounding of both computed ends, or a normal
+# matrix (w = ||A||) could not close: the Newton value carries the four
+# roundings per entry of forming H(phi) and eigh's backward error, ||A|| the
+# SVD's, each near n u ||A|| after LAPACK's Householder reductions. 16 u per
+# unit n leaves fivefold over the three: unitary, Hermitian, PSD and diagonal
+# matrices of dims 1-48 close within 3.1 n u ||A|| of ||A||.
 _CERTIFICATE_ROUNDING = 2.0**-49
 
 
@@ -358,16 +365,19 @@ def numerical_radius(A) -> float:
 
     The result is the largest f evaluated (a dropped start could only reach
     values below L): an attained value, so a lower estimate of w(A). The
-    upper bound w(A) <= ||A|| closes it where that can pay. A matrix with
-    two or more Newton starts whose largest cap reaches the certificate
-    level (1 - 16 n u)||A|| (u = 2^-53; ||A|| from the SVD of `polar`,
-    computed only for such a matrix) runs Newton from its best scan point
-    first. If that value reaches the level, it is the result: w(A) lies
-    between it and ||A|| (up to their rounding), within 16 n u ||A|| of
-    both, and the other starts do not run. Otherwise the other starts whose
-    cells' caps reach the new best value run too. A normal matrix
-    (w = ||A||) closes this way; a matrix whose caps stay below the level
-    runs all its starts at once, as without the bound.
+    upper bound w(A) <= ||A|| closes it where that can pay. A matrix whose
+    largest cap of the first level (16 angles) reaches the certificate level
+    (1 - 16 n u)||A|| (u = 2^-53) skips both bisections and tries Newton from
+    its best first-level angle alone, within that angle's two first-level
+    cells (4 grid steps either way). If the try reaches the level, it is the
+    result: w(A) lies between it and ||A|| (up to their rounding), within
+    16 n u ||A|| of both. A normal matrix (w = ||A||) closes this way, after
+    8 eigvalsh. Otherwise the try's values are dropped, and the matrix takes
+    the rest of the scan and all its starts, exactly as without the bound.
+    ||A|| comes from the SVD of `polar`, computed only for a matrix whose
+    first-level caps reach the level of ||A x|| <= ||A|| (`_norm_floors`,
+    one power step on A*A), so a matrix that cannot close, such as a 2 x 2
+    nilpotent (caps near ||A||/2), takes no SVD.
 
     w(A) has degree 1 in A. An A whose largest real or imaginary part lies
     outside [2^-256, 2^256], where |q_k* K x|^2 can leave the double range and
@@ -379,12 +389,28 @@ def numerical_radius(A) -> float:
     return _scaled_back(float(_numerical_radii(A[None])[0]), k)
 
 
+def _norm_floors(A: np.ndarray) -> np.ndarray:
+    """||A x|| <= ||A|| for a unit x, per matrix: one power step on A*A from
+    A's largest column y, x = A*y/||A*y||. Each vector is normalised before
+    it is multiplied, so no square of a norm leaves the double range where
+    A's parts lie in [2^-256, 2^256]; a zero vector (A = 0) stays 0."""
+    cols = A.swapaxes(-1, -2)  # the rows are A's columns
+    x = cols[np.arange(len(A)), np.argmax(_norms(cols), axis=1)]
+    for M in (_ct(A), A):
+        size = _norms(x)
+        x = _matvecs(M, x / np.where(size > 0.0, size, 1.0)[:, None])
+    return _norms(x)
+
+
 def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
     """`numerical_radius` of each matrix of the stack A (m, n, n).
 
     `norms` holds each ||A||, the top singular value of `_polar_frames(A)`,
-    or is None to compute it, by that SVD, only for a matrix that may close
-    its radius against it; an infinite norm never closes. Every matrix keeps
+    or is None to compute it, by that SVD, only for a matrix whose
+    first-level caps reach the certificate level of its `_norm_floors`; an
+    infinite norm never closes. The certificate's tries climb with every
+    other matrix's starts; a matrix whose try stays below the level finishes
+    its scan and climbs again, as with an infinite norm. Every matrix keeps
     its own scan levels, its own best value and its own stop rule; only the
     eigen-solver calls are shared. So each value is bit-identical to
     `numerical_radius` of that matrix alone where its largest part lies in
@@ -395,16 +421,15 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
     m, n = A.shape[0], A.shape[-1]
     step, half = 2.0 * np.pi / _RADIUS_GRID, _RADIUS_GRID // 2
-    margin = 1.0 - _SCAN_ROUNDING * n
+    width = _RADIUS_GRID // 16  # grid steps per cell of the first level
+    margin, certain = 1.0 - _SCAN_ROUNDING * n, 1.0 - _CERTIFICATE_ROUNDING * n
 
     def parts(owner):  # a lone matrix broadcasts, not copied per angle: it stays in cache
         return (Hr, Hi) if m == 1 else (Hr[owner], Hi[owner])
 
     tops = np.full((m, _RADIUS_GRID), -np.inf)  # -inf: not solved
-    width = _RADIUS_GRID // 16  # grid steps per cell of the first level
-    todo = np.zeros((m, half), dtype=bool)  # grid angles of [0, pi) to solve
-    todo[:, ::width] = True
-    while True:
+
+    def solve(todo, span):  # solve the grid angles `todo` of [0, pi); the caps of `span`-step cells
         owner, cell = np.nonzero(todo)
         for lo in range(0, owner.size, _RADIUS_SCAN_CHUNK):
             o, j = owner[lo:lo + _RADIUS_SCAN_CHUNK], cell[lo:lo + _RADIUS_SCAN_CHUNK]
@@ -414,24 +439,26 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
             lam = np.linalg.eigvalsh(H)
             del H  # before the next chunk's product is allocated
             tops[o, j], tops[o, j + half] = lam[:, -1], -lam[:, 0]
-        best = tops.max(axis=1)
-        f0 = tops[:, ::width]  # the left ends of the cells [i, i + width]
-        caps = _sinusoid_caps(f0, np.roll(f0, -1, axis=1), width * step / 2.0)
+        f0 = tops[:, ::span]  # the left ends of the cells [i, i + span]
+        return _sinusoid_caps(f0, _rolled(f0, -1), span * step / 2.0)
+
+    def scan(rows, caps):  # bisect the live first-level cells of `rows` on the grid, twice
+        for span in (width, width // 2):
+            live = (caps >= margin * tops.max(axis=1)[:, None]) & rows[:, None]
+            todo = np.zeros((m, half), dtype=bool)  # the live cells' midpoints, read mod pi
+            todo[:, span // 2::span] = live[:, :half // span] | live[:, half // span:]
+            caps = solve(todo, span // 2)
+        return caps
+
+    def starts(caps, rows):  # the peaks of `rows` whose two cells' caps reach their best value
+        peak = (tops >= _rolled(tops, 1)) & (tops >= _rolled(tops, -1))
         live = caps >= margin * best[:, None]
-        if width == 1:
-            break
-        todo = np.zeros((m, half), dtype=bool)  # the live cells' midpoints, read mod pi
-        todo[:, width // 2::width] = live[:, :half // width] | live[:, half // width:]
-        width //= 2
-    peak = (tops >= np.roll(tops, 1, axis=1)) & (tops >= np.roll(tops, -1, axis=1))
+        return peak & (live | _rolled(live, 1)) & rows[:, None]
 
-    def starts(level):  # the peaks whose two cells' caps reach each matrix's level
-        live = caps >= margin * level[:, None]
-        return peak & (live | np.roll(live, 1, axis=1))
-
-    def climb(start):  # Newton from the grid angles of `start`, raising each owner's best
+    def climb(start, reach):  # Newton from the grid angles of `start`, raising each owner's best
         owner, cell = np.nonzero(start)
-        anchor = phi = step * cell
+        phi = step * cell
+        ends = phi + np.multiply.outer((-1.0, 1.0), reach[owner])  # the owner's reach either way
         f_prev = np.full(phi.shape, -np.inf)
         for _ in range(_NEWTON_STEPS):
             if not owner.size:
@@ -444,28 +471,36 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
             c = (_ct(Q) @ (cos * (hi @ x) - sin * (hr @ x)))[:, :, 0]  # q_k* K x
             slope = c[:, -1].real
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                curv = 2.0 * np.sum(np.abs(c[:, :-1]) ** 2 / (f[:, None] - lam[:, :-1]), axis=1) - f
+                curv = 2.0 * (np.abs(c[:, :-1]) ** 2 / (f[:, None] - lam[:, :-1])).sum(axis=1) - f
                 dphi = np.where(curv < 0.0, -slope / curv, slope / np.abs(f))
             # A = 0 gives the step 0/0 = NaN, which fails the step test below
-            nxt = np.clip(phi + dphi, anchor - step, anchor + step)
+            nxt = np.minimum(np.maximum(phi + dphi, ends[0]), ends[1])
             # rounding: four units in the last place of the owner's best value so far
             live = ((f - f_prev > 4.0 * np.spacing(np.abs(best[owner])))
                     & (np.abs(nxt - phi) > _REFINE_TOL))
-            phi, anchor, f_prev, owner = nxt[live], anchor[live], f[live], owner[live]
+            phi, ends, f_prev, owner = nxt[live], ends[:, live], f[live], owner[live]
 
-    first = starts(best)
-    defer = first.sum(axis=1) >= 2
-    if defer.any():  # w <= ||A||: the best start first where the caps can reach ||A||
-        if norms is None:
-            norms = np.full(m, np.inf)
-            norms[defer] = _polar_frames(A[defer]).sigma[:, 0]
-        level = (1.0 - _CERTIFICATE_ROUNDING * n) * np.broadcast_to(norms, (m,))
-        defer &= caps.max(axis=1) >= level
-        first[defer] = False
-        first[defer, np.argmax(tops[defer], axis=1)] = True
-    climb(first)
-    if defer.any():  # the other starts of the matrices the certificate left open
-        climb(starts(best) & ~first & (defer & (best < level))[:, None])
+    todo = np.zeros((m, half), dtype=bool)
+    todo[:, ::width] = True
+    first = solve(todo, width)
+    if norms is None:  # w <= ||A||: the SVD only where the caps reach the level of a lower
+        # bound, with the margin twice: a computed ||A x|| may exceed the SVD's ||A|| by rounding
+        norms = np.full(m, np.inf)
+        near = first.max(axis=1) >= certain * certain * _norm_floors(A)
+        if near.any():
+            norms[near] = _polar_frames(A[near]).sigma[:, 0]
+    level = certain * norms
+    trying = first.max(axis=1) >= level  # Newton from the best first-level angle, over its cells
+    caps = scan(~trying, first)
+    best = tops.max(axis=1)
+    start = starts(caps, ~trying)
+    start[trying, np.argmax(tops[trying], axis=1)] = True
+    climb(start, np.where(trying, width * step, step))
+    failed = trying & (best < level)
+    if failed.any():  # the try dropped: the rest of the scan and all starts, as with no bound
+        caps = scan(failed, first)
+        best[failed] = tops[failed].max(axis=1)
+        climb(starts(caps, failed), np.full(m, step))
     return best
 
 
