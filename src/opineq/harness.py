@@ -12,14 +12,16 @@ checks evaluate each grid as one array. The operator trials of one
 dimension draw from one generator too: trial k reads a fixed run of its
 counter blocks (`_operator_draws`), so a block of trials is one draw, one
 Box-Muller transform and one stacked transform per matrix kind, and any
-trial replays alone. The operator trials run in blocks of stacked arrays:
+trial replays alone. The operator trials run in blocks of stacked arrays,
+up to 200 trials, so each dimension of the default sweep is one block:
 one stacked SVD gives every trial's polar frame, and each check's stacked
 kernel (in `operators` and `linalg`, the same one its public function runs)
 serves the whole block; the reports are then built trial by trial and enter
 their `CheckStats` a block at a time, and the radius sandwich is judged as
-arrays: every verdict enters by `add_verdicts`. A fixed seed reproduces the
-exact same trial stream regardless of how trials would be scheduled or
-blocked; the only volatile summary field is the wall time.
+arrays: every verdict enters by `add_verdicts`. The default sweep's
+operator phase makes 25 SVD, 22 `eigh` and 71 `eigvalsh` calls. A fixed
+seed reproduces the exact same trial stream regardless of how trials would
+be scheduled or blocked; the only volatile summary field is the wall time.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ _OPERATOR_STREAM = 2
 # scalar trials drawn per block call: bounds the draw's memory, changes no value
 _SCALAR_CHUNK = 1024
 
-# operator trials per stacked block: bounds the block's memory, changes no value
-_OPERATOR_BLOCK = 50
+# operator trials per stacked block: a whole dimension of the default sweep;
+# bounds the block's memory for more trials, changes no value
+_OPERATOR_BLOCK = 200
 
 
 def _default_tolerances() -> dict:

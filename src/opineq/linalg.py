@@ -318,14 +318,15 @@ _RADIUS_SCAN_CHUNK = 128
 _SCAN_ROUNDING = 2.0**-40
 
 # Margin of the radius's certificate w(A) <= ||A||, per unit of n, relative
-# to ||A||: a Newton value that reaches (1 - 16 n u)||A|| (u = 2^-53) is the
-# radius, and the matrix's other scan levels and Newton starts are not run.
-# The margin must exceed the rounding of both computed ends, or a normal
-# matrix (w = ||A||) could not close: the Newton value carries the four
-# roundings per entry of forming H(phi) and eigh's backward error, ||A|| the
-# SVD's, each near n u ||A|| after LAPACK's Householder reductions. 16 u per
-# unit n leaves fivefold over the three: unitary, Hermitian, PSD and diagonal
-# matrices of dims 1-48 close within 3.1 n u ||A|| of ||A||.
+# to ||A||: a value at phi = 0 or a Newton value that reaches (1 - 16 n u)||A||
+# (u = 2^-53) is the radius, and the matrix's other scan levels and Newton
+# starts are not run. The margin must exceed the rounding of both computed
+# ends, or a normal matrix (w = ||A||) could not close: the value carries the
+# four roundings per entry of forming H(phi) and the eigensolver's backward
+# error, ||A|| the SVD's, each near n u ||A|| after LAPACK's Householder
+# reductions. 16 u per unit n leaves fivefold over the three: unitary,
+# Hermitian, PSD and diagonal matrices of dims 1-48 close within 3.1 n u ||A||
+# of ||A||.
 _CERTIFICATE_ROUNDING = 2.0**-49
 
 
@@ -365,19 +366,25 @@ def numerical_radius(A) -> float:
 
     The result is the largest f evaluated (a dropped start could only reach
     values below L): an attained value, so a lower estimate of w(A). The
-    upper bound w(A) <= ||A|| closes it where that can pay. A matrix whose
-    largest cap of the first level (16 angles) reaches the certificate level
-    (1 - 16 n u)||A|| (u = 2^-53) skips both bisections and tries Newton from
-    its best first-level angle alone, within that angle's two first-level
-    cells (4 grid steps either way). If the try reaches the level, it is the
-    result: w(A) lies between it and ||A|| (up to their rounding), within
-    16 n u ||A|| of both. A normal matrix (w = ||A||) closes this way, after
-    8 eigvalsh. Otherwise the try's values are dropped, and the matrix takes
-    the rest of the scan and all its starts, exactly as without the bound.
-    ||A|| comes from the SVD of `polar`, computed only for a matrix whose
-    first-level caps reach the level of ||A x|| <= ||A|| (`_norm_floors`,
-    one power step on A*A), so a matrix that cannot close, such as a 2 x 2
-    nilpotent (caps near ||A||/2), takes no SVD.
+    upper bound w(A) <= ||A|| closes it where that can pay: a value that
+    reaches the certificate level (1 - 16 n u)||A|| (u = 2^-53) is the
+    result, since w(A) lies between it and ||A|| (up to their rounding),
+    within 16 n u ||A|| of both. The grid angle phi = 0 is solved first,
+    alone. If max(f(0), f(pi)) reaches the level, it is the result, after one
+    eigvalsh: a Hermitian A, whose f(0) or f(pi) is ||A||, closes this way,
+    so every PSD or real-diagonal one does. Otherwise the first level's
+    other 7 angles are solved. A matrix whose largest cap of the first level
+    (16 angles) reaches the level skips both bisections and tries Newton
+    from its best first-level angle alone, within that angle's two
+    first-level cells (4 grid steps either way); if the try reaches the
+    level, it is the result. Every other normal matrix (w = ||A||) closes
+    this way, after 8 eigvalsh. Otherwise the try's values are dropped, and
+    the matrix takes the rest of the scan and all its starts, exactly as
+    without the bound. ||A|| comes from the SVD of `polar`, computed only for
+    a matrix whose phi = 0 value or first-level caps reach the level of
+    ||A x|| <= ||A|| (`_norm_floors`, one power step on A*A), so a matrix
+    that cannot close, such as a 2 x 2 nilpotent (caps near ||A||/2), takes
+    no SVD.
 
     w(A) has degree 1 in A. An A whose largest real or imaginary part lies
     outside [2^-256, 2^256], where |q_k* K x|^2 can leave the double range and
@@ -406,16 +413,19 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
     """`numerical_radius` of each matrix of the stack A (m, n, n).
 
     `norms` holds each ||A||, the top singular value of `_polar_frames(A)`,
-    or is None to compute it, by that SVD, only for a matrix whose
-    first-level caps reach the certificate level of its `_norm_floors`; an
-    infinite norm never closes. The certificate's tries climb with every
-    other matrix's starts; a matrix whose try stays below the level finishes
-    its scan and climbs again, as with an infinite norm. Every matrix keeps
-    its own scan levels, its own best value and its own stop rule; only the
-    eigen-solver calls are shared. So each value is bit-identical to
-    `numerical_radius` of that matrix alone where its largest part lies in
-    [2^-256, 2^256]; the sweep draws none beyond, so this harness path takes
-    no unit scale of its own.
+    or is None to compute it, by that SVD, only for a matrix whose phi = 0
+    value or first-level caps reach the certificate level of its
+    `_norm_floors`; an infinite norm never closes. The phi = 0 level is one
+    stacked eigvalsh of every matrix; a matrix that closes there solves
+    nothing more, and the call returns once every matrix has closed. The
+    others solve the rest of the first level. The certificate's tries climb
+    with every other matrix's starts; a matrix whose try stays below the
+    level finishes its scan and climbs again, as with an infinite norm.
+    Every matrix keeps its own scan levels, its own best value and its own
+    stop rule; only the eigen-solver calls are shared. So each value is
+    bit-identical to `numerical_radius` of that matrix alone where its
+    largest part lies in [2^-256, 2^256]; the sweep draws none beyond, so
+    this harness path takes no unit scale of its own.
     """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
@@ -429,7 +439,7 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
 
     tops = np.full((m, _RADIUS_GRID), -np.inf)  # -inf: not solved
 
-    def solve(todo, span):  # solve the grid angles `todo` of [0, pi); the caps of `span`-step cells
+    def solve(todo):  # solve the grid angles `todo` of [0, pi): f there and pi further on
         owner, cell = np.nonzero(todo)
         for lo in range(0, owner.size, _RADIUS_SCAN_CHUNK):
             o, j = owner[lo:lo + _RADIUS_SCAN_CHUNK], cell[lo:lo + _RADIUS_SCAN_CHUNK]
@@ -439,7 +449,9 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
             lam = np.linalg.eigvalsh(H)
             del H  # before the next chunk's product is allocated
             tops[o, j], tops[o, j + half] = lam[:, -1], -lam[:, 0]
-        f0 = tops[:, ::span]  # the left ends of the cells [i, i + span]
+
+    def cell_caps(span):  # the caps of the cells [i, i + span] of the grid
+        f0 = tops[:, ::span]
         return _sinusoid_caps(f0, _rolled(f0, -1), span * step / 2.0)
 
     def scan(rows, caps):  # bisect the live first-level cells of `rows` on the grid, twice
@@ -447,7 +459,8 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
             live = (caps >= margin * tops.max(axis=1)[:, None]) & rows[:, None]
             todo = np.zeros((m, half), dtype=bool)  # the live cells' midpoints, read mod pi
             todo[:, span // 2::span] = live[:, :half // span] | live[:, half // span:]
-            caps = solve(todo, span // 2)
+            solve(todo)
+            caps = cell_caps(span // 2)
         return caps
 
     def starts(caps, rows):  # the peaks of `rows` whose two cells' caps reach their best value
@@ -480,23 +493,36 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
                     & (np.abs(nxt - phi) > _REFINE_TOL))
             phi, ends, f_prev, owner = nxt[live], ends[:, live], f[live], owner[live]
 
-    todo = np.zeros((m, half), dtype=bool)
-    todo[:, ::width] = True
-    first = solve(todo, width)
-    if norms is None:  # w <= ||A||: the SVD only where the caps reach the level of a lower
+    floors = None
+    if norms is None:  # w <= ||A||: the SVD only where a value reaches the level of a lower
         # bound, with the margin twice: a computed ||A x|| may exceed the SVD's ||A|| by rounding
-        norms = np.full(m, np.inf)
-        near = first.max(axis=1) >= certain * certain * _norm_floors(A)
-        if near.any():
-            norms[near] = _polar_frames(A[near]).sigma[:, 0]
-    level = certain * norms
-    trying = first.max(axis=1) >= level  # Newton from the best first-level angle, over its cells
-    caps = scan(~trying, first)
+        norms, floors = np.full(m, np.inf), certain * certain * _norm_floors(A)
+
+    def closes(value):  # whether each matrix's `value` reaches its certificate level
+        if floors is not None:
+            near = (value >= floors) & np.isinf(norms)  # not computed yet
+            if near.any():
+                norms[near] = _polar_frames(A[near]).sigma[:, 0]
+        return value >= certain * norms
+
+    todo = np.zeros((m, half), dtype=bool)
+    todo[:, 0] = True
+    solve(todo)  # phi = 0 alone: f(0) and f(pi), whose larger is ||A|| for a Hermitian A
+    best = np.maximum(tops[:, 0], tops[:, half])
+    rest = ~closes(best)
+    if not rest.any():
+        return best
+    todo[:, 0], todo[:, width::width] = False, rest[:, None]  # the first level's other angles
+    solve(todo)
+    first = cell_caps(width)
+    # Newton from the best first-level angle, over its cells
+    trying = rest & closes(first.max(axis=1))
+    caps = scan(rest & ~trying, first)
     best = tops.max(axis=1)
-    start = starts(caps, ~trying)
+    start = starts(caps, rest & ~trying)
     start[trying, np.argmax(tops[trying], axis=1)] = True
     climb(start, np.where(trying, width * step, step))
-    failed = trying & (best < level)
+    failed = trying & (best < certain * norms)
     if failed.any():  # the try dropped: the rest of the scan and all starts, as with no bound
         caps = scan(failed, first)
         best[failed] = tops[failed].max(axis=1)

@@ -251,9 +251,10 @@ def _operator_report_bytes(cfg):
                       sort_keys=True)
 
 
-@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("block", [1, 7, 50])
 def test_operator_report_is_independent_of_the_block_size(monkeypatch, block):
-    # 60 trials per dimension cross one boundary of the default block
+    # 60 trials per dimension fit in one default block (200) and cross a
+    # boundary of each block size here
     cfg = SweepConfig(seed=5, operator_trials=60)
     expected = _operator_report_bytes(cfg)
     monkeypatch.setattr(harness, "_OPERATOR_BLOCK", block)
@@ -297,8 +298,9 @@ def test_operator_blocks_report_what_the_public_checks_report():
     assert got == expected
 
 
-def test_operator_digest_replays_from_its_counter_block():
-    # 60 trials per dimension cross one boundary of the default block
+def test_operator_digest_replays_from_its_counter_block(monkeypatch):
+    # 60 trials per dimension cross one boundary of 50-trial blocks
+    monkeypatch.setattr(harness, "_OPERATOR_BLOCK", 50)
     cfg = SweepConfig(operator_trials=60)
     by_name = {c.name: c for c in run_suite(cfg, suite="operator").checks}
     for name in ("radius_chain", "mixed_schwarz"):
@@ -321,7 +323,7 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     # only the peaks that can beat the scan (or the best first-level angle
     # alone, where ||A|| may bound it), within budget
     cfg = SweepConfig()
-    calls = {"svd": 0, "eigh": 0, "eigh_matrices": 0, "eigvalsh_matrices": 0,
+    calls = {"svd": 0, "eigh": 0, "eigh_matrices": 0, "eigvalsh": 0, "eigvalsh_matrices": 0,
              "gen_instance": 0, "trial_rng": {}}
     svd_, eigh_, eigvalsh_ = np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh
     trial_rng_, gen_instance_ = harness.trial_rng, harness.gen_instance
@@ -336,6 +338,7 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
         return eigh_(M, *args, **kwargs)
 
     def counting_eigvalsh(M, *args, **kwargs):
+        calls["eigvalsh"] += 1
         calls["eigvalsh_matrices"] += int(np.prod(np.shape(M)[:-2]))
         return eigvalsh_(M, *args, **kwargs)
 
@@ -357,10 +360,10 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     assert calls["gen_instance"] == 0
     assert set(calls["trial_rng"]) == set(cfg.dims)
     assert max(calls["trial_rng"].values()) <= blocks, calls["trial_rng"]
-    assert calls["svd"] <= 100, calls["svd"]
-    # measured: 83 eigh calls on 5,062 matrices and 10,882 eigvalsh matrices
-    assert calls["eigh"] <= 84 and calls["eigh_matrices"] <= 5_140, calls
-    assert calls["eigvalsh_matrices"] <= 11_100, calls
+    assert calls["svd"] <= 25, calls["svd"]
+    # measured: 22 eigh calls on 4,662 matrices and 71 eigvalsh calls on 8,082
+    assert calls["eigh"] <= 22 and calls["eigh_matrices"] <= 4_760, calls
+    assert calls["eigvalsh"] <= 72 and calls["eigvalsh_matrices"] <= 8_250, calls
 
 
 def test_scalar_blocks_report_what_the_public_checks_report():
@@ -387,15 +390,18 @@ def test_scalar_blocks_report_what_the_public_checks_report():
 
 
 def test_operator_trials_run_in_bounded_memory():
+    # the block, not operator_trials, caps the memory: 400 trials run two blocks
+    # per dimension. Measured: 2.35 MiB at 200 (one whole-dimension block) and
+    # 2.44 MiB at 400
     harness._run_operator_trials(SweepConfig(operator_trials=5))  # first-call allocations
-    tracemalloc.start()
-    try:
-        harness._run_operator_trials(SweepConfig())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # 1.3 MiB in 50-trial blocks; whole-dimension blocks of 200 take 4.8 MiB
-    assert peak <= 3 << 20, peak
+    for operator_trials in (200, 400):
+        tracemalloc.start()
+        try:
+            harness._run_operator_trials(SweepConfig(operator_trials=operator_trials))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20, (operator_trials, peak)
 
 
 # --- aggregation ---------------------------------------------------------------

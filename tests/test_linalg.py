@@ -624,10 +624,11 @@ def test_radius_certificate_closes_only_at_the_norm(monkeypatch):
             for k in (0, 700, -700) if n % 8 == 1 else (0,):
                 w = math.ldexp(numerical_radius(_ldexp(A, k)), -k)
                 assert abs(w - nrm) <= margin and abs(w - every_start) <= margin, (n, k)
-    # (c) dim-48 normal matrices close on the first scan level: 8 eigvalsh
-    # matrices (a unitary solved all 32 grid angles when the bound was tested
-    # after the last level) and at most 4 eigh matrices (63 from all of a
-    # unitary's starts)
+    # (c) dim-48 normal matrices close on the first scan level: a unitary
+    # after at most 8 eigvalsh matrices (it solved all 32 grid angles when the
+    # bound was tested after the last level) and 4 eigh matrices (63 from all
+    # of its starts), a Hermitian or PSD one at phi = 0, after 1 eigvalsh
+    # matrix and no eigh
     solved = {"eigh": [], "eigvalsh": []}
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -641,11 +642,52 @@ def test_radius_certificate_closes_only_at_the_norm(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    for kind in ("unitary", "hermitian", "psd"):
+    for kind, eigvalsh_at_most, eigh_at_most in (
+            ("unitary", 8, 4), ("hermitian", 1, 0), ("psd", 1, 0)):
         for counts in solved.values():
             counts.clear()
         numerical_radius(gen_instance(trial_rng(48, 0, 0, 48), kind, 48))
-        assert sum(solved["eigvalsh"]) <= 8 and sum(solved["eigh"]) <= 4, (kind, solved)
+        assert sum(solved["eigvalsh"]) <= eigvalsh_at_most, (kind, solved)
+        assert sum(solved["eigh"]) <= eigh_at_most, (kind, solved)
+
+
+def test_radius_of_a_hermitian_matrix_closes_at_phi_zero(monkeypatch):
+    # For a Hermitian A, max(f(0), f(pi)) = max(lambda_max, -lambda_min) = ||A||,
+    # so the grid angle phi = 0, solved alone first, reaches the certificate
+    # level: the radius is that value, after one eigvalsh matrix and no eigh,
+    # within c n u ||A|| of ||A|| (also read back from 2^+-700), and the harness
+    # route gives the public route's bits
+    solved = {"eigh": 0, "eigvalsh": 0}
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+
+    def counting_eigh(M):
+        solved["eigh"] += int(np.prod(M.shape[:-2]))
+        return eigh(M)
+
+    def counting_eigvalsh(M):
+        solved["eigvalsh"] += int(np.prod(M.shape[:-2]))
+        return eigvalsh(M)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    rng = np.random.default_rng(50)
+    for n in range(1, 49):
+        stack = [gen_instance(rng, kind, n) for kind in ("hermitian", "psd")]
+        stack.append(np.diag(rng.normal(size=n)))
+        stack = np.stack(stack).astype(complex)
+        margin = _CERTIFICATE_ROUNDING * n
+        values = []
+        for A in stack:
+            nrm = _polar_frames(A).sigma[0]
+            for k in (0, 700, -700):
+                solved.update(eigh=0, eigvalsh=0)
+                w = math.ldexp(numerical_radius(_ldexp(A, k)), -k)
+                assert solved == {"eigh": 0, "eigvalsh": 1}, (n, k, solved)
+                assert abs(w - nrm) <= margin * nrm, (n, k, w, nrm)
+            values.append(numerical_radius(A))
+        solved.update(eigh=0, eigvalsh=0)
+        assert _harness_radii(stack) == values, n
+        assert solved == {"eigh": 0, "eigvalsh": len(stack)}, (n, solved)
 
 
 def test_radius_takes_an_svd_only_where_the_caps_reach_a_norm_floor(monkeypatch):
