@@ -8,6 +8,7 @@ machine-parseable output on stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -181,6 +182,7 @@ def _cmd_check(args) -> int:
     return 0 if total_fail == 0 else 1
 
 
+@functools.cache  # built once per process: parsing mutates no parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="opineq",

@@ -15,13 +15,13 @@ Box-Muller transform and one stacked transform per matrix kind, and any
 trial replays alone. The operator trials run in blocks of stacked arrays,
 up to 200 trials, so each dimension of the default sweep is one block:
 one stacked SVD gives every trial's polar frame, and each check's stacked
-kernel (in `operators` and `linalg`, the same one its public function runs)
-serves the whole block; the reports are then built trial by trial and enter
-their `CheckStats` a block at a time, and the radius sandwich is judged as
-arrays: every verdict enters by `add_verdicts`. The default sweep's
-operator phase makes 25 SVD, 22 `eigh` and 71 `eigvalsh` calls. A fixed
-seed reproduces the exact same trial stream regardless of how trials would
-be scheduled or blocked; the only volatile summary field is the wall time.
+kernels and judge (in `operators` and `linalg`, the ones its public
+function runs) serve the whole block, so every chain is judged as arrays,
+with no per-trial report, and every verdict enters its `CheckStats` a
+block at a time by `add_verdicts`. The default sweep's operator phase makes
+15 SVD, 22 `eigh` and 81 `eigvalsh` calls. A fixed seed reproduces the
+exact same trial stream regardless of how trials would be scheduled or
+blocked; the only volatile summary field is the wall time.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 
 from . import operators, scalars
 from .linalg import (
+    PolarFrame,
     _ct,
     _norms,
     _numerical_radii,
@@ -339,9 +340,14 @@ def _run_grid_checks(cfg: SweepConfig) -> tuple:
 # --- operator checks ---------------------------------------------------------
 
 
-def _rows(columns) -> list:
-    """Per-trial tuples of Python floats from a kernel's per-term arrays."""
-    return list(zip(*(column.tolist() for column in columns)))
+def _record_chains(stats: CheckStats, chains, rows, digest) -> None:
+    """Record an operator judge's block (terms, holds, worst, defined), whose
+    row j is attempt rows[j] of the block: an undefined row counts as
+    undefined, and the verdicts of the rest enter `add_verdicts`."""
+    _, holds, slacks, defined = chains
+    stats.n_undefined += int(np.count_nonzero(~defined))
+    rows = rows[defined]
+    stats.add_verdicts(holds[defined], slacks[defined], lambda j: digest(rows[j]))
 
 
 def _operator_draws(seed: int, dim: int, start: int, kinds) -> tuple:
@@ -384,10 +390,11 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
 
     Each block draws its trials at once by `_operator_draws`, shares one
     stacked SVD (the polar frames of every A, whose top singular values are
-    the norms ||A||) and one call of each check's stacked kernel; each
-    trial's reports are then built from its own values and recorded a block
-    at a time, and the radius sandwich ||A||/2 <= w(A) <= kittaneh <= ||A||
-    is judged as arrays, so the block size changes no value.
+    the norms ||A||) and one call of each check's stacked kernels and judge;
+    the geometric-mean forms are computed for the invertible kinds' trials
+    only. The radius sandwich ||A||/2 <= w(A) <= kittaneh <= ||A|| is judged
+    as arrays too, and each judge's block is recorded at once, so the block
+    size changes no value.
     """
     tol_op = cfg.tolerances["operator_chain"]
     tol_rad = cfg.tolerances["radius"]
@@ -406,30 +413,30 @@ def _run_operator_trials(cfg: SweepConfig) -> tuple:
             A, X, Y, XV, YV = _operator_draws(cfg.seed, dim, start, kinds)
             v = np.array(vs)
             frame = _polar_frames(A)
-            mixed_rows = _rows(operators._schwarz_terms(A, frame, v, X, Y))
-            unit_rows = _rows(operators._schwarz_terms(A, frame, v, X, X))
-            bounds = operators._kittaneh_bounds(frame, v).tolist()
-            reverse_rows = _rows(operators._reverse_cs_terms(XV, YV))
-            nx, ny = _norms(X).tolist(), _norms(Y).tolist()
-            geo_forms, refused = (a.tolist() for a in operators._geomean_forms(frame, v, X))
-            nrm = frame.sigma[:, 0]
+            unit = operators._schwarz_terms(A, frame, v, X, X)
+            trials = np.arange(len(ks))
 
             def digest(i):
                 return (f"seed={cfg.seed};dim={dim};trial={ks[i]};kind={kinds[i]};"
                         f"v={vs[i]:g};t={ts[i]:g}")
 
-            trials = range(len(ks))
-            mixed.add_reports([operators._mixed_schwarz_report(
-                *mixed_rows[i], vs[i], nx[i], ny[i], tol_op) for i in trials], digest)
-            chain.add_reports([operators._radius_chain_report(
-                *unit_rows[i], bounds[i], vs[i], tol_op) for i in trials], digest)
-            rev.add_reports([operators._reverse_cs_report(
-                *reverse_rows[i], ts[i], tol_op, eq_tol) for i in trials], digest)
-            # skipped unless A is invertible enough
-            geo.add_reports([operators._geomean_report(
-                geo_forms[i], *unit_rows[i], vs[i], tol_op, geo_tol)
-                if kinds[i] in INVERTIBLE_KINDS and not refused[i] else None
-                for i in trials], digest)
+            _record_chains(mixed, operators._mixed_schwarz_chains(
+                *operators._schwarz_terms(A, frame, v, X, Y), _norms(X), _norms(Y), tol_op),
+                trials, digest)
+            _record_chains(chain, operators._radius_chains(
+                *unit, operators._kittaneh_bounds(frame, v), tol_op), trials, digest)
+            _record_chains(rev, operators._reverse_cs_chains(
+                *operators._reverse_cs_terms(XV, YV), np.array(ts), tol_op, eq_tol), trials, digest)
+            # the invertible kinds' trials only; skipped unless A is invertible enough
+            inv = np.flatnonzero([kind in INVERTIBLE_KINDS for kind in kinds])
+            forms, refused = operators._geomean_forms(
+                PolarFrame(frame.W[inv], frame.sigma[inv], frame.V[inv]), v[inv], X[inv])
+            judged = inv[~refused]
+            geo.n_skipped += len(ks) - judged.size
+            _record_chains(geo, operators._geomean_chains(
+                forms[~refused], *(term[judged] for term in unit), tol_op, geo_tol),
+                judged, digest)
+            nrm = frame.sigma[:, 0]
             _, holds, slacks = scalars._chains(
                 (nrm / 2.0, _numerical_radii(A, nrm), operators._kittaneh_bounds(frame, 0.5), nrm),
                 tol_rad, nrm)

@@ -107,12 +107,6 @@ def _rolled(x: np.ndarray, shift: int) -> np.ndarray:
     return x.take((np.arange(n) - shift) % n, axis=-1)
 
 
-def _spectral_norms(M: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix; the singular values alone, as
-    np.linalg.norm(M, 2) computes them."""
-    return np.linalg.svd(M, compute_uv=False)[..., 0]
-
-
 @dataclass(frozen=True, eq=False)
 class PolarFrame:
     """Polar decomposition A = U |A| held as the one SVD A = W diag(sigma) V*.
@@ -293,8 +287,9 @@ def _require_pd(lam: np.ndarray, label: str) -> None:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value of M."""
-    return float(_spectral_norms(_as_matrix(M, "spectral_norm")))
+    """Largest singular value of M; the singular values alone, as
+    np.linalg.norm(M, 2) computes them."""
+    return float(np.linalg.svd(_as_matrix(M, "spectral_norm"), compute_uv=False)[0])
 
 
 # Cap on the stacked eigh calls of the Newton phase; the stop rules end it
@@ -465,7 +460,7 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
 
     def starts(caps, rows):  # the peaks of `rows` whose two cells' caps reach their best value
         peak = (tops >= _rolled(tops, 1)) & (tops >= _rolled(tops, -1))
-        live = caps >= margin * best[:, None]
+        live = caps >= margin * tops.max(axis=1)[:, None]
         return peak & (live | _rolled(live, 1)) & rows[:, None]
 
     def climb(start, reach):  # Newton from the grid angles of `start`, raising each owner's best
@@ -517,9 +512,9 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
     first = cell_caps(width)
     # Newton from the best first-level angle, over its cells
     trying = rest & closes(first.max(axis=1))
-    caps = scan(rest & ~trying, first)
+    search = rest & ~trying  # no empty scan where every matrix tries
+    start = starts(scan(search, first), search) if search.any() else np.zeros(tops.shape, bool)
     best = tops.max(axis=1)
-    start = starts(caps, rest & ~trying)
     start[trying, np.argmax(tops[trying], axis=1)] = True
     climb(start, np.where(trying, width * step, step))
     failed = trying & (best < certain * norms)

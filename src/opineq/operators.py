@@ -17,10 +17,12 @@ sigma^v (V* x) and sigma^(1-v) (W* y). The chains checked here:
     <= |<Ax,x>| with an exact-equality last link.
 
 Inner products are linear in the first slot: <u, w> = w* u. The arithmetic
-of every check lives in one kernel that broadcasts over leading axes: the
-harness runs it on blocks of trials, each public check on its one validated
-input, and both give the same bits. theta_x has one formula, the cos(theta)
-of `_aux_terms`' auxiliary vectors; the checks and `angle_profile` share it.
+of every check lives in kernels that broadcast over leading axes, and its
+verdict in one judge per chain: the harness runs them on blocks of trials,
+each public check on its one validated input, and both give the same bits.
+theta_x has one formula, the cos(theta) of `_aux_terms`' auxiliary vectors
+(`_angle`); the checks and `angle_profile` share it, and mu and gamma are
+read from it with no acos.
 The mixed Schwarz and geometric-mean chains are homogeneous of degree 1 in
 A, so their public checks judge an A with ||A|| outside [2^-256, 2^256] at
 the unit scale of `scalars._unit_scaled`, where no power of sigma leaves the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,16 +45,22 @@ from .linalg import (
     _as_vector,
     _ct,
     _from_spectrum,
-    _hermitian_part,
     _matvecs,
     _moduli,
     _norms,
     _pd_refused,
     _polar_frames,
     _powers,
-    _spectral_norms,
 )
-from .scalars import ChainReport, _chain, _scaled_report, _unit_scaled, gamma, mu
+from .scalars import (
+    ChainReport,
+    _chains,
+    _gamma_of,
+    _mu_of,
+    _report,
+    _scaled_report,
+    _unit_scaled,
+)
 
 __all__ = [
     "AngleProfile",
@@ -81,6 +89,13 @@ GEOMEAN_EQUALITY_TOL = 1e-10
 # auxiliary vectors shorter than this times sigma_max^p (their largest
 # possible norm) leave theta undefined; such trials are reported, not failed
 _AUX_DEGENERATE_TOL = 1e-12
+
+# each chain's term names in chain order
+_MIXED_SCHWARZ_NAMES = ("abs_inner", "refined_schwarz", "kato_schwarz")
+_RADIUS_CHAIN_NAMES = ("abs_quadratic_form", "refined_schwarz", "arithmetic_mean",
+                       "operator_norm_bound")
+_REVERSE_CS_NAMES = ("zero", "reverse_bound", "abs_inner")
+_GEOMEAN_NAMES = ("geomean_form", "schwarz_form", "abs_quadratic_form")
 
 _PROFILE_STREAM = 0x70726F66  # fixed second key word for angle_profile draws
 _PROFILE_BINS = 36  # equal-width histogram bins over [0, pi/2]
@@ -124,48 +139,50 @@ def _require_unit(x: np.ndarray, who: str) -> np.ndarray:
     return x
 
 
-def _aux_tol(top: float, p: float) -> float:
-    """Degeneracy floor of an auxiliary vector scaled by sigma^p, top = sigma_max."""
-    return _AUX_DEGENERATE_TOL * top**p
-
-
 # --- kernels -----------------------------------------------------------------
 #
 # Each kernel takes one trial or a stack of them (A of shape (m, n, n),
 # vectors (m, n), the polar frames of all of A from one SVD call, v a float or
-# one weight per trial) and returns one value or array per term. The public
-# checks run them on their one input; the harness runs them on blocks of
-# trials. A check's report is then built per trial from Python floats, where
-# cos(theta), mu, gamma and acos stay scalar.
+# one weight per trial) and returns one value or array per term. Each chain's
+# judge takes those terms and returns (terms, holds, worst_slack, defined),
+# as `scalars._chains` does with the angle's `defined` added: the harness runs
+# it on blocks of trials, and the public check on its one trial's floats,
+# which take the same operations.
 
 
 def _aux_terms(frame: PolarFrame, v, x, y):
-    """(n1, n2, |<a1,a2>|, sigma_max) per trial for the auxiliary vectors
+    """(n1, n2, |<a1,a2>|, r1, r2) per trial for the auxiliary vectors
     a1 = |A|^v x and a2 = |A|^(1-v) U* y, with norms n1, n2. In the frame's
-    coordinates they are sigma^v (V* x) and sigma^(1-v) (W* y)."""
+    coordinates they are sigma^v (V* x) and sigma^(1-v) (W* y). r1 and r2
+    are sigma_max^v and sigma_max^(1-v), their largest norms for unit x, y."""
     sigma = frame.sigma
-    a1 = _powers(sigma, v) * _matvecs(_ct(frame.V), x)
-    a2 = _powers(sigma, 1.0 - v) * _matvecs(_ct(frame.W), y)
-    return _norms(a1), _norms(a2), _moduli(np.vecdot(a2, a1)), sigma[..., 0]
+    p, q = _powers(sigma, v), _powers(sigma, 1.0 - v)
+    a1 = p * _matvecs(_ct(frame.V), x)
+    a2 = q * _matvecs(_ct(frame.W), y)
+    return _norms(a1), _norms(a2), _moduli(np.vecdot(a2, a1)), p[..., 0], q[..., 0]
 
 
 def _schwarz_terms(A, frame: PolarFrame, v, x, y):
-    """(|<Ax,y>|, n1, n2, |<a1,a2>|, sigma_max) per trial: the chain checks'
-    first term, then `_aux_terms`."""
-    return (_moduli(np.vecdot(y, _matvecs(A, x))), *_aux_terms(frame, v, x, y))
+    """(|<Ax,y>|, n1, n2, |<a1,a2>|, r1, r2, sigma_max) per trial: the chain
+    checks' first term, `_aux_terms` and ||A||."""
+    t1 = _moduli(np.vecdot(y, _matvecs(A, x)))
+    return (t1, *_aux_terms(frame, v, x, y), frame.sigma[..., 0])
 
 
 def _kittaneh_bounds(frame: PolarFrame, v) -> np.ndarray:
     """`kittaneh_bound` per trial: ||S/2||, S = |A|^2v + |A*|^2(1-v), with each
     power halved before the sum so that finite A near the double range stays
-    finite. Kittaneh's |A| + |A*| is S at v = 1/2."""
+    finite. Kittaneh's |A| + |A*| is S at v = 1/2. S/2 is formed from the
+    frame and is positive semidefinite, so its norm is its top eigenvalue,
+    read by eigvalsh (a general SVD of it costs more), which reads the lower
+    triangle alone: the sum needs no symmetrising."""
     try:
         with np.errstate(over="raise"):
             p = _powers(frame.sigma, 2.0 * v) / 2.0
             q = _powers(frame.sigma, 2.0 * (1.0 - v)) / 2.0
     except FloatingPointError:
         raise ValueError(f"|A|^2v or |A*|^2(1-v) leaves the double range at v = {v}") from None
-    return _spectral_norms(_hermitian_part(_from_spectrum(frame.V, p) + _from_spectrum(frame.W, q)))
+    return np.linalg.eigvalsh(_from_spectrum(frame.V, p) + _from_spectrum(frame.W, q))[..., -1]
 
 
 def _geomean_forms(frame: PolarFrame, v, x):
@@ -198,71 +215,85 @@ def _reverse_cs_terms(x, y):
     return _norms(x), _norms(y), _moduli(np.vecdot(y, x))
 
 
-def _cos_theta(n1, n2, inner, top, v, x_scale=1.0, y_scale=1.0):
-    """cos(theta) of the auxiliary vectors, or None when a norm is at or below
-    its degeneracy floor (times x_scale or y_scale) and theta is undefined."""
-    if n1 <= _aux_tol(top, v) * x_scale or n2 <= _aux_tol(top, 1.0 - v) * y_scale:
-        return None
-    return min(1.0, inner / (n1 * n2))
+# theta is read from its cosine c, with s = sin(theta) = sqrt((1 - c)(1 + c)),
+# and no acos. One trial's floats take math, a block's arrays numpy: both
+# round sqrt alike, and np.log1p on a float gives its bits on an array, so
+# the two routes agree bit for bit.
 
 
-def _undefined(first) -> ChainReport:
-    """The angle-undefined report, holding only the chain's first term."""
-    return ChainReport((first,), True, 0.0, angle_undefined=True)
+def _angle(n1, n2, inner, r1=0.0, r2=0.0):
+    """(defined, s, c) of the angle theta in [0, pi/2] of two vectors with
+    norms n1, n2 and |inner product| inner, per trial: defined where each
+    norm exceeds `_AUX_DEGENERATE_TOL` times r1 or r2, its largest possible
+    value, and c = cos(theta) = min(1, inner/(n1 n2)). An array's undefined
+    rows hold values that no verdict reads; one undefined trial reads
+    theta = 0."""
+    defined = (n1 > _AUX_DEGENERATE_TOL * r1) & (n2 > _AUX_DEGENERATE_TOL * r2)
+    if isinstance(defined, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 on undefined rows
+            c = np.minimum(1.0, inner / (n1 * n2))
+        return defined, np.sqrt((1.0 - c) * (1.0 + c)), c
+    c = min(1.0, inner / (n1 * n2)) if defined else 1.0
+    return defined, math.sqrt((1.0 - c) * (1.0 + c)), c
 
 
-def _mixed_schwarz_report(t1, n1, n2, inner, top, v, nx, ny, tol) -> ChainReport:
-    cos = _cos_theta(n1, n2, inner, top, v, nx, ny)
-    if cos is None:
-        return _undefined(("abs_inner", t1))
+def _mu_at(s, c):
+    """`scalars.mu` at the angle of (s, c) from `_angle`: 1 at s = 0, 1/2 at c = 0."""
+    if isinstance(c, np.ndarray):
+        with np.errstate(divide="ignore", invalid="ignore"):  # the rows of s == 0 or c == 0
+            return np.where(s == 0.0, 1.0, np.where(c == 0.0, 0.5, _mu_of(s, c, np)))
+    return 1.0 if s == 0.0 else 0.5 if c == 0.0 else float(_mu_of(s, c, np))
+
+
+def _gamma_at(t, s, c):
+    """`scalars.gamma` at the weight t and the angle of (s, c) from `_angle`: 0 at c = 0."""
+    if isinstance(c, np.ndarray):
+        with np.errstate(invalid="ignore"):  # 0/0 on the rows of c == 0 at t = 1/2
+            return np.where(c == 0.0, 0.0, np.minimum(1.0, _gamma_of(t, s, c, np)))
+    return 0.0 if c == 0.0 else min(1.0, _gamma_of(t, s, c, math))
+
+
+def _mixed_schwarz_chains(t1, n1, n2, inner, r1, r2, top, nx, ny, tol):
+    """The judge of `check_mixed_schwarz`, r1 and r2 times ||x|| and ||y||."""
+    defined, s, c = _angle(n1, n2, inner, r1 * nx, r2 * ny)
     base = n1 * n2
-    terms = (
-        ("abs_inner", t1),
-        ("refined_schwarz", mu(math.acos(cos)) * base),
-        ("kato_schwarz", base),
-    )
-    return _chain(terms, tol, top * nx * ny)
+    return (*_chains((t1, _mu_at(s, c) * base, base), tol, top * nx * ny), defined)
 
 
-def _radius_chain_report(t1, n1, n2, inner, top, kb, v, tol) -> ChainReport:
-    cos = _cos_theta(n1, n2, inner, top, v)
-    if cos is None:
-        return _undefined(("abs_quadratic_form", t1))
-    m = mu(math.acos(cos))
-    terms = (
-        ("abs_quadratic_form", t1),
-        ("refined_schwarz", m * n1 * n2),
-        ("arithmetic_mean", m / 2.0 * (n1 * n1 + n2 * n2)),
-        ("operator_norm_bound", m * kb),
-    )
-    return _chain(terms, tol, top)  # ||A|| ||x||^2, x a unit vector
+def _radius_chains(t1, n1, n2, inner, r1, r2, top, kb, tol):
+    """The judge of `check_radius_chain`, kb its `_kittaneh_bounds`."""
+    defined, s, c = _angle(n1, n2, inner, r1, r2)
+    m = _mu_at(s, c)
+    terms = (t1, m * n1 * n2, m / 2.0 * (n1 * n1 + n2 * n2), m * kb)
+    return (*_chains(terms, tol, top), defined)  # ||A|| ||x||^2, x a unit vector
 
 
-def _reverse_cs_report(nx, ny, inner, t, tol, equality_tol) -> ChainReport:
+def _reverse_cs_chains(nx, ny, inner, t, tol, equality_tol):
+    """The judge of `check_reverse_cs`, with the t = 1/2 gap as an equality;
+    theta is defined where x and y are nonzero."""
+    defined, s, c = _angle(nx, ny, inner)
     prod = nx * ny
-    theta = math.acos(min(1.0, inner / prod))
-    terms = (
-        ("zero", 0.0),
-        ("reverse_bound", gamma(t, theta) * prod),
-        ("abs_inner", inner),
-    )
-    sharp_gap = gamma(0.5, theta) * prod - inner
-    return _chain(terms, tol, prod, ((sharp_gap, equality_tol),))
+    terms = (prod * 0.0, _gamma_at(t, s, c) * prod, inner)
+    sharp_gap = _gamma_at(0.5, s, c) * prod - inner
+    return (*_chains(terms, tol, prod, gaps=((sharp_gap, equality_tol),)), defined)
 
 
-def _geomean_report(g, t3, n1, n2, inner, top, v, tol, equality_tol) -> ChainReport:
-    cos = _cos_theta(n1, n2, inner, top, v)
-    if cos is None:
-        return _undefined(("abs_quadratic_form", t3))
-    t2 = cos * n1 * n2
-    terms = (
-        ("geomean_form", cos * g),
-        ("schwarz_form", t2),
-        ("abs_quadratic_form", t3),
-    )
-    # the last link is checked two-sided through its gap, not as an ordering
-    report = _chain(terms[:2], tol, top, ((t3 - t2, equality_tol),))
-    return replace(report, terms=terms)
+def _geomean_chains(g, t3, n1, n2, inner, r1, r2, top, tol, equality_tol):
+    """The judge of `check_geomean_lower`, g its `_geomean_forms`; the last
+    link is checked two-sided through its gap, not as an ordering."""
+    defined, _, c = _angle(n1, n2, inner, r1, r2)
+    t2 = c * n1 * n2
+    terms, holds, worst = _chains((c * g, t2), tol, top, gaps=((t3 - t2, equality_tol),))
+    return (*terms, t3), holds, worst, defined
+
+
+def _lone_report(names, chains, kept: int = 0) -> ChainReport:
+    """A public check's report from its judge on its one trial, of floats;
+    where the angle is undefined, the term `kept` alone, with no verdict."""
+    terms, holds, worst, defined = chains
+    if not defined:
+        return ChainReport(((names[kept], terms[kept]),), True, 0.0, angle_undefined=True)
+    return _report(names, terms, holds, worst)
 
 
 def _unit_scaled_frame(A):
@@ -305,7 +336,8 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
         raise ValueError("check_mixed_schwarz: x and y must be nonzero")
     k, A, frame = _unit_scaled_frame(A)
     terms = map(float, _schwarz_terms(A, frame, v, xv, yv))
-    return _scaled_report(_mixed_schwarz_report(*terms, v, nx, ny, tol), k + kx + ky)
+    chains = _mixed_schwarz_chains(*terms, nx, ny, tol)
+    return _scaled_report(_lone_report(_MIXED_SCHWARZ_NAMES, chains), k + kx + ky)
 
 
 def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
@@ -325,7 +357,8 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
     frame = _polar_frames(A)
     bound = float(_kittaneh_bounds(frame, v))  # its range check before the norms overflow
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
-    return _radius_chain_report(*terms, bound, v, tol)
+    chains = _radius_chains(*terms, bound, tol)
+    return _lone_report(_RADIUS_CHAIN_NAMES, chains)
 
 
 def check_reverse_cs(
@@ -351,7 +384,8 @@ def check_reverse_cs(
         raise ValueError("check_reverse_cs: x and y must be nonzero")
     if not (np.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_cs: t must lie strictly in (0, 1), got {t!r}")
-    return _scaled_report(_reverse_cs_report(nx, ny, inner, t, tol, equality_tol), kx + ky)
+    chains = _reverse_cs_chains(nx, ny, inner, float(t), tol, equality_tol)
+    return _scaled_report(_lone_report(_REVERSE_CS_NAMES, chains), kx + ky)
 
 
 def check_geomean_lower(
@@ -376,7 +410,8 @@ def check_geomean_lower(
         raise ValueError("check_geomean_lower: |A|^2v or |A*|^2(1-v) is not positive definite "
                          f"enough for the geometric mean at v = {v} (A not invertible enough)")
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
-    return _scaled_report(_geomean_report(float(form), *terms, v, tol, equality_tol), k)
+    chains = _geomean_chains(float(form), *terms, tol, equality_tol)
+    return _scaled_report(_lone_report(_GEOMEAN_NAMES, chains, kept=2), k)
 
 
 def kittaneh_bound(A, v: float = 0.5) -> float:
@@ -415,15 +450,13 @@ def angle_profile(A, v: float, samples: int, seed: int) -> AngleProfile:
     norms = np.linalg.norm(Z, axis=1)
     norms[norms == 0.0] = 1.0
     X = Z / norms[:, None]
-    # the chain checks' theta_x, each sample's cos(theta) as `_cos_theta` takes it,
+    # the chain checks' theta_x, each sample's cos(theta) as `_angle` takes it,
     # from A at its unit scale: theta_x is the same at every scale of A
-    n1, n2, inner, top = _aux_terms(_unit_scaled_frame(A)[2], v, X, X)
-    defined = (n1 > _aux_tol(top, v)) & (n2 > _aux_tol(top, 1.0 - v))
+    defined, _, c = _angle(*_aux_terms(_unit_scaled_frame(A)[2], v, X, X))
     skipped = int(samples - defined.sum())
     if not defined.any():
         raise ValueError("angle_profile: profile empty (every sampled angle was undefined)")
-    n1, n2, inner = n1[defined], n2[defined], inner[defined]
-    thetas = np.arccos(np.minimum(1.0, inner / (n1 * n2)))
+    thetas = np.arccos(c[defined])
     counts, edges = np.histogram(thetas, bins=_PROFILE_BINS, range=(0.0, math.pi / 2.0))
     centers = (edges[:-1] + edges[1:]) / 2.0
     return AngleProfile(

@@ -18,10 +18,11 @@ so both give the same bits. A stack of one costs 20-200 us in numpy calls,
 so four functions keep a one-input route beside their kernel:
 `segment_mean_abs` (for ends of size in [2^-256, 2^256]; all others go to
 the kernel) and `check_triangle_refinement` give their kernels' bits (which
-the tests check), and `mu` and `gamma` take a float, which the operator
-checks pass per trial. A route keeps its own guards, but no formula: the
-reduction mod pi, the log ratio, mu, gamma and the segment's line are each
-one expression, evaluated by `math` on a float and by numpy on an array.
+the tests check), and `mu` and `gamma` take a float. A route keeps its own
+guards, but no formula: the reduction mod pi, the log ratio, mu, gamma and
+the segment's line are each one expression, evaluated by `math` on a float
+and by numpy on an array; `_chains` judges a chain of numbers as it judges
+rows of arrays.
 
 Every chain is homogeneous, so one rule serves the scalar kernels, the
 operator chains and `numerical_radius`: `_unit_scaled` takes an input whose
@@ -92,42 +93,41 @@ class ChainReport:
         return "pass" if self.holds else "fail"
 
 
-def _chain(terms, tol: float, scale: float, equality_gaps=()) -> ChainReport:
-    """The report of the chain `terms` (two or more), each adjacent gap
-    allowed down to -tol*scale, with `scale` the chain's own size.
+def _least(a, b):
+    """np.minimum of two numbers, NaN and signed zeros included: a where
+    a < b or a is NaN, else b."""
+    return a if a < b or a != a else b
+
+
+def _chains(terms, tol: float, scale, k=0, gaps=()):
+    """(terms, holds, worst_slack) of each row of the chains `terms`, one
+    array per link in chain order, or of the one chain of numbers `terms`,
+    each adjacent gap allowed down to -tol*scale, with `scale` the chain's
+    own size. Each (gap, gap_tol) of `gaps` is an exact equality: it enters
+    the worst slack as -|gap| and fails the row beyond gap_tol*scale. Terms
+    and slack are read back from the `_unit_scaled` scale 2^k.
 
     The inequalities are homogeneous, and rounding error grows with the
     operands, so every allowance is relative: no absolute floor, which would
-    swamp the values of a chain at small scale. Each (gap, gap_tol) in
-    `equality_gaps` is an exact equality: it enters `worst_slack` as -|gap|
-    and fails the chain beyond gap_tol*scale.
-    """
-    links = iter(terms)  # a plain loop, cheaper than min() over a comprehension
-    (_, first), (_, prev) = next(links), next(links)
-    worst = prev - first  # a NaN first gap stays the worst and fails the chain
-    for _, value in links:
-        if value - prev < worst:
-            worst = value - prev
-        prev = value
+    swamp the values of a chain at small scale. A NaN gap fails its row.
+    Numbers take `_least` for np.minimum, so one chain has a block's bits."""
+    links = [b - a for a, b in zip(terms, terms[1:])]
+    least = np.minimum if isinstance(links[0], np.ndarray) else _least
+    worst = functools.reduce(least, links)
     holds = worst >= -tol * scale
-    for gap, gap_tol in equality_gaps:
-        worst = min(worst, -abs(gap))
-        holds = holds and abs(gap) <= gap_tol * scale
-    return ChainReport(terms, holds, worst)
-
-
-def _chains(terms, tol: float, scale, k=0):
-    """(terms, holds, worst_slack) of each row of the chains `terms`, one
-    array per link in chain order, judged as `_chain` judges one chain, and
-    terms and slack read back from the `_unit_scaled` scale 2^k."""
-    worst = functools.reduce(np.minimum, (b - a for a, b in zip(terms, terms[1:])))
-    return tuple(np.ldexp(t, -k) for t in terms), worst >= -tol * scale, np.ldexp(worst, -k)
+    for gap, gap_tol in gaps:
+        worst = least(worst, -abs(gap))
+        holds = holds & (abs(gap) <= gap_tol * scale)
+    if isinstance(k, np.ndarray) or k:
+        terms, worst = tuple(np.ldexp(t, -k) for t in terms), np.ldexp(worst, -k)
+    return terms, holds, worst
 
 
 def _report(names, terms, holds, worst) -> ChainReport:
-    """The `ChainReport` of row 0 of a chain kernel's output."""
-    values = (float(value[0]) for value in terms)
-    return ChainReport(tuple(zip(names, values)), bool(holds[0]), float(worst[0]))
+    """The `ChainReport` of one chain from `_chains`: numbers, or row 0 of arrays."""
+    if isinstance(worst, np.ndarray):
+        terms, holds, worst = [float(t[0]) for t in terms], bool(holds[0]), float(worst[0])
+    return ChainReport(tuple(zip(names, terms)), holds, worst)
 
 
 def _unit_scaled(parts, scale):
@@ -360,7 +360,7 @@ def check_triangle_refinement(c: complex, d: complex, tol: float = SCALAR_REL_TO
     lhs = abs(c / 2.0 + d / 2.0)
     mid = segment_mean_abs(c, d)
     rhs = abs(c) / 2.0 + abs(d) / 2.0
-    return _chain((("lhs", lhs), ("mid", mid), ("rhs", rhs)), tol, rhs)
+    return _report(("lhs", "mid", "rhs"), *_chains((lhs, mid, rhs), tol, rhs))
 
 
 def check_reverse_triangle(

@@ -298,6 +298,24 @@ def test_operator_blocks_report_what_the_public_checks_report():
     assert got == expected
 
 
+def test_operator_phase_builds_no_chain_report(monkeypatch):
+    # every operator chain is judged as arrays, a block at a time: the phase
+    # constructs no ChainReport, not even for a block's worst trial
+    built = []
+    init = ChainReport.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainReport, "__init__", counting_init)
+    stats = harness._run_operator_trials(SweepConfig(operator_trials=20))
+    assert sum(c.n_pass + c.n_fail for c in stats) > 0
+    assert not built
+    operators.check_mixed_schwarz(np.eye(2), [1.0, 0.0], [1.0, 0.0], 0.5)
+    assert built  # the count sees a construction
+
+
 def test_operator_digest_replays_from_its_counter_block(monkeypatch):
     # 60 trials per dimension cross one boundary of 50-trial blocks
     monkeypatch.setattr(harness, "_OPERATOR_BLOCK", 50)
@@ -319,28 +337,42 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     # one generator per (dim, block), no per-trial instance draw, one stacked
     # SVD per block for the unitary ensemble instead of one per trial, a radius
     # scan that solves only the grid angles where the maximum can lie (only the
-    # first level where ||A|| may bound the radius), and a Newton phase from
-    # only the peaks that can beat the scan (or the best first-level angle
-    # alone, where ||A|| may bound it), within budget
+    # first level where ||A|| may bound the radius), a Newton phase from only
+    # the peaks that can beat the scan (or the best first-level angle alone,
+    # where ||A|| may bound it), and Kittaneh norms by eigvalsh, within budget
     cfg = SweepConfig()
-    calls = {"svd": 0, "eigh": 0, "eigh_matrices": 0, "eigvalsh": 0, "eigvalsh_matrices": 0,
-             "gen_instance": 0, "trial_rng": {}}
+    calls = {"svd": 0, "svd_matrices": 0, "eigh": 0, "eigh_matrices": 0,
+             "eigvalsh": {}, "eigvalsh_matrices": {}, "gen_instance": 0, "trial_rng": {}}
+    layer = ["other"]  # the operator layer whose eigvalsh work is counted
     svd_, eigh_, eigvalsh_ = np.linalg.svd, np.linalg.eigh, np.linalg.eigvalsh
     trial_rng_, gen_instance_ = harness.trial_rng, harness.gen_instance
 
-    def counting_svd(*args, **kwargs):
+    def matrices(M):
+        return int(np.prod(np.shape(M)[:-2]))
+
+    def counting_svd(M, *args, **kwargs):
         calls["svd"] += 1
-        return svd_(*args, **kwargs)
+        calls["svd_matrices"] += matrices(M)
+        return svd_(M, *args, **kwargs)
 
     def counting_eigh(M, *args, **kwargs):
         calls["eigh"] += 1
-        calls["eigh_matrices"] += int(np.prod(np.shape(M)[:-2]))
+        calls["eigh_matrices"] += matrices(M)
         return eigh_(M, *args, **kwargs)
 
     def counting_eigvalsh(M, *args, **kwargs):
-        calls["eigvalsh"] += 1
-        calls["eigvalsh_matrices"] += int(np.prod(np.shape(M)[:-2]))
+        for key, n in (("eigvalsh", 1), ("eigvalsh_matrices", matrices(M))):
+            calls[key][layer[-1]] = calls[key].get(layer[-1], 0) + n
         return eigvalsh_(M, *args, **kwargs)
+
+    def in_layer(name, function):
+        def wrapped(*args, **kwargs):
+            layer.append(name)
+            try:
+                return function(*args, **kwargs)
+            finally:
+                layer.pop()
+        return wrapped
 
     def counting_trial_rng(seed, stream, trial, dim=0):
         calls["trial_rng"][dim] = calls["trial_rng"].get(dim, 0) + 1
@@ -353,6 +385,9 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(harness, "_numerical_radii", in_layer("radius", harness._numerical_radii))
+    monkeypatch.setattr(operators, "_kittaneh_bounds",
+                        in_layer("kittaneh", operators._kittaneh_bounds))
     monkeypatch.setattr(harness, "trial_rng", counting_trial_rng)
     monkeypatch.setattr(harness, "gen_instance", counting_gen_instance)
     harness._run_operator_trials(cfg)
@@ -360,10 +395,18 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     assert calls["gen_instance"] == 0
     assert set(calls["trial_rng"]) == set(cfg.dims)
     assert max(calls["trial_rng"].values()) <= blocks, calls["trial_rng"]
-    assert calls["svd"] <= 25, calls["svd"]
-    # measured: 22 eigh calls on 4,662 matrices and 71 eigvalsh calls on 8,082
+    # measured: 15 SVD calls on 2,000 matrices (1,000 polar frames, 200
+    # unitary draws, 800 geometric-mean forms)
+    assert calls["svd"] <= 15 and calls["svd_matrices"] <= 2_000, calls
+    # measured: 22 eigh calls on 4,662 matrices
     assert calls["eigh"] <= 22 and calls["eigh_matrices"] <= 4_760, calls
-    assert calls["eigvalsh"] <= 72 and calls["eigvalsh_matrices"] <= 8_250, calls
+    # measured: 71 eigvalsh calls on 8,082 matrices in the radius, and 10 on
+    # 2,000 in the Kittaneh norms; none elsewhere
+    assert set(calls["eigvalsh"]) == {"radius", "kittaneh"}, calls
+    assert calls["eigvalsh"]["radius"] <= 72, calls
+    assert calls["eigvalsh_matrices"]["radius"] <= 8_250, calls
+    assert calls["eigvalsh"]["kittaneh"] <= 10, calls
+    assert calls["eigvalsh_matrices"]["kittaneh"] <= 2_000, calls
 
 
 def test_scalar_blocks_report_what_the_public_checks_report():

@@ -651,6 +651,25 @@ def test_radius_certificate_closes_only_at_the_norm(monkeypatch):
         assert sum(solved["eigh"]) <= eigh_at_most, (kind, solved)
 
 
+def test_radius_of_a_lone_unitary_runs_no_empty_scan(monkeypatch):
+    # a lone unitary tries Newton from its best first-level angle and closes:
+    # no matrix searches, so the scan's two bisection levels and its starts do
+    # not run, and the first level's caps are the one `_sinusoid_caps` call.
+    # Its value is the one it takes beside a Ginibre matrix, which does search
+    calls = []
+    caps = linalg._sinusoid_caps
+    monkeypatch.setattr(linalg, "_sinusoid_caps", lambda *args: calls.append(1) or caps(*args))
+    for n in (4, 8, 16, 24, 32, 48):
+        U = gen_instance(trial_rng(52, 0, 0, n), "unitary", n)
+        G = gen_instance(trial_rng(52, 0, 1, n), "ginibre", n)
+        calls.clear()
+        w = numerical_radius(U)
+        assert len(calls) == 1, (n, len(calls))
+        calls.clear()
+        assert _numerical_radii(np.stack([U, G]))[0] == w, n
+        assert len(calls) > 1, n
+
+
 def test_radius_of_a_hermitian_matrix_closes_at_phi_zero(monkeypatch):
     # For a Hermitian A, max(f(0), f(pi)) = max(lambda_max, -lambda_min) = ||A||,
     # so the grid angle phi = 0, solved alone first, reaches the certificate

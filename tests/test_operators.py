@@ -1,14 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from opineq import operators
 from opineq.harness import MATRIX_KINDS, SweepConfig, gen_instance, trial_rng
-from opineq.linalg import _polar_frames, numerical_radius, spectral_norm
+from opineq.linalg import (
+    _from_spectrum,
+    _polar_frames,
+    numerical_radius,
+    spectral_norm,
+)
 from opineq.operators import (
     _PROFILE_STREAM,
-    _cos_theta,
+    _angle,
+    _gamma_at,
+    _mu_at,
     _philox,
     _schwarz_terms,
     angle_profile,
@@ -18,7 +26,6 @@ from opineq.operators import (
     check_reverse_cs,
     kittaneh_bound,
 )
-from opineq.scalars import gamma, mu
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -65,9 +72,9 @@ def test_kittaneh_between_radius_and_norm():
 @pytest.mark.parametrize("kind", MATRIX_KINDS)
 @pytest.mark.parametrize("dim", [2, 5])
 def test_kittaneh_is_refined_bound_at_half_weight_exactly(kind, dim):
-    # the radius chain's last term is mu(theta_x) * kittaneh_bound(A, v): both
-    # compute m * ||S|| / 2 along the same path with one rounding, so they
-    # agree to the last bit
+    # the radius chain's last term is mu(theta_x) * kittaneh_bound(A, v), mu
+    # read from cos(theta_x): both compute m * ||S|| / 2 along the same path
+    # with one rounding, so they agree to the last bit
     rng = trial_rng(17, 4, 0, dim)
     A = gen_instance(rng, kind, dim)
     x = gen_instance(rng, "unit-vector", dim)
@@ -76,9 +83,10 @@ def test_kittaneh_is_refined_bound_at_half_weight_exactly(kind, dim):
         rep = check_radius_chain(A, v, x)
         if rep.angle_undefined:
             continue
-        _, n1, n2, inner, _ = _schwarz_terms(A[None], _polar_frames(A[None]), v, x[None], x[None])
-        cos_theta = min(1.0, float(inner[0]) / float(n1[0] * n2[0]))
-        assert rep.terms[-1][1] == mu(math.acos(cos_theta)) * kittaneh_bound(A, v)
+        _, n1, n2, inner, r1, r2, _ = _schwarz_terms(
+            A[None], _polar_frames(A[None]), v, x[None], x[None])
+        _, s, c = _angle(n1, n2, inner, r1, r2)
+        assert rep.terms[-1][1] == _mu_at(s, c)[0] * kittaneh_bound(A, v)
         checked += 1
     assert checked > 0
     assert kittaneh_bound(A) == kittaneh_bound(A, 0.5)
@@ -93,6 +101,34 @@ def test_kittaneh_bound_covers_radius_on_the_ensembles():
                 assert kittaneh_bound(A, v) >= w * (1.0 - 1e-12), (kind, dim, v)
     # nilpotent shift: the bound is tight at v = 1/2
     assert kittaneh_bound(NILPOTENT) == pytest.approx(numerical_radius(NILPOTENT), abs=1e-12)
+
+
+def test_kittaneh_bound_is_the_svd_norm_of_its_sum():
+    # the top eigenvalue of the positive semidefinite S/2 = (|A|^2v + |A*|^2(1-v))/2,
+    # formed from the frame as the bound forms it (the Hermitian matrix of its
+    # lower triangle), is its largest singular value: within 64 u relative
+    # (u = 2^-53; at most 16 u on these draws)
+    u = 2.0**-53
+    for kind in MATRIX_KINDS:
+        for dim in range(1, 17):
+            A = gen_instance(trial_rng(29, 4, 0, dim), kind, dim)
+            frame = _polar_frames(A)
+            for v in SweepConfig().v_grid:
+                p, q = frame.sigma ** (2.0 * v) / 2.0, frame.sigma ** (2.0 * (1.0 - v)) / 2.0
+                S = _from_spectrum(frame.V, p) + _from_spectrum(frame.W, q)
+                L = np.tril(S, -1)  # the lower triangle and real diagonal eigvalsh reads
+                S = L + L.conj().T + np.diag(S.diagonal().real)
+                norm = np.linalg.svd(S, compute_uv=False)[0]
+                assert abs(kittaneh_bound(A, v) - norm) <= 64.0 * u * norm, (kind, dim, v)
+    for n in (1, 2, 5):
+        assert kittaneh_bound(np.zeros((n, n))) == 0.0
+        assert np.linalg.svd(np.zeros((n, n)), compute_uv=False)[0] == 0.0
+    # the range check still raises before any overflow warning can leak
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in (0.0, 1.0):
+            with pytest.raises(ValueError, match="double range"):
+                kittaneh_bound(1e200 * np.diag([1.0, 0.5]), v)
 
 
 def test_kittaneh_bound_rejects_bad_weight():
@@ -201,8 +237,8 @@ def test_chain_verdicts_do_not_depend_on_the_scale_of_A(monkeypatch):
                  check_radius_chain(s * D, 0.5, e1).holds) for s in scales}
 
     assert verdicts() == {(True, True)}
-    exact_mu = operators.mu
-    monkeypatch.setattr(operators, "mu", lambda theta: exact_mu(theta) * (1.0 - 1e-6))
+    exact_mu = operators._mu_at
+    monkeypatch.setattr(operators, "_mu_at", lambda s, c: exact_mu(s, c) * (1.0 - 1e-6))
     assert verdicts() == {(False, False)}
 
 
@@ -244,8 +280,8 @@ def test_chains_through_x_and_y_are_judged_at_a_unit_scale(monkeypatch):
         assert rep.terms[-1][1] == pytest.approx(1e200, rel=1e-14), rep
         assert math.isfinite(rep.worst_slack), rep
     # judged, not waved through: a factor 1% off fails at that length
-    monkeypatch.setattr(operators, "gamma", lambda t, theta: 1.01 * gamma(t, theta))
-    monkeypatch.setattr(operators, "mu", lambda theta: 0.99 * mu(theta))
+    monkeypatch.setattr(operators, "_gamma_at", lambda t, s, c: 1.01 * _gamma_at(t, s, c))
+    monkeypatch.setattr(operators, "_mu_at", lambda s, c: 0.99 * _mu_at(s, c))
     assert not check_reverse_cs([1e200, 0.0], e1, 0.3).holds
     assert not check_mixed_schwarz(np.diag([1.0, 0.5]), [1e200, 0.0], e1, 0.5).holds
     monkeypatch.undo()
@@ -509,6 +545,8 @@ def test_profile_samples_the_chain_checks_theta(monkeypatch):
             frame = _polar_frames(A)
             expected = []
             for x in X:
-                _, *terms = map(float, _schwarz_terms(A, frame, v, x, x))
-                expected.append(_cos_theta(*terms, v))
-            assert seen[0].tolist() == [c for c in expected if c is not None], (kind, n, v)
+                _, n1, n2, inner, r1, r2, _ = _schwarz_terms(A, frame, v, x, x)
+                defined, _, c = _angle(n1, n2, inner, r1, r2)
+                if defined:
+                    expected.append(c)
+            assert seen[0].tolist() == expected, (kind, n, v)
