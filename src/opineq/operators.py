@@ -55,8 +55,8 @@ from .linalg import (
 from .scalars import (
     ChainReport,
     _chains,
-    _gamma_of,
-    _mu_of,
+    _gamma_at,
+    _mu_at,
     _report,
     _scaled_report,
     _unit_scaled,
@@ -235,22 +235,6 @@ def _angle(n1, n2, inner, r1=0.0, r2=0.0):
         return defined, np.sqrt((1.0 - c) * (1.0 + c)), c
     c = min(1.0, inner / (n1 * n2)) if defined else 1.0
     return defined, math.sqrt((1.0 - c) * (1.0 + c)), c
-
-
-def _mu_at(s, c):
-    """`scalars.mu` at the angle of (s, c) from `_angle`: 1 at s = 0, 1/2 at c = 0."""
-    if isinstance(c, np.ndarray):
-        with np.errstate(divide="ignore", invalid="ignore"):  # the rows of s == 0 or c == 0
-            return np.where(s == 0.0, 1.0, np.where(c == 0.0, 0.5, _mu_of(s, c, np)))
-    return 1.0 if s == 0.0 else 0.5 if c == 0.0 else float(_mu_of(s, c, np))
-
-
-def _gamma_at(t, s, c):
-    """`scalars.gamma` at the weight t and the angle of (s, c) from `_angle`: 0 at c = 0."""
-    if isinstance(c, np.ndarray):
-        with np.errstate(invalid="ignore"):  # 0/0 on the rows of c == 0 at t = 1/2
-            return np.where(c == 0.0, 0.0, np.minimum(1.0, _gamma_of(t, s, c, np)))
-    return 0.0 if c == 0.0 else min(1.0, _gamma_of(t, s, c, math))
 
 
 def _mixed_schwarz_chains(t1, n1, n2, inner, r1, r2, top, nx, ny, tol):

@@ -19,10 +19,11 @@ so four functions keep a one-input route beside their kernel:
 `segment_mean_abs` (for ends of size in [2^-256, 2^256]; all others go to
 the kernel) and `check_triangle_refinement` give their kernels' bits (which
 the tests check), and `mu` and `gamma` take a float. A route keeps its own
-guards, but no formula: the reduction mod pi, the log ratio, mu, gamma and
-the segment's line are each one expression, evaluated by `math` on a float
-and by numpy on an array; `_chains` judges a chain of numbers as it judges
-rows of arrays.
+input checks, but no formula: the reduction mod pi, the log ratio, mu,
+gamma and the segment's line are each one expression, evaluated by `math`
+on a float and by numpy on an array; mu and gamma at a sine and cosine, with
+their limits, are `_mu_at` and `_gamma_at`, which the operator chains share;
+`_chains` judges a chain of numbers as it judges rows of arrays.
 
 Every chain is homogeneous, so one rule serves the scalar kernels, the
 operator chains and `numerical_radius`: `_unit_scaled` takes an input whose
@@ -421,6 +422,30 @@ def _gamma_of(t, s, c, lib):
     return c * c * (1.0 + u) / (root + u)
 
 
+# The guarded forms of mu and gamma, which every route takes: floats or arrays
+# of s = sin(theta) and c = cos(theta). Where c*c underflows to 0 (|c| below
+# 2^-537), mu's log ratio may overflow (0*inf) and gamma reads 0/0 at t = 1/2;
+# there mu = 1/2 and gamma = 0, each within 2^-537 of its value.
+
+
+def _mu_at(s, c, lib=np):
+    """`mu` at (s, c): 1 where s = 0, 1/2 where c*c = 0. A float takes `lib`'s
+    log1p; numpy's gives it an array's bits."""
+    if isinstance(c, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # discarded rows
+            return np.where(s == 0.0, 1.0, np.where(c * c == 0.0, 0.5, _mu_of(s, c, np)))
+    return 1.0 if s == 0.0 else 0.5 if c * c == 0.0 else float(_mu_of(s, c, lib))
+
+
+def _gamma_at(t, s, c):
+    """`gamma` at the weight t and (s, c), clipped at 1 so that its range is
+    [0, 1] also under rounding: 0 where c*c = 0."""
+    if isinstance(c, np.ndarray) or isinstance(t, np.ndarray):
+        with np.errstate(invalid="ignore"):  # 0/0 on the rows of c*c == 0 at t = 1/2
+            return np.where(c * c == 0.0, 0.0, np.minimum(1.0, _gamma_of(t, s, c, np)))
+    return 0.0 if c * c == 0.0 else min(1.0, _gamma_of(t, s, c, math))
+
+
 def _finite_array(value, who: str, name: str) -> np.ndarray:
     """value as a float array, every element of it finite."""
     value = np.asarray(value, dtype=float)
@@ -439,13 +464,10 @@ def mu(theta):
     ndarray theta gives the array of values, by the numpy route.
     """
     if isinstance(theta, np.ndarray):
-        s, c = _sin_cos(_finite_array(theta, "mu", "theta"), np)
-        with np.errstate(invalid="ignore"):  # 0/0 on the rows of s == 0
-            return np.where(s == 0.0, 1.0, _mu_of(s, c, np))
+        return _mu_at(*_sin_cos(_finite_array(theta, "mu", "theta"), np))
     if not math.isfinite(theta):
         raise ValueError(f"mu: theta must be finite, got {theta!r}")
-    s, c = _sin_cos(theta, math)
-    return 1.0 if s == 0.0 else _mu_of(s, c, math)
+    return _mu_at(*_sin_cos(theta, math), math)
 
 
 def _nus_over_sin2(theta):
@@ -516,11 +538,9 @@ def gamma(t, theta):
         t = _finite_array(t, "gamma", "t")
         if not ((t > 0.0) & (t < 1.0)).all():
             raise ValueError("gamma: every t must lie strictly in (0, 1)")
-        s, c = _sin_cos(_finite_array(theta, "gamma", "theta"), np)
-        return np.minimum(1.0, _gamma_of(t, s, c, np))
+        return _gamma_at(t, *_sin_cos(_finite_array(theta, "gamma", "theta"), np))
     if not (math.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"gamma: t must lie strictly in (0, 1), got {t!r}")
     if not math.isfinite(theta):
         raise ValueError(f"gamma: theta must be finite, got {theta!r}")
-    # the documented range [0, 1] also under rounding, where gamma nears 1
-    return min(1.0, _gamma_of(t, *_sin_cos(theta, math), math))
+    return _gamma_at(t, *_sin_cos(theta, math))

@@ -15,8 +15,6 @@ from opineq.linalg import (
 from opineq.operators import (
     _PROFILE_STREAM,
     _angle,
-    _gamma_at,
-    _mu_at,
     _philox,
     _schwarz_terms,
     angle_profile,
@@ -26,6 +24,7 @@ from opineq.operators import (
     check_reverse_cs,
     kittaneh_bound,
 )
+from opineq.scalars import _gamma_at, _mu_at
 
 NILPOTENT = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
@@ -152,6 +151,14 @@ def test_mixed_schwarz_nilpotent_equality_case():
     rep = check_mixed_schwarz(NILPOTENT, [0.0, 1.0], [1.0, 0.0], 0.5)
     np.testing.assert_allclose(values(rep), [1.0, 1.0, 1.0], atol=1e-12)
     assert rep.holds
+
+
+@pytest.mark.parametrize("y", [[0.0, 1.0], [1e-200, 1.0], [1e-320, 1.0]])
+def test_mixed_schwarz_orthogonal_vectors_take_mu_one_half(y):
+    # theta = pi/2 up to a cosine whose square underflows to 0
+    rep = check_mixed_schwarz(np.eye(2), [1.0, 0.0], y, 0.5)
+    np.testing.assert_allclose(values(rep), [0.0, 0.5, 1.0], atol=1e-14)
+    assert rep.outcome == "pass"
 
 
 def test_mixed_schwarz_degenerate_vector_is_undefined_not_fail():
@@ -327,9 +334,30 @@ def test_reverse_cs_parallel_is_equality():
 
 
 def test_reverse_cs_orthogonal_collapses():
-    rep = check_reverse_cs([1.0, 0.0], [0.0, 1.0], 0.4)
-    np.testing.assert_allclose(values(rep), [0.0, 0.0, 0.0], atol=1e-14)
-    assert rep.holds
+    # also where cos(theta)^2 underflows to 0, at t and at the sharp t = 1/2
+    for y in ([0.0, 1.0], [1e-200, 1.0], [1e-320, 1.0]):
+        for t in (0.3, 0.4):
+            rep = check_reverse_cs([1.0, 0.0], y, t)
+            np.testing.assert_allclose(values(rep), [0.0, 0.0, 0.0], atol=1e-14)
+            assert rep.outcome == "pass", (y, t, rep)
+
+
+@pytest.mark.parametrize("inner", [0.0, 1e-320, 1e-200, 1e-160])
+def test_nearly_orthogonal_rows_get_their_floats_bits(inner):
+    # a block's row against the public checks' float route, at a cosine
+    # whose square underflows or is subnormal
+    ones = np.ones(2)
+    rows = np.array([inner, 0.5])
+    block = (operators._reverse_cs_chains(ones, ones, rows, np.full(2, 0.3), 1e-12, 1e-12),
+             operators._mixed_schwarz_chains(rows, ones, ones, rows, ones, ones, ones, ones,
+                                             ones, 1e-12))
+    lone = (operators._reverse_cs_chains(1.0, 1.0, inner, 0.3, 1e-12, 1e-12),
+            operators._mixed_schwarz_chains(inner, 1.0, 1.0, inner, 1.0, 1.0, 1.0, 1.0, 1.0,
+                                            1e-12))
+    for (terms, holds, worst, defined), (t1, h1, w1, d1) in zip(block, lone):
+        assert [float(term[0]) for term in terms] == list(t1)
+        assert (bool(holds[0]), float(worst[0]), bool(defined[0])) == (h1, w1, d1)
+        assert h1 and d1
 
 
 def test_reverse_cs_sweep_and_half_sharpness():

@@ -556,6 +556,21 @@ def test_mu_and_gamma_match_mpmath_on_both_routes():
     check()
 
 
+@pytest.mark.parametrize("c", [0.0, 1e-320, 1e-200, 1e-160, 6e-17])
+def test_mu_and_gamma_at_nearly_orthogonal_cosines(c):
+    # c*c underflows to 0 below 2^-537: the limits 1/2 and 0 there, not the
+    # 0*inf of an overflowed log ratio or the 0/0 of gamma at t = 1/2; both
+    # routes agree
+    s = math.sqrt((1.0 - c) * (1.0 + c))
+    arrays = np.array([s]), np.array([c])
+    assert scalars._mu_at(s, c) == scalars._mu_at(s, c, math) == scalars._mu_at(*arrays)[0]
+    assert scalars._mu_at(s, c) == 0.5
+    for t in (0.3, 0.5):
+        g = scalars._gamma_at(t, s, c)
+        assert g == scalars._gamma_at(t, *arrays)[0] == scalars._gamma_at(np.array([t]), s, c)[0]
+        assert 0.0 <= g <= 2.0 * c
+
+
 # --- nu and mu' --------------------------------------------------------------
 
 
