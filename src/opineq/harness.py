@@ -200,7 +200,7 @@ _BUCKET_EDGES = np.array([0.0, math.ulp(0.0)] + [float(f"1e{e}") for e in range(
 @dataclass(slots=True)
 class CheckStats:
     """Outcomes of one check. Every verdict enters by `add_verdicts`, a block of
-    arrays at a time; `add_reports` (a block of reports) calls it."""
+    arrays at a time."""
 
     name: str
     n_pass: int = 0
@@ -210,18 +210,6 @@ class CheckStats:
     worst_slack: float | None = None
     worst_digest: str | None = None
     _counts: list = field(default_factory=lambda: [0] * len(_BUCKETS), init=False, repr=False)
-
-    def add_reports(self, reports: list, digest) -> None:
-        """Record a block of attempts in order: None counts as skipped and an
-        angle-undefined report as undefined; the verdicts of the rest enter
-        `add_verdicts`, with digest(i) the digest of attempt i of the block."""
-        judged = [i for i, r in enumerate(reports) if r is not None and not r.angle_undefined]
-        skipped = sum(r is None for r in reports)
-        self.n_skipped += skipped
-        self.n_undefined += len(reports) - skipped - len(judged)
-        self.add_verdicts(np.array([reports[i].holds for i in judged]),
-                          np.array([reports[i].worst_slack for i in judged]),
-                          lambda j: digest(judged[j]))
 
     def add_verdicts(self, holds: np.ndarray, slacks: np.ndarray, digest) -> None:
         """Record a block of verdicts in attempt order: holds[i] and
@@ -258,14 +246,14 @@ def _run_scalar_trials(cfg: SweepConfig) -> tuple:
     trials runs through the checks' kernels at once."""
     tol = cfg.tolerances["scalar_chain"]
     scale = cfg.scalar_scale
-    t_grid = cfg.t_grid
+    t_grid = np.array(cfg.t_grid)
     tri, rev, log = (CheckStats(name) for name in
                      ("triangle_refinement", "reverse_triangle", "log_bound"))
     rngs = [trial_rng(cfg.seed, _SCALAR_STREAM, 0, j) for j in (1, 2, 3)]
     for start in range(0, cfg.trials, _SCALAR_CHUNK):
         n = min(_SCALAR_CHUNK, cfg.trials - start)
         tri_u, rev_u, log_u = (rng.random((n, 4)) for rng in rngs)
-        ts = np.take(t_grid, np.arange(start, start + n), mode="wrap")
+        ts = t_grid[np.arange(start, start + n) % len(t_grid)]
         xs = -0.9999 + 1.9998 * log_u[:, 0]
 
         def digest(i, start=start):

@@ -330,11 +330,14 @@ def _sinusoid_caps(f0: np.ndarray, f1: np.ndarray, half: float) -> np.ndarray:
     values f0, f1: the top on the cell of the sinusoid s through them. f - s is
     a maximum of sinusoids, each <= 0 at both ends, so none is positive inside
     (a sinusoid's positive set is an interval of length pi). An end of -inf
-    gives the other end."""
+    gives the other end. The top, one libm hypot a cell, is taken only on the
+    cells that use it."""
     with np.errstate(invalid="ignore"):
         p, q = (f0 + f1) / (2.0 * np.cos(half)), (f1 - f0) / (2.0 * np.sin(half))
         inside = np.abs(q) < p * np.tan(half)  # the sinusoid's top lies inside
-        return np.maximum(np.maximum(f0, f1), np.where(inside, np.hypot(p, q), -np.inf))
+        caps = np.maximum(f0, f1)
+        caps[inside] = np.maximum(caps[inside], np.hypot(p[inside], q[inside]))
+        return caps
 
 
 def numerical_radius(A) -> float:

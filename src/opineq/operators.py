@@ -28,7 +28,9 @@ A, so their public checks judge an A with ||A|| outside [2^-256, 2^256] at
 the unit scale of `scalars._unit_scaled`, where no power of sigma leaves the
 double range; the mixed Schwarz and reverse Cauchy-Schwarz chains are
 homogeneous of degree 1 in x and in y too, and judge their vectors the same
-way, and `angle_profile` takes its frame at A's unit scale.
+way, and `angle_profile` takes its frame at A's unit scale. A judge takes
+the check's scale exponent k and reads the chain back (`scalars._chains`),
+and `scalars._report` makes every check's report.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .scalars import (
     _gamma_at,
     _mu_at,
     _report,
-    _scaled_report,
     _unit_scaled,
 )
 
@@ -147,7 +148,7 @@ def _require_unit(x: np.ndarray, who: str) -> np.ndarray:
 # judge takes those terms and returns (terms, holds, worst_slack, defined),
 # as `scalars._chains` does with the angle's `defined` added: the harness runs
 # it on blocks of trials, and the public check on its one trial's floats,
-# which take the same operations.
+# which take the same operations, with the scale exponent k of its inputs.
 
 
 def _aux_terms(frame: PolarFrame, v, x, y):
@@ -237,11 +238,11 @@ def _angle(n1, n2, inner, r1=0.0, r2=0.0):
     return defined, math.sqrt((1.0 - c) * (1.0 + c)), c
 
 
-def _mixed_schwarz_chains(t1, n1, n2, inner, r1, r2, top, nx, ny, tol):
+def _mixed_schwarz_chains(t1, n1, n2, inner, r1, r2, top, nx, ny, tol, k=0):
     """The judge of `check_mixed_schwarz`, r1 and r2 times ||x|| and ||y||."""
     defined, s, c = _angle(n1, n2, inner, r1 * nx, r2 * ny)
     base = n1 * n2
-    return (*_chains((t1, _mu_at(s, c) * base, base), tol, top * nx * ny), defined)
+    return (*_chains((t1, _mu_at(s, c) * base, base), tol, top * nx * ny, k), defined)
 
 
 def _radius_chains(t1, n1, n2, inner, r1, r2, top, kb, tol):
@@ -252,37 +253,28 @@ def _radius_chains(t1, n1, n2, inner, r1, r2, top, kb, tol):
     return (*_chains(terms, tol, top), defined)  # ||A|| ||x||^2, x a unit vector
 
 
-def _reverse_cs_chains(nx, ny, inner, t, tol, equality_tol):
+def _reverse_cs_chains(nx, ny, inner, t, tol, equality_tol, k=0):
     """The judge of `check_reverse_cs`, with the t = 1/2 gap as an equality;
     theta is defined where x and y are nonzero."""
     defined, s, c = _angle(nx, ny, inner)
     prod = nx * ny
     terms = (prod * 0.0, _gamma_at(t, s, c) * prod, inner)
     sharp_gap = _gamma_at(0.5, s, c) * prod - inner
-    return (*_chains(terms, tol, prod, gaps=((sharp_gap, equality_tol),)), defined)
+    return (*_chains(terms, tol, prod, k, gaps=((sharp_gap, equality_tol),)), defined)
 
 
-def _geomean_chains(g, t3, n1, n2, inner, r1, r2, top, tol, equality_tol):
+def _geomean_chains(g, t3, n1, n2, inner, r1, r2, top, tol, equality_tol, k=0):
     """The judge of `check_geomean_lower`, g its `_geomean_forms`; the last
     link is checked two-sided through its gap, not as an ordering."""
     defined, _, c = _angle(n1, n2, inner, r1, r2)
     t2 = c * n1 * n2
-    terms, holds, worst = _chains((c * g, t2), tol, top, gaps=((t3 - t2, equality_tol),))
-    return (*terms, t3), holds, worst, defined
-
-
-def _lone_report(names, chains, kept: int = 0) -> ChainReport:
-    """A public check's report from its judge on its one trial, of floats;
-    where the angle is undefined, the term `kept` alone, with no verdict."""
-    terms, holds, worst, defined = chains
-    if not defined:
-        return ChainReport(((names[kept], terms[kept]),), True, 0.0, angle_undefined=True)
-    return _report(names, terms, holds, worst)
+    return (*_chains((c * g, t2, t3), tol, top, k, gaps=((t3 - t2, equality_tol),), chained=2),
+            defined)
 
 
 def _unit_scaled_frame(A):
     """(k, A*2^k, its polar frame), k from `scalars._unit_scaled` at ||A||;
-    a chain through A, of degree 1 in it, is read back by `_scaled_report`."""
+    a chain through A, of degree 1 in it, is read back by its judge at k."""
     frame = _polar_frames(A)
     k, (A,) = _unit_scaled((A,), frame.sigma[0])
     return k, A, _polar_frames(A) if k else frame
@@ -320,8 +312,7 @@ def check_mixed_schwarz(A, x, y, v: float, tol: float = OPERATOR_SLACK_TOL) -> C
         raise ValueError("check_mixed_schwarz: x and y must be nonzero")
     k, A, frame = _unit_scaled_frame(A)
     terms = map(float, _schwarz_terms(A, frame, v, xv, yv))
-    chains = _mixed_schwarz_chains(*terms, nx, ny, tol)
-    return _scaled_report(_lone_report(_MIXED_SCHWARZ_NAMES, chains), k + kx + ky)
+    return _report(_MIXED_SCHWARZ_NAMES, _mixed_schwarz_chains(*terms, nx, ny, tol, k + kx + ky))
 
 
 def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> ChainReport:
@@ -341,8 +332,7 @@ def check_radius_chain(A, v: float, x, tol: float = OPERATOR_SLACK_TOL) -> Chain
     frame = _polar_frames(A)
     bound = float(_kittaneh_bounds(frame, v))  # its range check before the norms overflow
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
-    chains = _radius_chains(*terms, bound, tol)
-    return _lone_report(_RADIUS_CHAIN_NAMES, chains)
+    return _report(_RADIUS_CHAIN_NAMES, _radius_chains(*terms, bound, tol))
 
 
 def check_reverse_cs(
@@ -368,8 +358,8 @@ def check_reverse_cs(
         raise ValueError("check_reverse_cs: x and y must be nonzero")
     if not (np.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_cs: t must lie strictly in (0, 1), got {t!r}")
-    chains = _reverse_cs_chains(nx, ny, inner, float(t), tol, equality_tol)
-    return _scaled_report(_lone_report(_REVERSE_CS_NAMES, chains), kx + ky)
+    chains = _reverse_cs_chains(nx, ny, inner, float(t), tol, equality_tol, kx + ky)
+    return _report(_REVERSE_CS_NAMES, chains)
 
 
 def check_geomean_lower(
@@ -394,8 +384,8 @@ def check_geomean_lower(
         raise ValueError("check_geomean_lower: |A|^2v or |A*|^2(1-v) is not positive definite "
                          f"enough for the geometric mean at v = {v} (A not invertible enough)")
     terms = map(float, _schwarz_terms(A, frame, v, xv, xv))
-    chains = _geomean_chains(float(form), *terms, tol, equality_tol)
-    return _scaled_report(_lone_report(_GEOMEAN_NAMES, chains, kept=2), k)
+    chains = _geomean_chains(float(form), *terms, tol, equality_tol, k)
+    return _report(_GEOMEAN_NAMES, chains, kept=2)
 
 
 def kittaneh_bound(A, v: float = 0.5) -> float:

@@ -12,23 +12,27 @@ form, provides an independent Gauss-Legendre route for I(c, d), and packages
 the scalar and operator inequality chains alike as `ChainReport`s.
 
 Each quantity has one expression, with no branch window and no difference
-that cancels, in one numpy kernel over whole arrays. The harness runs the
-kernels on blocks of trials, and most public functions on a stack of one,
-so both give the same bits. A stack of one costs 20-200 us in numpy calls,
-so four functions keep a one-input route beside their kernel:
-`segment_mean_abs` (for ends of size in [2^-256, 2^256]; all others go to
-the kernel) and `check_triangle_refinement` give their kernels' bits (which
-the tests check), and `mu` and `gamma` take a float. A route keeps its own
-input checks, but no formula: the reduction mod pi, the log ratio, mu,
-gamma and the segment's line are each one expression, evaluated by `math`
-on a float and by numpy on an array; mu and gamma at a sine and cosine, with
-their limits, are `_mu_at` and `_gamma_at`, which the operator chains share;
-`_chains` judges a chain of numbers as it judges rows of arrays.
+that cancels, in one numpy kernel that takes whole arrays or plain numbers.
+The harness runs the kernels on blocks of trials; `check_reverse_triangle`,
+`check_log_bound`, `nu`, `mu_derivative` and `segment_mean_abs` at ends
+outside [2^-256, 2^256] (zero and non-finite ends included) run them on
+their own numbers, with a block row's bits. Four functions keep a
+one-input route beside their kernel, since the kernel's numpy calls on
+numbers cost more than its arithmetic: `segment_mean_abs` and
+`check_triangle_refinement` follow their kernels step for step, with the
+same bits (which the tests check), and `mu` and `gamma` take a float. A
+route keeps its own input checks, but no formula: the reduction mod pi, the
+log ratio, mu, gamma and the segment's line are each one expression,
+evaluated by `math` on a float and by numpy on an array; mu and gamma at a
+sine and cosine, with their limits, are `_mu_at` and `_gamma_at`, which the
+operator chains share; `_chains` judges a chain of numbers as it judges rows
+of arrays, and `_report` makes every public check's `ChainReport`.
 
 Every chain is homogeneous, so one rule serves the scalar kernels, the
 operator chains and `numerical_radius`: `_unit_scaled` takes an input whose
 size lies outside `_UNIT_RANGE` = [2^-256, 2^256] to unit scale by an exact
-power of two, and `_scaled_report` reads a chain's terms back.
+power of two, `_chains` reads a chain's terms back, and `_scaled_back` one
+value.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,19 +104,21 @@ def _least(a, b):
     return a if a < b or a != a else b
 
 
-def _chains(terms, tol: float, scale, k=0, gaps=()):
+def _chains(terms, tol: float, scale, k=0, gaps=(), chained=None):
     """(terms, holds, worst_slack) of each row of the chains `terms`, one
     array per link in chain order, or of the one chain of numbers `terms`,
-    each adjacent gap allowed down to -tol*scale, with `scale` the chain's
-    own size. Each (gap, gap_tol) of `gaps` is an exact equality: it enters
-    the worst slack as -|gap| and fails the row beyond gap_tol*scale. Terms
-    and slack are read back from the `_unit_scaled` scale 2^k.
+    each adjacent gap of the first `chained` terms (all by default) allowed
+    down to -tol*scale, with `scale` the chain's own size. Each
+    (gap, gap_tol) of `gaps` is an exact equality: it enters the worst slack
+    as -|gap| and fails the row beyond gap_tol*scale. Terms and slack are
+    read back from the `_unit_scaled` scale 2^k, inf where they leave the
+    double range; this is the one read-back of a chain.
 
     The inequalities are homogeneous, and rounding error grows with the
     operands, so every allowance is relative: no absolute floor, which would
     swamp the values of a chain at small scale. A NaN gap fails its row.
     Numbers take `_least` for np.minimum, so one chain has a block's bits."""
-    links = [b - a for a, b in zip(terms, terms[1:])]
+    links = [b - a for a, b in zip(terms[:chained], terms[1:chained])]
     least = np.minimum if isinstance(links[0], np.ndarray) else _least
     worst = functools.reduce(least, links)
     holds = worst >= -tol * scale
@@ -120,15 +126,21 @@ def _chains(terms, tol: float, scale, k=0, gaps=()):
         worst = least(worst, -abs(gap))
         holds = holds & (abs(gap) <= gap_tol * scale)
     if isinstance(k, np.ndarray) or k:
-        terms, worst = tuple(np.ldexp(t, -k) for t in terms), np.ldexp(worst, -k)
+        with np.errstate(over="ignore"):
+            terms, worst = tuple(np.ldexp(t, -k) for t in terms), np.ldexp(worst, -k)
     return terms, holds, worst
 
 
-def _report(names, terms, holds, worst) -> ChainReport:
-    """The `ChainReport` of one chain from `_chains`: numbers, or row 0 of arrays."""
-    if isinstance(worst, np.ndarray):
-        terms, holds, worst = [float(t[0]) for t in terms], bool(holds[0]), float(worst[0])
-    return ChainReport(tuple(zip(names, terms)), holds, worst)
+def _report(names, chains, kept: int = 0) -> ChainReport:
+    """A public check's `ChainReport`, of Python floats and bools, from its
+    kernel's (terms, holds, worst_slack) on numbers or its judge's, which
+    adds the angle's `defined`: where that is false, the term `kept` alone,
+    with no verdict."""
+    terms, holds, worst, *defined = chains
+    if defined and not defined[0]:
+        return ChainReport(((names[kept], float(terms[kept])),), True, 0.0, angle_undefined=True)
+    terms = tuple((name, float(t)) for name, t in zip(names, terms))
+    return ChainReport(terms, bool(holds), float(worst))
 
 
 def _unit_scaled(parts, scale):
@@ -137,15 +149,16 @@ def _unit_scaled(parts, scale):
     an ndarray of one per row. k = 0 where `scale` lies in `_UNIT_RANGE` and
     for zero or non-finite parts; elsewhere k puts the largest real or
     imaginary part in [1/2, 1), exactly unless parts fall below the double
-    range. `_scaled_back` and `_scaled_report` read the results back."""
+    range. `_chains` reads a chain back, and `_scaled_back` one value."""
     lo, hi = _UNIT_RANGE
     rows = isinstance(scale, np.ndarray)
     out = (scale < lo) | (scale > hi)  # False at nan, whose k is 0 anyway
     if not (out.any() if rows else out):  # a float in range: no numpy call
         return 0, parts
     reals = (q for p in parts for q in ((p.real, p.imag) if np.iscomplexobj(p) else (p,)))
-    big = functools.reduce(np.maximum, (np.abs(q) if rows else np.max(np.abs(q)) for q in reals))
-    k = np.where(out, -np.frexp(big)[1], 0) if rows else -math.frexp(big)[1]  # 0 at 0, inf, nan
+    big = functools.reduce(np.maximum, map(np.abs, reals))  # the parts share a shape
+    # k = 0 at 0, inf and nan
+    k = np.where(out, -np.frexp(big)[1], 0) if rows else -math.frexp(np.max(big))[1]
     if not np.any(k):
         return 0, parts
     return k, [np.ldexp(p.real, k) + 1j * np.ldexp(p.imag, k) if np.iscomplexobj(p)
@@ -161,20 +174,6 @@ def _scaled_back(value: float, k: int) -> float:
         return math.inf
 
 
-def _scaled_report(report: ChainReport, k: int) -> ChainReport:
-    """A homogeneous chain judged at its inputs times 2^k, read back: its
-    terms and worst slack times 2^-k, inf where they leave the double range."""
-    if not k:
-        return report
-    terms = tuple((name, _scaled_back(value, k)) for name, value in report.terms)
-    return replace(report, terms=terms, worst_slack=_scaled_back(report.worst_slack, k))
-
-
-def _stack_of_one(*values) -> list:
-    """Each value as a one-element float array, for a kernel."""
-    return [np.array([v], dtype=float) for v in values]
-
-
 def _segment_line(er, ei, dr, di, L, r0, r1):
     """(u0, u1, h, mean) of `segment_mean_abs` for the parts of e = c - d and
     d, floats or arrays, with L = |e| and r0 = |d| <= r1 = |c|: the ends' places
@@ -187,8 +186,8 @@ def _segment_line(er, ei, dr, di, L, r0, r1):
 
 
 def _segment_means(cr, ci, dr, di):
-    """I(c, d) of each row of the part arrays of c and d, by the closed form
-    that `segment_mean_abs` documents."""
+    """I(c, d) of each row of the part arrays of c and d, or of the parts
+    as numbers, by the closed form that `segment_mean_abs` documents."""
     # rows off a branch compute values that np.where discards
     with np.errstate(all="ignore"):
         big = functools.reduce(np.maximum, map(np.abs, (cr, ci, dr, di)))  # nan if a part is
@@ -241,12 +240,12 @@ def segment_mean_abs(c: complex, d: complex) -> float:
     one-pair route, which shares `_segment_line` with the kernel
     `_segment_means` and follows it step for step with its asinh
     (np.arcsinh), so that both give the same bits; all others (zero,
-    non-finite, at unit scale) go to the kernel, 100 us on a stack of one.
+    non-finite, at unit scale) go to the kernel, on their parts as numbers.
     """
     c, d = complex(c), complex(d)
     if not (cmath.isfinite(c) and cmath.isfinite(d) and _UNIT_RANGE[0]
             <= max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)) <= _UNIT_RANGE[1]):
-        return float(_segment_means(*_stack_of_one(c.real, c.imag, d.real, d.imag))[0])
+        return float(_segment_means(c.real, c.imag, d.real, d.imag))
     r0, r1 = abs(d), abs(c)
     if r0 > r1:
         c, d, r0, r1 = d, c, r1, r0
@@ -305,9 +304,10 @@ def _finite_pair(c: complex, d: complex, who: str) -> tuple[complex, complex]:
 
 
 def _triangle_parts(c, d):
-    """(k, parts, |c|, |d|) of the complex arrays c, d, the parts at the
-    `_unit_scaled` scale of the largest: the triangle chains are homogeneous,
-    and on the subnormal grid one ulp exceeds a relative allowance."""
+    """(k, parts, |c|, |d|) of the complex arrays or numbers c, d, the parts
+    at the `_unit_scaled` scale of the largest: the triangle chains are
+    homogeneous, and on the subnormal grid one ulp exceeds a relative
+    allowance."""
     parts = c.real, c.imag, d.real, d.imag
     k, parts = _unit_scaled(parts, functools.reduce(np.maximum, map(np.abs, parts)))
     return k, parts, np.hypot(parts[0], parts[1]), np.hypot(parts[2], parts[3])
@@ -315,7 +315,7 @@ def _triangle_parts(c, d):
 
 def _triangle_chains(c, d, tol: float):
     """((lhs, mid, rhs), holds, worst_slack) per element of the complex
-    arrays c, d: the chain of `check_triangle_refinement`."""
+    arrays c, d, or of the numbers: the chain of `check_triangle_refinement`."""
     k, (cr, ci, dr, di), abs_c, abs_d = _triangle_parts(c, d)
     # halve before adding, so that finite inputs near the double range stay finite
     lhs = np.hypot(cr / 2.0 + dr / 2.0, ci / 2.0 + di / 2.0)
@@ -326,7 +326,8 @@ def _triangle_chains(c, d, tol: float):
 
 def _reverse_triangle_chains(c, d, t, tol: float):
     """((lhs, mid, rhs), holds, worst_slack) per element of the complex
-    arrays c, d and weights t: the chain of `check_reverse_triangle`."""
+    arrays c, d and weights t, or of the numbers: the chain of
+    `check_reverse_triangle`."""
     k, (cr, ci, dr, di), abs_c, abs_d = _triangle_parts(c, d)
     r_t = np.minimum(t, 1.0 - t)
     mean_abs = abs_c / 2.0 + abs_d / 2.0  # halved first, as in _triangle_chains
@@ -337,8 +338,9 @@ def _reverse_triangle_chains(c, d, t, tol: float):
 
 
 def _log_bound_chains(x, tol: float = _LOG_BOUND_REL_TOL):
-    """((first, second), holds, worst_slack) per element of x: the chain of
-    `check_log_bound`, bound <= log_ratio for x >= 0 and reversed below."""
+    """((first, second), holds, worst_slack) per element of x, or of the
+    number x: the chain of `check_log_bound`, bound <= log_ratio for x >= 0
+    and reversed below."""
     bound = 2.0 * x / (x * x + 1.0)
     log_ratio = np.log1p(x) - np.log1p(-x)
     up = x >= 0.0
@@ -351,17 +353,16 @@ def check_triangle_refinement(c: complex, d: complex, tol: float = SCALAR_REL_TO
     fails below -tol*(|c|+|d|)/2: `tol` is relative to the chain's scale.
 
     The one-pair route of the kernel `_triangle_chains`, step for step, so
-    that both give the same bits; the kernel on a stack of one costs about
-    200 us in numpy calls."""
+    that both give the same bits; the kernel's numpy calls on numbers cost
+    more than its arithmetic."""
     c, d = _finite_pair(c, d, "check_triangle_refinement")
+    # the chain is homogeneous: judged at unit scale, read back by `_chains`
     k, (c, d) = _unit_scaled((c, d), max(abs(c.real), abs(c.imag), abs(d.real), abs(d.imag)))
-    if k:  # the chain is homogeneous: judge it at unit scale and read it back
-        return _scaled_report(check_triangle_refinement(c, d, tol), k)
     # halve before adding, so that finite inputs near the double range stay finite
     lhs = abs(c / 2.0 + d / 2.0)
     mid = segment_mean_abs(c, d)
     rhs = abs(c) / 2.0 + abs(d) / 2.0
-    return _report(("lhs", "mid", "rhs"), *_chains((lhs, mid, rhs), tol, rhs))
+    return _report(("lhs", "mid", "rhs"), _chains((lhs, mid, rhs), tol, rhs, k))
 
 
 def check_reverse_triangle(
@@ -379,8 +380,7 @@ def check_reverse_triangle(
     c, d = _finite_pair(c, d, "check_reverse_triangle")
     if not (math.isfinite(t) and 0.0 < t < 1.0):
         raise ValueError(f"check_reverse_triangle: t must lie strictly in (0, 1), got {t!r}")
-    chains = _reverse_triangle_chains(np.array([c]), np.array([d]), *_stack_of_one(t), tol)
-    return _report(("lhs", "mid", "rhs"), *chains)
+    return _report(("lhs", "mid", "rhs"), _reverse_triangle_chains(c, d, float(t), tol))
 
 
 def check_log_bound(x: float, tol: float = _LOG_BOUND_REL_TOL) -> ChainReport:
@@ -390,7 +390,7 @@ def check_log_bound(x: float, tol: float = _LOG_BOUND_REL_TOL) -> ChainReport:
     if not (math.isfinite(x) and -1.0 < x < 1.0):
         raise ValueError(f"check_log_bound: need |x| < 1, got {x!r}")
     names = ("bound", "log_ratio") if x >= 0.0 else ("log_ratio", "bound")
-    return _report(names, *_log_bound_chains(*_stack_of_one(x), tol))
+    return _report(names, _log_bound_chains(float(x), tol))
 
 
 def _sin_cos(theta, lib):
@@ -471,10 +471,11 @@ def mu(theta):
 
 
 def _nus_over_sin2(theta):
-    """(sin(theta), nu(theta)/sin^2(theta)) per element of the array theta
-    in (0, pi). Below sin = 1/4 the series -16 * sum_k k*sin^(2k-1)/(4k^2-1),
-    whose terms share one sign (so nu <= 0 under rounding too); above it the
-    closed form, where 4*sin and the log term differ by over 7%."""
+    """(sin(theta), nu(theta)/sin^2(theta)) per element of the array theta,
+    or of the number theta, in (0, pi). Below sin = 1/4 the series
+    -16 * sum_k k*sin^(2k-1)/(4k^2-1), whose terms share one sign (so nu <= 0
+    under rounding too); above it the closed form, where 4*sin and the log
+    term differ by over 7%."""
     s = np.sin(theta)
     ss = s * s
     series = -s * np.polyval(_NU_SERIES, ss)  # Horner
@@ -484,13 +485,14 @@ def _nus_over_sin2(theta):
 
 
 def _nus(theta) -> np.ndarray:
-    """`nu` of each element of the array theta, all in (0, pi)."""
+    """`nu` of each element of the array theta, or of the number, in (0, pi)."""
     s, q = _nus_over_sin2(theta)
     return s * (s * q)
 
 
 def _mu_derivatives(theta) -> np.ndarray:
-    """`mu_derivative` of each element of the array theta, all in (0, pi)."""
+    """`mu_derivative` of each element of the array theta, or of the
+    number, in (0, pi)."""
     return np.cos(theta) / 8.0 * _nus_over_sin2(theta)[1]
 
 
@@ -504,7 +506,7 @@ def nu(theta: float) -> float:
     """
     if not (math.isfinite(theta) and 0.0 < theta < math.pi):
         raise ValueError(f"nu: theta must lie in (0, pi), got {theta!r}")
-    return float(_nus(*_stack_of_one(theta))[0])
+    return float(_nus(float(theta)))
 
 
 def mu_derivative(theta: float) -> float:
@@ -516,7 +518,7 @@ def mu_derivative(theta: float) -> float:
     """
     if not (math.isfinite(theta) and 0.0 < theta < math.pi):
         raise ValueError(f"mu_derivative: theta must lie in (0, pi), got {theta!r}")
-    return float(_mu_derivatives(*_stack_of_one(theta))[0])
+    return float(_mu_derivatives(float(theta)))
 
 
 def gamma(t, theta):

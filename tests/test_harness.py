@@ -23,6 +23,20 @@ from opineq.scalars import ChainReport
 SMALL = dict(seed=1, trials=60, operator_trials=6)
 
 
+def add_reports(stats: CheckStats, reports: list, digest) -> None:
+    """Record a block of public-check reports in order, the reference that the
+    harness's array recording is compared against: None counts as skipped and
+    an angle-undefined report as undefined; the verdicts of the rest enter
+    `stats.add_verdicts`, with digest(i) the digest of attempt i of the block."""
+    judged = [i for i, r in enumerate(reports) if r is not None and not r.angle_undefined]
+    skipped = sum(r is None for r in reports)
+    stats.n_skipped += skipped
+    stats.n_undefined += len(reports) - skipped - len(judged)
+    stats.add_verdicts(np.array([reports[i].holds for i in judged]),
+                       np.array([reports[i].worst_slack for i in judged]),
+                       lambda j: digest(judged[j]))
+
+
 # --- config ------------------------------------------------------------------
 
 
@@ -274,25 +288,26 @@ def test_operator_blocks_report_what_the_public_checks_report():
             # trial k alone, from its own counter blocks
             A, x, y, xv, yv = (a[0] for a in harness._operator_draws(cfg.seed, dim, k, [kind]))
             op_tol = tol["operator_chain"]
-            stats["mixed_schwarz"].add_reports(
-                [operators.check_mixed_schwarz(A, x, y, v, op_tol)], lambda i: digest)
-            stats["radius_chain"].add_reports(
-                [operators.check_radius_chain(A, v, x, op_tol)], lambda i: digest)
-            stats["reverse_cs"].add_reports(
-                [operators.check_reverse_cs(xv, yv, t, op_tol, tol["equality"])], lambda i: digest)
+            add_reports(stats["mixed_schwarz"],
+                        [operators.check_mixed_schwarz(A, x, y, v, op_tol)], lambda i: digest)
+            add_reports(stats["radius_chain"],
+                        [operators.check_radius_chain(A, v, x, op_tol)], lambda i: digest)
+            add_reports(stats["reverse_cs"],
+                        [operators.check_reverse_cs(xv, yv, t, op_tol, tol["equality"])],
+                        lambda i: digest)
             geo = None
             if kind in harness.INVERTIBLE_KINDS:
                 try:
                     geo = operators.check_geomean_lower(A, v, x, op_tol, tol["geomean_equality"])
                 except ValueError:
                     pass
-            stats["geomean_lower"].add_reports([geo], lambda i: digest)
+            add_reports(stats["geomean_lower"], [geo], lambda i: digest)
             # ||A|| is the top singular value of the polar frame's SVD
             w, nrm, kb = numerical_radius(A), svd(A)[1][0], operators.kittaneh_bound(A)
             # the chain ||A||/2 <= w(A) <= kittaneh <= ||A||, one slack per link
             slacks = (w - nrm / 2.0, kb - w, nrm - kb)
             sandwich = ChainReport((), min(slacks) >= -tol["radius"] * nrm, min(slacks))
-            stats["radius_sandwich"].add_reports([sandwich], lambda i: digest)
+            add_reports(stats["radius_sandwich"], [sandwich], lambda i: digest)
     expected = summary_to_dict(SuiteSummary(cfg, tuple(stats.values()), 0.0), include_wall=False)
     got = summary_to_dict(run_suite(cfg, suite="operator"), include_wall=False)
     assert got == expected
@@ -409,8 +424,11 @@ def test_operator_phase_draws_each_block_at_once(monkeypatch):
     assert calls["eigvalsh_matrices"]["kittaneh"] <= 2_000, calls
 
 
-def test_scalar_blocks_report_what_the_public_checks_report():
-    # the scalar kernels against the public checks, one trial at a time
+def test_scalar_blocks_report_what_the_public_checks_report(monkeypatch):
+    # the scalar kernels against the public checks, one trial at a time; 2,500
+    # trials in chunks of 300 (not a multiple of the t grid's 7) check each
+    # chunk's weights across its boundaries
+    monkeypatch.setattr(harness, "_SCALAR_CHUNK", 300)
     cfg = SweepConfig(seed=11, trials=2500)
     tol = cfg.tolerances["scalar_chain"]
     tri, rev, log = (CheckStats(name) for name in
@@ -419,13 +437,13 @@ def test_scalar_blocks_report_what_the_public_checks_report():
     for k in range(cfg.trials):
         digest = f"seed={cfg.seed};trial={k}"
         c, d = gen_instance(rngs[0], "scalar-pair", 0, cfg.scalar_scale)
-        tri.add_reports([scalars.check_triangle_refinement(c, d, tol)], lambda i: digest)
+        add_reports(tri, [scalars.check_triangle_refinement(c, d, tol)], lambda i: digest)
         c, d = gen_instance(rngs[1], "scalar-pair", 0, cfg.scalar_scale)
         t = cfg.t_grid[k % len(cfg.t_grid)]
-        rev.add_reports([scalars.check_reverse_triangle(c, d, t, tol)],
+        add_reports(rev, [scalars.check_reverse_triangle(c, d, t, tol)],
                         lambda i: f"{digest};t={t:g}")
         x = -0.9999 + 1.9998 * float(rngs[2].random(4)[0])  # trial k reads counter block k
-        log.add_reports([scalars.check_log_bound(x)], lambda i: f"{digest};x={x!r}")
+        add_reports(log, [scalars.check_log_bound(x)], lambda i: f"{digest};x={x!r}")
     expected = summary_to_dict(SuiteSummary(cfg, (tri, rev, log), 0.0), include_wall=False)
     got = summary_to_dict(SuiteSummary(cfg, harness._run_scalar_trials(cfg), 0.0),
                           include_wall=False)
@@ -452,21 +470,21 @@ def test_operator_trials_run_in_bounded_memory():
 
 def test_check_stats_add_counts_buckets_and_keeps_first_worst():
     stats = CheckStats("probe")
-    stats.add_reports([None], lambda i: "skipped")
+    add_reports(stats, [None], lambda i: "skipped")
     # an undefined report is counted, but its slack is no verdict's slack
-    stats.add_reports([ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True)],
-                      lambda i: "undefined")
+    add_reports(stats, [ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True)],
+                lambda i: "undefined")
     for digest, slack in [("big", 5e4), ("mid", 3e-7), ("first-worst", -1e-20),
                           ("zero", 0.0), ("tiny", 5e-19)]:
-        stats.add_reports([ChainReport((("t", 1.0),), True, slack)], lambda i: digest)
-    stats.add_reports([ChainReport((("t", 1.0),), False, -1e-20)], lambda i: "tied-worst")
+        add_reports(stats, [ChainReport((("t", 1.0),), True, slack)], lambda i: digest)
+    add_reports(stats, [ChainReport((("t", 1.0),), False, -1e-20)], lambda i: "tied-worst")
     # the same attempts as one block
     digests = ["skipped", "undefined", "big", "mid", "first-worst", "zero", "tiny", "tied-worst"]
     reports = [None, ChainReport((("t", 1.0),), True, -5.0, angle_undefined=True)] + [
         ChainReport((("t", 1.0),), True, slack) for slack in (5e4, 3e-7, -1e-20, 0.0, 5e-19)] + [
         ChainReport((("t", 1.0),), False, -1e-20)]
     block = CheckStats("probe")
-    block.add_reports(reports, digests.__getitem__)
+    add_reports(block, reports, digests.__getitem__)
     assert block == stats
 
     assert (stats.n_pass, stats.n_fail, stats.n_undefined, stats.n_skipped) == (5, 1, 1, 1)
@@ -503,15 +521,15 @@ def test_add_verdicts_builds_what_add_builds(block, path):
             reports[i:i] = [None] if i % 8 else [undefined]
     one_by_one, blocked = CheckStats("probe"), CheckStats("probe")
     for i, report in enumerate(reports):
-        one_by_one.add_reports([report], lambda j: f"attempt {i}")
+        add_reports(one_by_one, [report], lambda j: f"attempt {i}")
     for start in range(0, len(reports), block):
         if path == "verdicts":
             blocked.add_verdicts(np.array(holds[start:start + block]),
                                  np.array(slacks[start:start + block]),
                                  lambda i, start=start: f"attempt {start + i}")
         else:
-            blocked.add_reports(reports[start:start + block],
-                                lambda i, start=start: f"attempt {start + i}")
+            add_reports(blocked, reports[start:start + block],
+                        lambda i, start=start: f"attempt {start + i}")
     assert blocked == one_by_one
     assert blocked.slack_histogram == one_by_one.slack_histogram
     assert one_by_one.n_pass + one_by_one.n_fail == len(slacks)
@@ -526,8 +544,8 @@ def test_decade_buckets_read_the_doubles_nearest_the_powers_of_ten():
     stats = CheckStats("probe")
     for e in (-18, -5, 3):
         edge = float(f"1e{e}")
-        stats.add_reports([ChainReport((), True, edge),
-                           ChainReport((), True, float(np.nextafter(edge, 0.0)))], lambda i: "")
+        add_reports(stats, [ChainReport((), True, edge),
+                            ChainReport((), True, float(np.nextafter(edge, 0.0)))], lambda i: "")
     assert [list(b) for b in stats.slack_histogram] == [
         ["1e-18", 2], ["1e-06", 1], ["1e-05", 1], ["1e+02", 1], ["1e+03", 1]]
 

@@ -501,6 +501,25 @@ def test_radius_scan_pruning_is_sound_and_exact(monkeypatch):
         assert _numerical_radii(np.asarray(A, dtype=complex)[None])[0] == _grid_tops(A).max()
 
 
+def test_sinusoid_caps_equal_the_all_cells_formula():
+    # the top taken on the inside cells only is the cap of every cell taken at
+    # once, bit for bit, with unsolved (-inf) ends, and inf and nan ends
+    rng = np.random.default_rng(47)
+    f0 = rng.uniform(-2.0, 3.0, size=(300, 64))
+    f0[rng.random(f0.shape) < 0.2] = -np.inf
+    f0[0, :3] = np.inf, np.nan, -np.inf
+    f1 = np.roll(f0, -1, axis=1)
+    f1[rng.random(f1.shape) < 0.05] = -np.inf
+    for half in (np.pi / 64, np.pi / 16, 0.5, 1.5):
+        with np.errstate(invalid="ignore"):
+            p, q = (f0 + f1) / (2.0 * np.cos(half)), (f1 - f0) / (2.0 * np.sin(half))
+            every = np.maximum(np.maximum(f0, f1),
+                               np.where(np.abs(q) < p * np.tan(half), np.hypot(p, q), -np.inf))
+        caps = _sinusoid_caps(f0, f1, half)
+        assert np.array_equal(caps, every, equal_nan=True), half
+        assert (np.isneginf(caps) == (np.isneginf(f0) & np.isneginf(f1))).all(), half
+
+
 def test_radius_near_the_double_range_stays_finite():
     # the Hermitian parts halve before they add, so (M + M*)/2 cannot overflow
     assert numerical_radius(np.array([[1.5e308, 0.0], [0.0, 0.0]])) == 1.5e308

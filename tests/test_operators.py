@@ -308,6 +308,31 @@ def test_chains_through_x_and_y_are_judged_at_a_unit_scale(monkeypatch):
             assert (rep_k.holds, rep_k.worst_slack) == (rep.holds, math.ldexp(rep.worst_slack, k))
 
 
+@pytest.mark.filterwarnings("error")
+def test_chains_read_back_beyond_the_double_range_keep_their_sign():
+    # x and y at 2^700 give chains of size 2^1400: each term and worst slack
+    # reads back as the unit-scale value times 2^1400, an inf of its sign
+    # where nonzero, with no overflow warning, and the verdict is the one
+    # judged at unit scale; every report holds Python floats and bools
+    rng = np.random.default_rng(29)
+    big = 2.0**700
+    negative = 0
+    for _ in range(40):
+        A, x, y = random_complex(rng, 3), unit_vector(rng, 3), unit_vector(rng, 3)
+        for check in (lambda M, u, w: check_reverse_cs(u, w, 0.3),
+                      lambda M, u, w: check_mixed_schwarz(M, u, w, 0.3)):
+            rep, rep_big = check(A, x, y), check(A * big, x * big, y * big)
+            expected = [v if v == 0.0 else math.copysign(math.inf, v)
+                        for v in [v for _, v in rep.terms] + [rep.worst_slack]]
+            assert [v for _, v in rep_big.terms] + [rep_big.worst_slack] == expected
+            assert rep_big.holds == rep.holds
+            for report in (rep, rep_big):
+                assert all(type(v) is float for _, v in report.terms)
+                assert type(report.holds) is bool and type(report.worst_slack) is float
+            negative += rep.worst_slack < 0.0
+    assert negative
+
+
 def test_chains_hold_with_x_near_the_smallest_singular_direction():
     # the terms round at about eps*||A||, far above the auxiliary norms'
     # product n1*n2 when x lies in the small singular directions of A

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import sys
 import types
@@ -200,6 +202,52 @@ def test_segment_kernels_give_the_one_pair_routes_bits():
         rep = check_triangle_refinement(*p)
         assert rep.terms == tuple(zip(("lhs", "mid", "rhs"), (float(t[i]) for t in terms)))
         assert (rep.holds, rep.worst_slack) == (bool(holds[i]), float(worst[i]))
+
+
+def _assert_plain_report(rep, terms, holds, worst):
+    """rep has the kernel row's terms, verdict and slack, as Python floats and
+    bools that json accepts."""
+    assert [value for _, value in rep.terms] == terms
+    assert (rep.holds, rep.worst_slack, rep.angle_undefined) == (holds, worst, False)
+    assert all(type(value) is float for _, value in rep.terms)
+    assert type(rep.holds) is bool and type(rep.worst_slack) is float
+    json.dumps(dataclasses.asdict(rep), allow_nan=True)
+
+
+@pytest.mark.filterwarnings("error")
+def test_public_scalar_checks_report_their_kernels_rows():
+    # each public scalar check, on its own numbers, against its kernel on one
+    # block: ends at 2^+-700, zero and subnormal ends, and weights and x from
+    # the subnormal range to the edge of their domains
+    rng = np.random.default_rng(20261021)
+    c, d = random_disk_pairs(rng, 60)
+    c = np.concatenate([c * s for s in (1.0, 2.0**700, 2.0**-700, 2.0**-1070)]
+                       + [np.array([0.0, 0.0, 5e-324, 1e-320j, 1.0, 2.0**-700])])
+    d = np.concatenate([d * s for s in (1.0, 2.0**-700, 2.0**700, 2.0**-1070)]
+                       + [np.array([0.0, 1.0, 5e-324j, -3e-321, 0.0, -(2.0**-700)])])
+    t = np.concatenate([rng.uniform(0.0, 1.0, c.size - 4), [5e-324, 2.0**-700, 0.5, 1 - 2**-53]])
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 200),
+                        [0.0, -0.0, 5e-324, -5e-324, 2.0**-700, 1 - 2**-53, -1 + 2**-53]])
+    theta = np.concatenate([rng.uniform(0.0, math.pi, 200),
+                            [5e-324, 2.0**-700, math.pi / 2.0, math.nextafter(math.pi, 0.0)]])
+    tol = scalars.SCALAR_REL_TOL
+    for (kernel, check), args in (
+            ((scalars._triangle_chains, check_triangle_refinement), (c, d)),
+            ((scalars._reverse_triangle_chains, check_reverse_triangle), (c, d, t))):
+        terms, holds, worst = kernel(*args, tol)
+        for i in range(c.size):
+            rep = check(*(complex(a[i]) if np.iscomplexobj(a) else float(a[i]) for a in args), tol)
+            _assert_plain_report(rep, [float(term[i]) for term in terms], bool(holds[i]),
+                                 float(worst[i]))
+    terms, holds, worst = scalars._log_bound_chains(x)
+    for i, xi in enumerate(x.tolist()):
+        _assert_plain_report(check_log_bound(xi), [float(term[i]) for term in terms],
+                             bool(holds[i]), float(worst[i]))
+    assert [segment_mean_abs(*p) for p in zip(c.tolist(), d.tolist())] == (
+        scalars._segment_means(c.real, c.imag, d.real, d.imag).tolist())
+    assert [nu(th) for th in theta.tolist()] == scalars._nus(theta).tolist()
+    assert [mu_derivative(th) for th in theta.tolist()] == scalars._mu_derivatives(theta).tolist()
+    assert all(type(nu(th)) is float and type(mu_derivative(th)) is float for th in theta.tolist())
 
 
 def test_triangle_chain_has_no_link_below_its_tolerance_under_search():
