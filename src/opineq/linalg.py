@@ -312,16 +312,17 @@ _RADIUS_SCAN_CHUNK = 128
 # a thousandfold over those constants. It decides which angles are solved only.
 _SCAN_ROUNDING = 2.0**-40
 
-# Margin of the radius's certificate w(A) <= ||A||, per unit of n, relative
-# to ||A||: a value at phi = 0 or a Newton value that reaches (1 - 16 n u)||A||
-# (u = 2^-53) is the radius, and the matrix's other scan levels and Newton
+# Margin of the radius's certificates, per unit of n, relative to the bound:
+# a value that reaches (1 - 16 n u) of ||A||, or of ||Re A|| + ||Im A||_F
+# (u = 2^-53), is the radius, and the matrix's other scan levels and Newton
 # starts are not run. The margin must exceed the rounding of both computed
-# ends, or a normal matrix (w = ||A||) could not close: the value carries the
+# ends, or a normal matrix (w = ||A||) could not close: a value carries the
 # four roundings per entry of forming H(phi) and the eigensolver's backward
-# error, ||A|| the SVD's, each near n u ||A|| after LAPACK's Householder
-# reductions. 16 u per unit n leaves fivefold over the three: unitary,
-# Hermitian, PSD and diagonal matrices of dims 1-48 close within 3.1 n u ||A||
-# of ||A||.
+# error, a Rayleigh quotient that error squared, ||A|| the SVD's and
+# ||Re A|| the eigvalsh's, each near n u ||A|| after LAPACK's Householder
+# reductions. 16 u per unit n leaves fourfold over them: unitary,
+# Hermitian, PSD and diagonal matrices of dims 1-48 close within 3.8 n u
+# ||A|| of ||A||.
 _CERTIFICATE_ROUNDING = 2.0**-49
 
 
@@ -362,27 +363,38 @@ def numerical_radius(A) -> float:
     have (f + f'' >= 0), hence the shortest one. A candidate stops once its
     step is at most 1e-10 or its f gains no more than rounding.
 
-    The result is the largest f evaluated (a dropped start could only reach
-    values below L): an attained value, so a lower estimate of w(A). The
-    upper bound w(A) <= ||A|| closes it where that can pay: a value that
-    reaches the certificate level (1 - 16 n u)||A|| (u = 2^-53) is the
-    result, since w(A) lies between it and ||A|| (up to their rounding),
-    within 16 n u ||A|| of both. The grid angle phi = 0 is solved first,
-    alone. If max(f(0), f(pi)) reaches the level, it is the result, after one
-    eigvalsh: a Hermitian A, whose f(0) or f(pi) is ||A||, closes this way,
-    so every PSD or real-diagonal one does. Otherwise the first level's
-    other 7 angles are solved. A matrix whose largest cap of the first level
-    (16 angles) reaches the level skips both bisections and tries Newton
-    from its best first-level angle alone, within that angle's two
-    first-level cells (4 grid steps either way); if the try reaches the
-    level, it is the result. Every other normal matrix (w = ||A||) closes
-    this way, after 8 eigvalsh. Otherwise the try's values are dropped, and
-    the matrix takes the rest of the scan and all its starts, exactly as
-    without the bound. ||A|| comes from the SVD of `polar`, computed only for
-    a matrix whose phi = 0 value or first-level caps reach the level of
-    ||A x|| <= ||A|| (`_norm_floors`, one power step on A*A), so a matrix
-    that cannot close, such as a 2 x 2 nilpotent (caps near ||A||/2), takes
-    no SVD.
+    The result is the largest value found: every f evaluated and the
+    Rayleigh quotients at phi = 0 below (a dropped start could only reach
+    values below L). Each is attained, so the result is a lower estimate of
+    w(A). Two upper bounds close it where that can pay: a value that reaches
+    the certificate level (1 - 16 n u) of a bound (u = 2^-53) is the result,
+    since w(A) lies between it and the bound (up to their rounding), within
+    16 n u of both. The grid angle phi = 0 is solved first, alone.
+
+    - w(A) <= ||Re A|| + ||Im A|| <= max(f(0), f(pi)) + ||Im A||_F, by the
+      triangle inequality for w. A matrix with ||Im A||_F <= 8 u sqrt(n)
+      ||Re A||_F, which reaches that level whatever its spectrum since
+      ||Re A|| >= ||Re A||_F / sqrt(n), solves phi = 0 by one eigvalsh and
+      closes there: so does every Hermitian, PSD or real-diagonal A, also
+      one Hermitian only up to rounding, with no SVD.
+    - Every other matrix solves phi = 0 by one eigh. For its bottom and top
+      eigenvectors x of H(0), |x* A x| / ||x||^2 is an attained value. For a
+      normal A they are eigenvectors of A, so for a unitary the quotient is
+      ||A||, and the bound w(A) <= ||A|| closes it after that one eigh.
+
+    A matrix that closes on neither solves the first level's other 7
+    angles. One whose largest cap of the first level (16 angles) reaches
+    the level of ||A|| skips both bisections and tries Newton from its best
+    first-level angle alone, within that angle's two first-level cells (4
+    grid steps either way); if the try reaches the level, it is the result.
+    A normal matrix whose quotients miss ||A|| closes this way. Otherwise
+    the try's values are dropped, and the matrix takes the rest of the scan
+    and all its starts, exactly as without the bound. ||A|| comes from the
+    SVD of `polar`, computed only for a matrix whose phi = 0 value or
+    first-level caps reach the level of ||A x|| <= ||A|| (`_norm_floors`,
+    one power step on A*A, itself taken only where the structural bound
+    did not close), so a matrix that cannot close, such as a 2 x 2
+    nilpotent (caps near ||A||/2), takes no SVD.
 
     w(A) has degree 1 in A. An A whose largest real or imaginary part lies
     outside [2^-256, 2^256], where |q_k* K x|^2 can leave the double range and
@@ -407,23 +419,35 @@ def _norm_floors(A: np.ndarray) -> np.ndarray:
     return _norms(x)
 
 
+def _fro_over(M: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """||M||_F / scale per matrix of the stack M, each part divided before it
+    is squared: where scale is about M's largest part, no square leaves the
+    double range (a complex quotient by a subnormal scale would overflow)."""
+    re, im = (P.reshape(len(M), -1) / scale[:, None] for P in (M.real, M.imag))
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
 def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
     """`numerical_radius` of each matrix of the stack A (m, n, n).
 
     `norms` holds each ||A||, the top singular value of `_polar_frames(A)`,
     or is None to compute it, by that SVD, only for a matrix whose phi = 0
     value or first-level caps reach the certificate level of its
-    `_norm_floors`; an infinite norm never closes. The phi = 0 level is one
-    stacked eigvalsh of every matrix; a matrix that closes there solves
-    nothing more, and the call returns once every matrix has closed. The
-    others solve the rest of the first level. The certificate's tries climb
-    with every other matrix's starts; a matrix whose try stays below the
-    level finishes its scan and climbs again, as with an infinite norm.
-    Every matrix keeps its own scan levels, its own best value and its own
-    stop rule; only the eigen-solver calls are shared. So each value is
-    bit-identical to `numerical_radius` of that matrix alone where its
-    largest part lies in [2^-256, 2^256]; the sweep draws none beyond, so
-    this harness path takes no unit scale of its own.
+    `_norm_floors`; an infinite norm never closes. Both routes close alike
+    at phi = 0: the matrices that the bound ||Hr|| + ||Hi||_F must close
+    (Hi = -Im A) take one stacked eigvalsh there, and close with no
+    `_norm_floors` and no SVD; the others take one stacked eigh, whose
+    bottom and top eigenvectors give Rayleigh quotients that join their
+    best value before it is tested against ||A||. The call returns once
+    every matrix has closed. The others solve the rest of the first level.
+    The certificate's tries climb with every other matrix's starts; a
+    matrix whose try stays below the level finishes its scan and climbs
+    again, as with an infinite norm. Every matrix keeps its own scan
+    levels, its own best value and its own stop rule; only the
+    eigen-solver calls are shared. So each value is bit-identical to
+    `numerical_radius` of that matrix alone where its largest part lies in
+    [2^-256, 2^256]; the sweep draws none beyond, so this harness path
+    takes no unit scale of its own.
     """
     # H(phi) = cos(phi) Hr + sin(phi) Hi and K(phi) = cos(phi) Hi - sin(phi) Hr
     Hr, Hi = _hermitian_part(A), _hermitian_part(1j * A)
@@ -494,36 +518,55 @@ def _numerical_radii(A: np.ndarray, norms=None) -> np.ndarray:
     floors = None
     if norms is None:  # w <= ||A||: the SVD only where a value reaches the level of a lower
         # bound, with the margin twice: a computed ||A x|| may exceed the SVD's ||A|| by rounding
-        norms, floors = np.full(m, np.inf), certain * certain * _norm_floors(A)
+        norms, floors = np.full(m, np.inf), np.full(m, np.nan)  # NaN: not computed yet
 
-    def closes(value):  # whether each matrix's `value` reaches its certificate level
+    def closes(value, rows):  # whether each of `rows` reaches its certificate level by ||A||
         if floors is not None:
-            near = (value >= floors) & np.isinf(norms)  # not computed yet
+            new = rows & np.isnan(floors)
+            if new.any():
+                floors[new] = certain * certain * _norm_floors(A[new])
+            near = rows & (value >= floors) & np.isinf(norms)  # not computed yet
             if near.any():
                 norms[near] = _polar_frames(A[near]).sigma[:, 0]
-        return value >= certain * norms
+        return rows & (value >= certain * norms)
 
-    todo = np.zeros((m, half), dtype=bool)
-    todo[:, 0] = True
-    solve(todo)  # phi = 0 alone: f(0) and f(pi), whose larger is ||A|| for a Hermitian A
-    best = np.maximum(tops[:, 0], tops[:, half])
-    rest = ~closes(best)
+    # phi = 0 alone. w = w(Hr - i Hi) <= ||Hr|| + ||Hi||_F, and ||Hr|| = max(f(0), f(pi)) >=
+    # ||Hr||_F / sqrt(n): a `flat` row reaches that bound's level (margin halved for rounding)
+    scale = np.maximum(np.abs(A.real).max(axis=(1, 2)), np.abs(A.imag).max(axis=(1, 2)))
+    scale = np.where(scale > 0.0, scale, 1.0)  # A's largest part, divided out by `_fro_over`
+    hr_f, hi_f = _fro_over(Hr, scale), _fro_over(Hi, scale)
+    flat = hi_f <= (1.0 - certain) / 2.0 * hr_f / np.sqrt(n)
+    H, lam = Hr + 0.0 * Hi, np.empty((m, n))  # H(0) as `solve` builds it
+    quot = np.full(m, -np.inf)  # the larger Rayleigh quotient |x* A x| / ||x||^2: attained
+    if flat.any():
+        lam[flat] = np.linalg.eigvalsh(H[flat])
+    if not flat.all():  # a normal A's eigenvectors of H(0) are its own: a unitary's give ||A||
+        lam[~flat], Q = np.linalg.eigh(H[~flat])
+        X = Q[..., [0, -1]]  # the bottom and top eigenvectors
+        with np.errstate(over="ignore"):  # inf only where ||A|| leaves the double range
+            XAX = _moduli(np.vecdot(X, A[~flat] @ X, axis=-2))
+        quot[~flat] = (XAX / np.vecdot(X, X, axis=-2).real).max(axis=1)
+    tops[:, 0], tops[:, half] = lam[:, -1], -lam[:, 0]
+    best = np.maximum(np.maximum(tops[:, 0], tops[:, half]), quot)
+    done = flat & (best / scale >= certain * (best / scale + hi_f))
+    rest = ~done & ~closes(best, ~done)
     if not rest.any():
         return best
-    todo[:, 0], todo[:, width::width] = False, rest[:, None]  # the first level's other angles
+    todo = np.zeros((m, half), dtype=bool)
+    todo[:, width::width] = rest[:, None]  # the first level's other angles
     solve(todo)
     first = cell_caps(width)
     # Newton from the best first-level angle, over its cells
-    trying = rest & closes(first.max(axis=1))
+    trying = closes(first.max(axis=1), rest)
     search = rest & ~trying  # no empty scan where every matrix tries
     start = starts(scan(search, first), search) if search.any() else np.zeros(tops.shape, bool)
-    best = tops.max(axis=1)
+    best = np.maximum(tops.max(axis=1), quot)
     start[trying, np.argmax(tops[trying], axis=1)] = True
     climb(start, np.where(trying, width * step, step))
     failed = trying & (best < certain * norms)
     if failed.any():  # the try dropped: the rest of the scan and all starts, as with no bound
         caps = scan(failed, first)
-        best[failed] = tops[failed].max(axis=1)
+        best[failed] = np.maximum(tops[failed].max(axis=1), quot[failed])
         climb(starts(caps, failed), np.full(m, step))
     return best
 

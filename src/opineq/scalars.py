@@ -329,10 +329,15 @@ def _reverse_triangle_chains(c, d, t, tol: float):
     arrays c, d and weights t, or of the numbers: the chain of
     `check_reverse_triangle`."""
     k, (cr, ci, dr, di), abs_c, abs_d = _triangle_parts(c, d)
-    r_t = np.minimum(t, 1.0 - t)
     mean_abs = abs_c / 2.0 + abs_d / 2.0  # halved first, as in _triangle_chains
-    mixed = np.hypot((1.0 - t) * cr + t * dr, (1.0 - t) * ci + t * di)
-    lhs = mean_abs - ((1.0 - t) * abs_c + t * abs_d - mixed) / (2.0 * r_t)
+    s = 1.0 - t
+    mixed = np.hypot(s * cr + t * dr, s * ci + t * di)
+    # (1-t)|c| + t|d| - |(1-t)c + td| cancels as t or 1 - t -> 0; it is read as
+    # 2t(1-t)(|c||d| - Re(c conj(d))) / ((1-t)|c| + t|d| + |(1-t)c + td|), and over
+    # 2 min(t, 1-t) its factor t(1-t) leaves max(t, 1-t). The sum is 0 only where c = d = 0
+    size = s * abs_c + t * abs_d + mixed
+    gap = (abs_c * abs_d - (cr * dr + ci * di)) / np.where(size > 0.0, size, 1.0)
+    lhs = mean_abs - np.maximum(t, s) * gap
     mid = np.hypot(cr / 2.0 + dr / 2.0, ci / 2.0 + di / 2.0)
     return _chains((lhs, mid, mean_abs), tol, mean_abs, k)
 

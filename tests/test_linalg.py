@@ -473,9 +473,20 @@ def _near_normal(rng, n, eps):
     return (U * lam) @ U.conj().T + 0.1 * eps * random_complex(rng, n)
 
 
+def _quotient_at_zero(A):
+    """The larger Rayleigh quotient |x* A x| / ||x||^2 of the bottom and top
+    eigenvectors x of H(0), built and solved as the radius builds and solves it."""
+    A = np.asarray(A, dtype=complex)[None]
+    _, Q = np.linalg.eigh(_hermitian_part(A) + 0.0 * _hermitian_part(1j * A))
+    X = Q[..., [0, -1]]
+    return (linalg._moduli(np.vecdot(X, A @ X, axis=-2)) / np.vecdot(X, X, axis=-2).real).max()
+
+
 def test_radius_scan_pruning_is_sound_and_exact(monkeypatch):
     # every cell's cap bounds a dense f inside it, and the pruned scan's best
-    # value is the full 64-angle scan's, bit for bit (no Newton steps taken)
+    # value is the full 64-angle scan's, bit for bit (no Newton steps taken),
+    # or the Rayleigh quotient at phi = 0 where that beats it: a unitary, or a
+    # 1 x 1 matrix off the real line, closes on its quotient
     rng = np.random.default_rng(46)
     dense_set, exact_set = [], []
     for n in range(1, 17):
@@ -497,8 +508,13 @@ def test_radius_scan_pruning_is_sound_and_exact(monkeypatch):
             inside = dense.reshape(_RADIUS_GRID // width, -1).max(axis=1)
             assert (caps >= inside - margin).all(), (n, width, (inside - caps).max())
     monkeypatch.setattr(linalg, "_NEWTON_STEPS", 0)
+    by_quotient = 0
     for A in exact_set:
-        assert _numerical_radii(np.asarray(A, dtype=complex)[None])[0] == _grid_tops(A).max()
+        w, grid = _numerical_radii(np.asarray(A, dtype=complex)[None])[0], _grid_tops(A).max()
+        if w != grid:
+            assert w == _quotient_at_zero(A) > grid, (A.shape, w, grid)
+            by_quotient += 1
+    assert by_quotient >= 16  # every unitary at least
 
 
 def test_sinusoid_caps_equal_the_all_cells_formula():
@@ -643,11 +659,10 @@ def test_radius_certificate_closes_only_at_the_norm(monkeypatch):
             for k in (0, 700, -700) if n % 8 == 1 else (0,):
                 w = math.ldexp(numerical_radius(_ldexp(A, k)), -k)
                 assert abs(w - nrm) <= margin and abs(w - every_start) <= margin, (n, k)
-    # (c) dim-48 normal matrices close on the first scan level: a unitary
-    # after at most 8 eigvalsh matrices (it solved all 32 grid angles when the
-    # bound was tested after the last level) and 4 eigh matrices (63 from all
-    # of its starts), a Hermitian or PSD one at phi = 0, after 1 eigvalsh
-    # matrix and no eigh
+    # (c) dim-48 normal matrices close at phi = 0: a unitary after 1 eigh
+    # matrix and no eigvalsh (8 eigvalsh and 4 eigh matrices when it closed on
+    # the first scan level, 32 and 63 from all of its starts), a Hermitian or
+    # PSD one after 1 eigvalsh matrix and no eigh
     solved = {"eigh": [], "eigvalsh": []}
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
 
@@ -662,7 +677,7 @@ def test_radius_certificate_closes_only_at_the_norm(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     for kind, eigvalsh_at_most, eigh_at_most in (
-            ("unitary", 8, 4), ("hermitian", 1, 0), ("psd", 1, 0)):
+            ("unitary", 0, 1), ("hermitian", 1, 0), ("psd", 1, 0)):
         for counts in solved.values():
             counts.clear()
         numerical_radius(gen_instance(trial_rng(48, 0, 0, 48), kind, 48))
@@ -671,10 +686,10 @@ def test_radius_certificate_closes_only_at_the_norm(monkeypatch):
 
 
 def test_radius_of_a_lone_unitary_runs_no_empty_scan(monkeypatch):
-    # a lone unitary tries Newton from its best first-level angle and closes:
-    # no matrix searches, so the scan's two bisection levels and its starts do
-    # not run, and the first level's caps are the one `_sinusoid_caps` call.
-    # Its value is the one it takes beside a Ginibre matrix, which does search
+    # a lone unitary closes at phi = 0 on the Rayleigh quotient of an
+    # eigenvector of H(0), which is one of its own: no scan level, no cap and
+    # no Newton step runs, so `_sinusoid_caps` is never called. Its value is
+    # the one it takes beside a Ginibre matrix, which does search
     calls = []
     caps = linalg._sinusoid_caps
     monkeypatch.setattr(linalg, "_sinusoid_caps", lambda *args: calls.append(1) or caps(*args))
@@ -683,31 +698,39 @@ def test_radius_of_a_lone_unitary_runs_no_empty_scan(monkeypatch):
         G = gen_instance(trial_rng(52, 0, 1, n), "ginibre", n)
         calls.clear()
         w = numerical_radius(U)
-        assert len(calls) == 1, (n, len(calls))
+        assert not calls, (n, len(calls))
         calls.clear()
         assert _numerical_radii(np.stack([U, G]))[0] == w, n
         assert len(calls) > 1, n
 
 
+def _counting_solvers(monkeypatch):
+    """Matrices solved by eigh, eigvalsh and svd, and calls of `_norm_floors`
+    and `_sinusoid_caps`, counted into the returned dict from here on."""
+    counts = dict.fromkeys(("eigh", "eigvalsh", "svd", "_norm_floors", "_sinusoid_caps"), 0)
+
+    def counting(name, function, matrices):
+        def wrapped(*args, **kwargs):
+            counts[name] += int(np.prod(np.shape(args[0])[:-2])) if matrices else 1
+            return function(*args, **kwargs)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name), True))
+    for name in ("_norm_floors", "_sinusoid_caps"):
+        monkeypatch.setattr(linalg, name, counting(name, getattr(linalg, name), False))
+    return counts
+
+
 def test_radius_of_a_hermitian_matrix_closes_at_phi_zero(monkeypatch):
     # For a Hermitian A, max(f(0), f(pi)) = max(lambda_max, -lambda_min) = ||A||,
-    # so the grid angle phi = 0, solved alone first, reaches the certificate
-    # level: the radius is that value, after one eigvalsh matrix and no eigh,
-    # within c n u ||A|| of ||A|| (also read back from 2^+-700), and the harness
-    # route gives the public route's bits
-    solved = {"eigh": 0, "eigvalsh": 0}
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-
-    def counting_eigh(M):
-        solved["eigh"] += int(np.prod(M.shape[:-2]))
-        return eigh(M)
-
-    def counting_eigvalsh(M):
-        solved["eigvalsh"] += int(np.prod(M.shape[:-2]))
-        return eigvalsh(M)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    # and w(A) <= ||Re A|| + ||Im A||_F with Im A = 0 up to rounding, so the
+    # grid angle phi = 0, solved alone first, reaches the certificate level of
+    # that bound: the radius is that value, after one eigvalsh matrix, no eigh,
+    # no SVD and no norm floor, within c n u ||A|| of ||A|| (also read back
+    # from 2^+-700), and the harness route gives the public route's bits
+    counts = _counting_solvers(monkeypatch)
+    alone = dict(counts, eigvalsh=1)
     rng = np.random.default_rng(50)
     for n in range(1, 49):
         stack = [gen_instance(rng, kind, n) for kind in ("hermitian", "psd")]
@@ -718,14 +741,73 @@ def test_radius_of_a_hermitian_matrix_closes_at_phi_zero(monkeypatch):
         for A in stack:
             nrm = _polar_frames(A).sigma[0]
             for k in (0, 700, -700):
-                solved.update(eigh=0, eigvalsh=0)
+                counts.update(dict.fromkeys(counts, 0))
                 w = math.ldexp(numerical_radius(_ldexp(A, k)), -k)
-                assert solved == {"eigh": 0, "eigvalsh": 1}, (n, k, solved)
+                assert counts == alone, (n, k, counts)
                 assert abs(w - nrm) <= margin * nrm, (n, k, w, nrm)
             values.append(numerical_radius(A))
-        solved.update(eigh=0, eigvalsh=0)
+        counts.update(dict.fromkeys(counts, 0))
         assert _harness_radii(stack) == values, n
-        assert solved == {"eigh": 0, "eigvalsh": len(stack)}, (n, solved)
+        # the one SVD is the harness's own polar frames
+        assert counts == dict(alone, eigvalsh=len(stack), svd=len(stack)), (n, counts)
+
+
+def test_radius_of_a_unitary_closes_on_a_rayleigh_quotient(monkeypatch):
+    # the top and bottom eigenvectors of H(0) of a normal A are eigenvectors
+    # of A, so their Rayleigh quotient |x* A x| / ||x||^2 is |lambda|, which is
+    # ||A|| for a unitary: it closes after one eigh matrix, with no eigvalsh,
+    # no scan cap and no Newton step, within c n u ||A|| of ||A||
+    counts = _counting_solvers(monkeypatch)
+    for n in range(1, 49):
+        U = gen_instance(trial_rng(53, 0, 0, n), "unitary", n)
+        nrm = _polar_frames(U).sigma[0]
+        counts.update(dict.fromkeys(counts, 0))
+        w = numerical_radius(U)
+        solved = counts["eigh"], counts["eigvalsh"], counts["_sinusoid_caps"]
+        assert solved == (1, 0, 0), (n, counts)
+        assert abs(w - nrm) <= _CERTIFICATE_ROUNDING * n * nrm, (n, w, nrm)
+
+
+@pytest.mark.parametrize("z", [0.0, -2.5, 3.0j, 0.6 - 0.8j, 1e-300 + 1e-300j, -1e300 + 2e299j])
+def test_radius_of_a_scalar_is_its_modulus(z):
+    # a 1 x 1 [[z]] is normal: its radius is |z|, closed at phi = 0 on f(0)
+    # and f(pi) if z is real, and on the Rayleigh quotient of x = [1] otherwise.
+    # The stacked routes take no unit scale, so they run inside [2^-256, 2^256]
+    A = np.array([[z]], dtype=complex)
+    assert numerical_radius(A) == abs(z)
+    if z == 0 or 1e-3 < abs(z) < 1e3:
+        assert _numerical_radii(A[None]).tolist() == _harness_radii(A[None]) == [abs(z)]
+
+
+def test_radius_closes_agree_on_both_routes_in_a_mixed_stack():
+    # the structural and the Rayleigh-quotient closes, and the rows that close
+    # on neither, are decided alike with ||A|| from the block's frames (the
+    # harness) and with ||A|| taken lazily (the public call): every row of a
+    # stack of all five kinds and of near-normal draws gives the lone radius's bits
+    rng = np.random.default_rng(54)
+    for n in (2, 3, 5, 8, 16):
+        stack = [gen_instance(rng, kind, n) for kind in MATRIX_KINDS for _ in range(2)]
+        stack += [_near_normal(rng, n, eps) for eps in (1e-3, 1e-6) for _ in range(2)]
+        stack = np.stack(stack).astype(complex)
+        expected = [numerical_radius(A) for A in stack]
+        assert _numerical_radii(stack).tolist() == expected, n
+        assert _harness_radii(stack) == expected, n
+
+
+def test_harness_radius_closes_soundly_outside_the_unit_range():
+    # the harness route takes no unit scale: the close on ||Re A|| + ||Im A||_F
+    # reads both norms over A's largest part, since squares of entries near
+    # 1e-300 underflow to 0, and an ||Im A||_F of 0 closed a Ginibre matrix at
+    # max(f(0), f(pi)), 2.7% short. Here no value leaves the public one by more
+    # than rounding, with no RuntimeWarning, at scales from subnormal to 1e300
+    for n in (2, 6):
+        for j, kind in enumerate(MATRIX_KINDS):
+            A = gen_instance(trial_rng(55, 0, j, n), kind, n).astype(complex)
+            A /= np.abs(A).max()
+            for scale in (5e-314, 1e-300, 1e-160, 1e160, 1e300):
+                B = (scale * A)[None]
+                w = numerical_radius(B[0])
+                assert _harness_radii(B)[0] == pytest.approx(w, rel=1e-8), (n, kind, scale)
 
 
 def test_radius_takes_an_svd_only_where_the_caps_reach_a_norm_floor(monkeypatch):

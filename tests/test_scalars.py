@@ -389,6 +389,34 @@ def test_reverse_triangle_sweep():
         assert rep.holds, (c, d, t, rep)
 
 
+def _reverse_bound_mpmath(c, d, t):
+    """The reverse bound (|c|+|d|)/2 - ((1-t)|c| + t|d| - |(1-t)c + td|) / (2 min(t, 1-t))
+    at 50 digits, for the doubles c, d and t as given."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        c, d, t = mpmath.mpc(c), mpmath.mpc(d), mpmath.mpf(t)
+        gap = (1 - t) * abs(c) + t * abs(d) - abs((1 - t) * c + t * d)
+        return float((abs(c) + abs(d)) / 2 - gap / (2 * min(t, 1 - t)))
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-8, 1e-12, 1e-17, 1e-20])
+def test_reverse_triangle_holds_at_small_weights(t):
+    # the gap (1-t)|c| + t|d| - |(1-t)c + td| cancelled to rounding noise of
+    # |c|, or to 0 once 1 - t rounds to 1, before its division by 2 min(t, 1-t):
+    # check_reverse_triangle(1, 1j, 1e-17) read lhs 1.0 above mid = 0.707 and
+    # failed, and at 1e-12 lhs read 0.50001106 for 0.50000000000025. Weight
+    # 1 - t is the weight t with c and d swapped, and is run as such too
+    # where 1 - t is a double below 1
+    for c, d in ((1.0, 1j), (3.0 - 4.0j, -1.0 + 2.0j), (2.0, 2.0 + 1e-6j), (1.0, -0.5 + 1e-9j)):
+        runs = [(c, d, t), (d, c, t)] + ([(c, d, 1.0 - t)] if 1.0 - t < 1.0 else [])
+        for a, b, s in runs:
+            rep = check_reverse_triangle(a, b, s)
+            (_, lhs), _, (_, rhs) = rep.terms
+            assert rep.holds, (a, b, s, rep)
+            ref = _reverse_bound_mpmath(a, b, s)
+            assert lhs == pytest.approx(ref, rel=0.0, abs=1e-15 * rhs), (a, b, s)
+
+
 @pytest.mark.parametrize("t", [0.0, 1.0, -0.2, 1.7, float("nan")])
 def test_reverse_triangle_rejects_bad_weight(t):
     with pytest.raises(ValueError):
